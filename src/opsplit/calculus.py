@@ -66,6 +66,8 @@ class INParams:
     def __post_init__(self):
         if not self.beta >= 0.0:
             raise DomainError(f"beta must satisfy beta >= 0, got {self.beta}")
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise DomainError(f"descriptor must be finite, got ({self.alpha}, {self.beta})")
 
     @property
     def lipschitz(self) -> float:
@@ -89,6 +91,8 @@ class ScaledConic:
             raise DomainError("delta must be nonzero")
         if not self.alpha > 0.0:
             raise DomainError(f"alpha must satisfy alpha > 0, got {self.alpha}")
+        if not (math.isfinite(self.delta) and math.isfinite(self.alpha)):
+            raise DomainError(f"descriptor must be finite, got ({self.delta}, {self.alpha})")
 
     def to_in(self) -> INParams:
         """The induced descriptor ``(delta*(1-alpha), |delta|*alpha)``."""
@@ -226,7 +230,7 @@ def classify(p: INParams) -> set[ClassLabel]:
         out.add(ClassLabel.nonexpansive())
     if lip < 1.0:
         out.add(ClassLabel.contraction(lip))
-    if a == 1.0 - b and 0.0 < b < 1.0:
+    if a + b == 1.0 and 0.0 < b < 1.0:
         out.add(ClassLabel.averaged(b))
     if a == b and b > 0.0:
         out.add(ClassLabel.cocoercive(0.5 / b))

@@ -9,6 +9,9 @@ shape.
 Monotone operators enter through :class:`MonotoneSpec` subclasses, each with
 a closed-form resolvent ``(Id + gamma*A)^{-1}``; proximal mappings of
 hypoconvex quadratics reduce to the resolvent of their gradient.
+
+Affine maps carry their form ``x -> matrix @ x + offset`` and the combinators
+fold it, so a tree of affine maps evaluates as a single matvec.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ __all__ = [
     "negate",
     "relax",
     "shift",
+    "difference",
     "estimate_rho",
 ]
 
@@ -50,9 +54,16 @@ Certificate = INParams | ScaledConic
 
 
 class Op:
-    """An evaluatable map on real n-vectors with an optional class certificate."""
+    """An evaluatable map on real n-vectors with an optional class certificate.
 
-    __slots__ = ("fn", "dim", "certificate", "name")
+    An affine ``Op`` also carries its form ``x -> matrix @ x + offset``:
+    ``matrix`` is a float for a multiple of the identity (O(d) maps are never
+    made dense) or an ``(n, n)`` array, and ``offset`` an ``(n,)`` array or
+    ``None`` for zero.  Both are ``None`` for any other map.  Replacing ``fn``
+    drops the form, which no longer describes the map.
+    """
+
+    __slots__ = ("_fn", "dim", "certificate", "name", "matrix", "offset")
 
     def __init__(
         self,
@@ -61,10 +72,20 @@ class Op:
         certificate: Certificate | None = None,
         name: str = "",
     ):
-        self.fn = fn
+        self._fn = fn
         self.dim = dim
         self.certificate = certificate
         self.name = name
+        self.matrix = self.offset = None
+
+    @property
+    def fn(self) -> Callable[[np.ndarray], np.ndarray]:
+        return self._fn
+
+    @fn.setter
+    def fn(self, fn: Callable[[np.ndarray], np.ndarray]):
+        self._fn = fn
+        self.matrix = self.offset = None
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -72,14 +93,50 @@ class Op:
             raise DomainError(
                 f"dimension mismatch: operator expects {self.dim}, got {x.shape[-1]}"
             )
-        return self.fn(x)
+        return self._fn(x)
 
     def __repr__(self):
         return f"Op({self.name or 'anonymous'}, dim={self.dim}, cert={self.certificate})"
 
 
+def _affine(dim: int, matrix, offset, certificate=None, name="") -> Op:
+    """The :class:`Op` ``x -> matrix @ x + offset`` (batched as ``x @ M.T + b``)."""
+    if isinstance(matrix, float):
+        fn = (lambda x: matrix * x) if offset is None else (lambda x: matrix * x + offset)
+    else:
+        mt = matrix.T
+        fn = (lambda x: x @ mt) if offset is None else (lambda x: x @ mt + offset)
+    op = Op(fn, dim, certificate, name)
+    op.matrix, op.offset = matrix, offset
+    return op
+
+
+def _mix(a: float, m, b: float, n):
+    """``a*m + b*n`` for two matrix parts, each a float or an array."""
+    if isinstance(m, float):
+        if isinstance(n, float):
+            return a * m + b * n
+        a, m, b, n = b, n, a, m
+    out = a * m
+    if isinstance(n, float):
+        out.flat[:: out.shape[0] + 1] += b * n
+    else:
+        out += b * n
+    return out
+
+
+def _lincomb(c0: float, c1: float, op: Op, certificate, name: str) -> Op:
+    """``x -> c0*x + c1*op(x)``, folded into one affine map when ``op`` is affine."""
+    if op.matrix is not None:
+        offset = None if op.offset is None else c1 * op.offset
+        return _affine(op.dim, _mix(c0, 1.0, c1, op.matrix), offset, certificate, name)
+    if c0 == 0.0:
+        return Op(lambda x: c1 * op(x), op.dim, certificate, name)
+    return Op(lambda x: c0 * x + c1 * op(x), op.dim, certificate, name)
+
+
 def identity(dim: int) -> Op:
-    return Op(lambda x: x.copy(), dim, INParams(1.0, 0.0), name="Id")
+    return _affine(dim, 1.0, None, INParams(1.0, 0.0), name="Id")
 
 
 def matrix_op(matrix: np.ndarray, offset=None, certificate=None, name="") -> Op:
@@ -88,10 +145,10 @@ def matrix_op(matrix: np.ndarray, offset=None, certificate=None, name="") -> Op:
     n = m.shape[0]
     if m.shape != (n, n):
         raise DomainError(f"matrix must be square, got shape {m.shape}")
-    b = np.zeros(n) if offset is None else np.asarray(offset, dtype=float)
-    if b.shape != (n,):
+    b = None if offset is None else np.asarray(offset, dtype=float)
+    if b is not None and b.shape != (n,):
         raise DomainError(f"offset must have shape ({n},), got {b.shape}")
-    return Op(lambda x: x @ m.T + b, n, certificate, name=name)
+    return _affine(n, m, b, certificate, name)
 
 
 def rotation_matrix(theta: float) -> np.ndarray:
@@ -126,12 +183,7 @@ def build_in_operator(alpha: float, beta: float, n: Op) -> Op:
         raise BuildError(
             f"N must carry a nonexpansive certificate, got bound {bound}"
         )
-    return Op(
-        lambda x: alpha * x + beta * n(x),
-        n.dim,
-        INParams(alpha, beta),
-        name=f"{alpha:g}*Id+{beta:g}*N",
-    )
+    return _lincomb(alpha, beta, n, INParams(alpha, beta), f"{alpha:g}*Id+{beta:g}*N")
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +228,14 @@ class MonotoneSpec:
         """The operator itself as an evaluatable map; absent for set-valued kinds."""
         raise BuildError(f"{type(self).__name__} is not single-valued")
 
-    def reflected_resolvent(self, gamma: float) -> Op:
+    def reflected_resolvent(self, gamma: float, j: Op | None = None) -> Op:
+        """``2*J - Id``; ``j`` is the resolvent at ``gamma`` when already built."""
+        if j is None:
+            j = self.resolvent(gamma)
         # ScaledConic(-1, a) keeps the sign structure: the *negated* reflection
         # is a-conic, which is what the sharp composition rules need.
-        j = self.resolvent(gamma)
         cert = ScaledConic(-1.0, 1.0 / (1.0 + gamma * self.rho))
-        return Op(lambda x: 2.0 * j(x) - x, j.dim, cert, name=f"refl({j.name})")
+        return _lincomb(-1.0, 2.0, j, cert, f"refl({j.name})")
 
     def _resolvent_cert(self, gamma: float) -> INParams:
         return calculus.from_label(resolvent_class(gamma * self.rho).resolvent)
@@ -224,10 +278,7 @@ class Affine(MonotoneSpec):
             inv = np.linalg.inv(np.eye(n) + gamma * self.matrix)
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"singular resolvent solve: {exc}") from exc
-        gb = gamma * self.offset
-        return Op(
-            lambda x: (x - gb) @ inv.T, n, self._resolvent_cert(gamma), name="J"
-        )
+        return _affine(n, inv, -(inv @ (gamma * self.offset)), self._resolvent_cert(gamma), "J")
 
 
 @dataclass(eq=False)
@@ -243,13 +294,12 @@ class ScaledIdentity(MonotoneSpec):
         self._check_coco()
 
     def forward(self) -> Op:
-        c = self.c
-        return Op(lambda x: c * x, self.dim, name=f"{c:g}*Id")
+        return _affine(self.dim, float(self.c), None, name=f"{self.c:g}*Id")
 
     def resolvent(self, gamma: float) -> Op:
         self._check_gamma(gamma)
         f = 1.0 / (1.0 + gamma * self.c)
-        return Op(lambda x: f * x, self.dim, self._resolvent_cert(gamma), name="J")
+        return _affine(self.dim, float(f), None, self._resolvent_cert(gamma), "J")
 
 
 @dataclass(eq=False)
@@ -278,7 +328,7 @@ class SubspaceNormalPlusScale(MonotoneSpec):
     def resolvent(self, gamma: float) -> Op:
         self._check_gamma(gamma)
         p = self.projector / (1.0 + gamma * self.mu)
-        return Op(lambda x: x @ p.T, self.dim, self._resolvent_cert(gamma), name="J")
+        return _affine(self.dim, p, None, self._resolvent_cert(gamma), "J")
 
 
 @dataclass(eq=False)
@@ -397,12 +447,18 @@ def compose(outer: Op, inner: Op) -> Op:
         raise DomainError(
             f"dimension mismatch: {outer.dim} vs {inner.dim}"
         )
-    return Op(
-        lambda x: outer(inner(x)),
-        inner.dim,
-        _compose_cert(outer.certificate, inner.certificate),
-        name=f"{outer.name}∘{inner.name}",
-    )
+    cert = _compose_cert(outer.certificate, inner.certificate)
+    name = f"{outer.name}∘{inner.name}"
+    mo, mi = outer.matrix, inner.matrix
+    if mo is None or mi is None:
+        return Op(lambda x: outer(inner(x)), inner.dim, cert, name=name)
+    dense = isinstance(mo, np.ndarray)
+    matrix = mo @ mi if dense and isinstance(mi, np.ndarray) else mo * mi
+    offset = outer.offset
+    if inner.offset is not None:
+        moved = mo @ inner.offset if dense else mo * inner.offset
+        offset = moved if offset is None else moved + offset
+    return _affine(inner.dim, matrix, offset, cert, name)
 
 
 def scale(c: float, op: Op) -> Op:
@@ -414,7 +470,7 @@ def scale(c: float, op: Op) -> Op:
         else:
             p = cert.to_in() if isinstance(cert, ScaledConic) else cert
             cert = INParams(c * p.alpha, abs(c) * p.beta)
-    return Op(lambda x: c * op(x), op.dim, cert, name=f"{c:g}*{op.name}")
+    return _lincomb(0.0, c, op, cert, f"{c:g}*{op.name}")
 
 
 def negate(op: Op) -> Op:
@@ -428,12 +484,7 @@ def relax(lam: float, op: Op) -> Op:
     if cert is not None:
         p = cert.to_in() if isinstance(cert, ScaledConic) else cert
         cert = INParams((1.0 - lam) + lam * p.alpha, abs(lam) * p.beta)
-    return Op(
-        lambda x: (1.0 - lam) * x + lam * op(x),
-        op.dim,
-        cert,
-        name=f"relax({lam:g},{op.name})",
-    )
+    return _lincomb(1.0 - lam, lam, op, cert, f"relax({lam:g},{op.name})")
 
 
 def shift(c: float, op: Op) -> Op:
@@ -442,7 +493,21 @@ def shift(c: float, op: Op) -> Op:
     if cert is not None:
         p = cert.to_in() if isinstance(cert, ScaledConic) else cert
         cert = INParams(p.alpha + c, p.beta)
-    return Op(lambda x: op(x) + c * x, op.dim, cert, name=f"{op.name}+{c:g}*Id")
+    return _lincomb(c, 1.0, op, cert, f"{op.name}+{c:g}*Id")
+
+
+def difference(a: Op, b: Op) -> Op:
+    """``x -> a(x) - b(x)``, without a certificate."""
+    if a.dim != b.dim:
+        raise DomainError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    name = f"{a.name}-{b.name}"
+    if a.matrix is None or b.matrix is None:
+        return Op(lambda x: a(x) - b(x), a.dim, name=name)
+    if b.offset is None:
+        offset = a.offset
+    else:
+        offset = -b.offset if a.offset is None else a.offset - b.offset
+    return _affine(a.dim, _mix(1.0, a.matrix, -1.0, b.matrix), offset, name=name)
 
 
 # ---------------------------------------------------------------------------

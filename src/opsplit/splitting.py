@@ -353,9 +353,7 @@ def build_fb(plan: SplitPlan, A: MonotoneSpec | Op, B: MonotoneSpec) -> Op:
 def dr_shadow_ops(A: MonotoneSpec, B: MonotoneSpec, gamma: float) -> tuple[Op, Op]:
     """The two shadow maps ``x -> J_{gA} x`` and ``x -> J_{gB} R_{gA} x``."""
     ja = A.resolvent(gamma)
-    ra = A.reflected_resolvent(gamma)
-    jb = B.resolvent(gamma)
-    return ja, ops.compose(jb, ra)
+    return ja, ops.compose(B.resolvent(gamma), A.reflected_resolvent(gamma, ja))
 
 
 # ---------------------------------------------------------------------------
@@ -408,41 +406,47 @@ def iterate(
     x = np.asarray(x0, dtype=float)
     if x.shape != (T.dim,):
         raise DomainError(f"x0 must have shape ({T.dim},), got {x.shape}")
-    shadows = None
+    gap = None
     if track_shadow:
         if A is None or B is None or gamma is None:
             raise DomainError("shadow tracking requires A, B and gamma")
-        shadows = dr_shadow_ops(A, B, gamma)
+        gap = ops.difference(*dr_shadow_ops(A, B, gamma))
 
     log = IterLog(err_norms=[] if x_star is not None else None,
-                  shadow_gaps=[] if shadows else None)
+                  shadow_gaps=[] if gap is not None else None)
     target = None if x_star is None else np.asarray(x_star, dtype=float)
-    norm_cap = divergence_factor * (1.0 + float(np.linalg.norm(x)))
+    # The loop keeps ||x|| of the current iterate: it sets the convergence
+    # scale of the next step and is the divergence test of this one.
+    x_norm = _norm(x)
+    norm_cap = divergence_factor * (1.0 + x_norm)
 
     def record(pt):
         log.points.append(pt)
         if target is not None:
             log.err_norms.append(float(np.linalg.norm(pt - target)))
-        if shadows is not None:
-            log.shadow_gaps.append(float(np.linalg.norm(shadows[0](pt) - shadows[1](pt))))
+        if gap is not None:
+            log.shadow_gaps.append(_norm(gap(pt)))
 
     record(x)
     growth = 0
+    last_step = math.inf
     for k in range(1, max_iter + 1):
         x_new = T(x)
-        if not np.all(np.isfinite(x_new)):
+        new_norm = _norm(x_new)
+        # A finite norm implies finite entries; a non-finite one may be overflow.
+        if not math.isfinite(new_norm) and not np.all(np.isfinite(x_new)):
             raise NumericError(f"non-finite iterate at iteration {k}", iteration=k)
-        step = float(np.linalg.norm(x_new - x))
+        step = _norm(x_new - x)
         log.step_norms.append(step)
         record(x_new)
         log.n_iter = k
-        if step <= tol_fix * (1.0 + float(np.linalg.norm(x))):
+        if step <= tol_fix * (1.0 + x_norm):
             log.converged = True
-            x = x_new
             break
-        growth = growth + 1 if (len(log.step_norms) >= 2 and step > log.step_norms[-2]) else 0
-        x = x_new
-        if float(np.linalg.norm(x)) > norm_cap:
+        growth = growth + 1 if step > last_step else 0
+        last_step = step
+        x, x_norm = x_new, new_norm
+        if x_norm > norm_cap:
             log.diverged = True
             log.reason = f"iterate norm exceeded {norm_cap:g} at iteration {k}"
             break
@@ -453,6 +457,11 @@ def iterate(
     if not log.converged and not log.diverged:
         log.reason = f"no convergence within {max_iter} iterations"
     return log
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-D real array; equal to ``np.linalg.norm(v)``."""
+    return math.sqrt(v.dot(v))
 
 
 @dataclass(frozen=True)

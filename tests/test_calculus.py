@@ -7,6 +7,7 @@ and is kept independent of the package code).
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -83,6 +84,35 @@ def test_label_range_errors():
         INParams(0.0, -0.1)
     with pytest.raises(DomainError):
         ScaledConic(1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda v: INParams(v, 1.0),
+        lambda v: INParams(0.5, v),
+        lambda v: ScaledConic(v, 0.5),
+        lambda v: ScaledConic(1.0, v),
+    ],
+    ids=["INParams.alpha", "INParams.beta", "ScaledConic.delta", "ScaledConic.alpha"],
+)
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_descriptors_reject_non_finite_fields(make, value):
+    with pytest.raises(DomainError):
+        make(value)
+
+
+def test_classify_averaged_when_sum_rounds_to_one():
+    # 1.0 - 0.7 == 0.30000000000000004, but 0.3 + 0.7 == 1.0
+    got = classify(INParams(0.3, 0.7))
+    assert ClassLabel.averaged(0.7) in got
+    assert ClassLabel.conic(0.7) in got
+
+
+def test_classify_averaged_sweep_round_trips():
+    for v in np.linspace(0.0005, 0.9995, 2000):
+        label = ClassLabel.averaged(float(v))
+        assert label in classify(from_label(label))
 
 
 def test_classify_firmly_nonexpansive():

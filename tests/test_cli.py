@@ -114,6 +114,14 @@ def test_classify_output():
     assert {"averaged", "cocoercive", "lipschitz", "nonexpansive"} <= kinds
 
 
+def test_classify_averaged_when_sum_rounds_to_one():
+    r = run_cli("classify", "--alpha", "0.3", "--beta", "0.7")
+    assert r.returncode == 0
+    labels = json.loads(r.stdout)["labels"]
+    assert {"kind": "averaged", "value": 0.7} in labels
+    assert {"kind": "conic", "value": 0.7} in labels
+
+
 def test_solve_fb_tight_rate(tmp_path, fb_instance):
     log = tmp_path / "out.csv"
     r = run_cli(

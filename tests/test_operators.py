@@ -4,25 +4,31 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opsplit.calculus import INParams, ScaledConic
 from opsplit.errors import BuildError, DomainError
 from opsplit.operators import (
     Affine,
     HypoconvexQuadratic,
+    Op,
     QuadraticGradient,
     ScaledIdentity,
     SubspaceNormalPlusScale,
     build_in_operator,
     build_rotation,
     compose,
+    difference,
     estimate_rho,
     identity,
+    matrix_op,
     negate,
     prox,
     reflected_resolvent,
     relax,
     resolvent,
+    rotation_matrix,
     scale,
     shift,
 )
@@ -312,3 +318,208 @@ def test_pair_samples_are_deterministic():
     b = pair_samples(100, 2, seed=7)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
     assert np.all(np.linalg.norm(a[0] - a[1], axis=1) > 0)
+
+
+# ---------------------------------------------------------------------------
+# affine fusion
+
+
+def _spec(kind, n, rng):
+    """A spec of ``kind`` with modulus in [0, 1], so every resolvent exists
+    and every resolvent and reflection is nonexpansive."""
+    if kind == "affine":
+        return random_monotone_affine(rng.uniform(0.0, 1.0), n, rng)
+    if kind == "scaled_identity":
+        return ScaledIdentity(rng.uniform(0.0, 1.0), dim=n)
+    if kind == "subspace_normal":
+        basis = rng.standard_normal((int(rng.integers(1, n + 1)), n))
+        return SubspaceNormalPlusScale(basis, mu=rng.uniform(0.0, 1.0))
+    c = rng.standard_normal((n, n))
+    return QuadraticGradient(c @ c.T / n + rng.uniform(0.0, 1.0) * np.eye(n),
+                             rng.standard_normal(n))
+
+
+def _dense_leaf(spec, which, gamma, n):
+    """``(M, b)`` of a spec's forward map, resolvent or reflected resolvent,
+    computed with plain numpy from the spec's defining data."""
+    eye = np.eye(n)
+    if isinstance(spec, SubspaceNormalPlusScale):
+        u, s, _ = np.linalg.svd(np.atleast_2d(spec.basis).T, full_matrices=False)
+        u = u[:, s > 1e-12 * s[0]]
+        k, kb = u @ u.T / (1.0 + gamma * spec.mu), np.zeros(n)
+    else:
+        if isinstance(spec, ScaledIdentity):
+            m, b = spec.c * eye, np.zeros(n)
+        else:
+            m, b = spec.matrix, spec.offset
+        if which == "forward":
+            return m, b
+        k = np.linalg.inv(eye + gamma * m)
+        kb = -k @ (gamma * b)
+    if which == "resolvent":
+        return k, kb
+    return 2.0 * k - eye, 2.0 * kb
+
+
+def _leaf_op(spec, which, gamma):
+    if which == "forward":
+        return spec.forward()
+    if which == "resolvent":
+        return spec.resolvent(gamma)
+    return spec.reflected_resolvent(gamma)
+
+
+KINDS = ("affine", "scaled_identity", "subspace_normal", "quadratic")
+_coef = st.floats(-2.0, 2.0, allow_nan=False).filter(lambda c: abs(c) > 1e-3)
+_leaf = st.tuples(st.just("leaf"), st.sampled_from(KINDS),
+                  st.sampled_from(("forward", "resolvent", "reflected")))
+_tree = st.recursive(
+    _leaf,
+    lambda t: st.one_of(
+        st.tuples(st.just("compose"), t, t),
+        st.tuples(st.just("scale"), _coef, t),
+        st.tuples(st.just("negate"), t),
+        st.tuples(st.just("relax"), _coef, t),
+        st.tuples(st.just("shift"), _coef, t),
+        # build_in_operator needs a nonexpansive N: a reflected resolvent
+        st.tuples(st.just("in"), _coef, st.floats(0.0, 2.0),
+                  st.tuples(st.just("leaf"), st.sampled_from(KINDS), st.just("reflected"))),
+    ),
+    max_leaves=6,
+)
+
+
+def _build(tree, n, gamma, rng, fused):
+    """``(op, ref)`` for a tree: ``ref(x, mag)`` evaluates it with the dense
+    leaves and also returns ``mag``, a bound on the magnitude of every term
+    summed, against which rounding is measured.  With ``fused=False`` every
+    leaf is re-wrapped as a plain closure, so nothing folds."""
+    tag = tree[0]
+    if tag == "leaf":
+        kind, which = tree[1], tree[2]
+        if kind == "subspace_normal" and which == "forward":
+            which = "resolvent"  # set-valued: no forward map
+        spec = _spec(kind, n, rng)
+        op = _leaf_op(spec, which, gamma)
+        if not fused:
+            op = Op(op.fn, op.dim, op.certificate, op.name)
+        m, b = _dense_leaf(spec, which, gamma, n)
+        return op, lambda x, mag: (x @ m.T + b, mag @ np.abs(m).T + np.abs(b))
+    if tag == "compose":
+        (o, ro), (i, ri) = (_build(t, n, gamma, rng, fused) for t in tree[1:])
+        return compose(o, i), lambda x, mag: ro(*ri(x, mag))
+    if tag == "in":
+        _, alpha, beta, sub = tree
+        op, r = _build(sub, n, gamma, rng, fused)
+        c0, c1, out = alpha, beta, build_in_operator(alpha, beta, op)
+    elif tag == "negate":
+        op, r = _build(tree[1], n, gamma, rng, fused)
+        c0, c1, out = 0.0, -1.0, negate(op)
+    else:
+        c, (op, r) = tree[1], _build(tree[2], n, gamma, rng, fused)
+        c0, c1 = {"scale": (0.0, c), "relax": (1.0 - c, c), "shift": (c, 1.0)}[tag]
+        out = {"scale": scale, "relax": relax, "shift": shift}[tag](c, op)
+
+    def ref(x, mag):
+        y, my = r(x, mag)
+        return c0 * x + c1 * y, abs(c0) * mag + abs(c1) * my
+    return out, ref
+
+
+def _count_nodes(op, x, monkeypatch):
+    calls = [0]
+    original = Op.__call__
+
+    def counting(self, v):
+        calls[0] += 1
+        return original(self, v)
+    with monkeypatch.context() as m:
+        m.setattr(Op, "__call__", counting)
+        op(x)
+    return calls[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tree, st.integers(1, 5), st.floats(0.05, 3.0), st.integers(0, 2**32 - 1))
+def test_fused_trees_match_dense_reference(tree, n, gamma, seed):
+    op, ref = _build(tree, n, gamma, np.random.default_rng(seed), fused=True)
+    assert op.matrix is not None
+    rng = np.random.default_rng(seed + 1)
+    for x in (rng.standard_normal(n), rng.standard_normal((4, n))):
+        got = op(x)
+        want, mag = ref(x, np.abs(x))
+        assert got.shape == x.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * np.max(mag))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_tree, st.integers(1, 4), st.floats(0.05, 3.0), st.integers(0, 2**32 - 1))
+def test_folding_keeps_certificates_and_values(tree, n, gamma, seed):
+    fused, ref = _build(tree, n, gamma, np.random.default_rng(seed), fused=True)
+    plain, _ = _build(tree, n, gamma, np.random.default_rng(seed), fused=False)
+    assert plain.matrix is None and plain.offset is None
+    assert type(fused.certificate) is type(plain.certificate)
+    assert fused.certificate == plain.certificate
+    x = np.random.default_rng(seed + 1).standard_normal((3, n))
+    _, mag = ref(x, np.abs(x))
+    assert np.all(np.abs(fused(x) - plain(x)) <= 1e-12 * np.max(mag))
+
+
+@pytest.mark.parametrize("ka", KINDS)
+@pytest.mark.parametrize("kb", KINDS)
+def test_dr_and_fb_operators_are_one_node(ka, kb, monkeypatch):
+    from opsplit.splitting import dr_operator, fb_operator
+
+    rng = np.random.default_rng(7)
+    a, b = _spec(ka, 4, rng), _spec(kb, 4, rng)
+    x = rng.standard_normal(4)
+    t = dr_operator(a, b, 0.7, 0.4)
+    assert isinstance(t.matrix, np.ndarray) or ka == kb == "scaled_identity"
+    assert _count_nodes(t, x, monkeypatch) == 1
+    if ka != "subspace_normal":
+        t = fb_operator(a, b, 0.3)
+        assert t.matrix is not None
+        assert _count_nodes(t, x, monkeypatch) == 1
+
+
+def test_scalar_maps_stay_scalar():
+    a, b = ScaledIdentity(1.5, dim=300), ScaledIdentity(0.2, dim=300)
+    assert identity(300).matrix == 1.0
+    j = a.resolvent(0.5)
+    assert isinstance(j.matrix, float) and j.offset is None
+    t = relax(0.3, compose(b.reflected_resolvent(0.5), a.reflected_resolvent(0.5)))
+    assert isinstance(t.matrix, float)
+    x = np.linspace(-1.0, 1.0, 300)
+    assert np.allclose(t(x), t.matrix * x, rtol=0.0, atol=1e-15)
+
+
+def test_custom_fn_composes_through_closures(monkeypatch):
+    rot = build_rotation(0.4)
+    clip = Op(lambda x: np.clip(x, -1.0, 1.0), 2, INParams(0.0, 1.0), name="clip")
+    t = relax(0.5, compose(rot, compose(clip, scale(2.0, rot))))
+    assert t.matrix is None and t.offset is None
+    x = np.array([0.3, -0.8])
+    m = rotation_matrix(0.4)
+    assert np.allclose(t(x), 0.5 * x + 0.5 * m @ np.clip(2.0 * m @ x, -1.0, 1.0))
+    assert _count_nodes(t, x, monkeypatch) > 1
+
+
+def test_replacing_fn_drops_affine_form():
+    op = matrix_op(np.diag([2.0, 3.0]), offset=np.ones(2))
+    op.fn = lambda x: -x
+    assert op.matrix is None and op.offset is None
+    assert np.array_equal(compose(op, identity(2))(np.array([1.0, 2.0])), [-1.0, -2.0])
+
+
+def test_difference_folds_and_falls_back():
+    a = Affine(np.array([[2.0, 1.0], [0.0, 3.0]]), np.array([1.0, -1.0]))
+    ja, fa = a.resolvent(0.5), a.forward()
+    x = np.array([[0.5, 2.0], [-1.0, 0.25]])
+    d = difference(ja, fa)
+    assert d.matrix is not None and d.certificate is None
+    assert np.allclose(d(x), ja(x) - fa(x), rtol=0.0, atol=1e-14)
+    plain = Op(fa.fn, 2)
+    assert difference(ja, plain).matrix is None
+    assert np.array_equal(difference(ja, plain)(x), ja(x) - fa(x))
+    with pytest.raises(DomainError):
+        difference(ja, identity(3))

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from opsplit.calculus import INParams, ScaledConic
-from opsplit.errors import DomainError, StepSizeError
-from opsplit.operators import ScaledIdentity, SubspaceNormalPlusScale
+from opsplit.errors import DomainError, NumericError, StepSizeError
+from opsplit.operators import Op, ScaledIdentity, SubspaceNormalPlusScale, identity, scale
 from opsplit.splitting import (
     GammaRange,
     build_dr,
     build_fb,
     dr_operator,
+    dr_shadow_ops,
     fb_operator,
     iterate,
     plan_dr,
@@ -274,6 +275,96 @@ def test_iterate_shadow_gap_tracks_step_norm():
     for k in range(1, min(20, len(log.step_norms))):
         assert abs(log.shadow_gaps[k - 1] - log.step_norms[k - 1]) < 1e-12
     assert log.shadow_gaps[-1] < 1e-6
+
+
+def _reference_iterate(T, x0, max_iter, tol_fix=1e-10, divergence_factor=1e6,
+                       growth_window=50):
+    """The plain loop: both norms taken with ``np.linalg.norm`` at every step
+    and every iterate scanned for non-finite entries."""
+    x = np.asarray(x0, dtype=float)
+    steps, converged, diverged = [], False, False
+    norm_cap = divergence_factor * (1.0 + float(np.linalg.norm(x)))
+    growth, k = 0, 0
+    for k in range(1, max_iter + 1):
+        x_new = T(x)
+        if not np.all(np.isfinite(x_new)):
+            raise NumericError("non-finite", iteration=k)
+        step = float(np.linalg.norm(x_new - x))
+        steps.append(step)
+        if step <= tol_fix * (1.0 + float(np.linalg.norm(x))):
+            converged = True
+            break
+        growth = growth + 1 if (len(steps) >= 2 and step > steps[-2]) else 0
+        x = x_new
+        if float(np.linalg.norm(x)) > norm_cap:
+            diverged = True
+            break
+        if growth >= growth_window:
+            diverged = True
+            break
+    return steps, converged, diverged, k
+
+
+def _nan_on_call(n):
+    calls = [0]
+
+    def fn(x):
+        calls[0] += 1
+        return np.full_like(x, np.nan) if calls[0] == n else 0.9 * x
+    return Op(fn, 2)
+
+
+@pytest.mark.parametrize("case", ["converge", "oscillate", "norm", "growth",
+                                  "overflow", "nan", "inf"])
+def test_iterate_stopping_matches_reference_loop(case):
+    a, b = scaling_demo()
+    cap = 1e250 if case == "growth" else 1e6
+
+    def make():
+        return {
+            "converge": lambda: (dr_operator(a, b, 0.1), [1.0, 1.0]),
+            "oscillate": lambda: (dr_operator(a, b, 0.5), [0.0, 1.0]),
+            "norm": lambda: (scale(1.5, identity(2)), [1.0, -2.0]),
+            "growth": lambda: (scale(1.5, identity(2)), [1.0, -2.0]),
+            # finite entries whose norm overflows: diverged, not a numeric failure
+            "overflow": lambda: (scale(1e200, identity(2)), [1.0, 1.0]),
+            "nan": lambda: (_nan_on_call(7), [1.0, 2.0]),
+            "inf": lambda: (scale(1e300, identity(2)), [1e10, 1.0]),
+        }[case]()
+
+    with np.errstate(over="ignore"):
+        try:
+            want = _reference_iterate(*make(), 300, divergence_factor=cap)
+        except NumericError as exc:
+            with pytest.raises(NumericError) as got:
+                iterate(*make(), max_iter=300, divergence_factor=cap)
+            assert got.value.iteration == exc.iteration
+            return
+        log = iterate(*make(), max_iter=300, divergence_factor=cap)
+    assert (log.step_norms, log.converged, log.diverged, log.n_iter) == want
+    reason = {"converge": "", "oscillate": "no convergence", "norm": "iterate norm",
+              "growth": "step norm grew", "overflow": "iterate norm"}[case]
+    assert log.reason.startswith(reason)
+    if case == "overflow":
+        assert log.n_iter == 1
+
+
+@pytest.mark.parametrize("order", ["A_strong", "B_strong"])
+def test_iterate_shadow_gaps_match_shadow_ops(order, rng):
+    a = random_monotone_affine(0.8, 4, rng)
+    b = SubspaceNormalPlusScale(rng.standard_normal((2, 4)), mu=-0.2)
+    if order == "B_strong":
+        a, b = b, a
+    gamma = 0.4
+    t = dr_operator(a, b, gamma)
+    log = iterate(t, rng.standard_normal(4), max_iter=200, track_shadow=True,
+                  A=a, B=b, gamma=gamma)
+    s0, s1 = dr_shadow_ops(a, b, gamma)
+    for pt, gap in zip(log.points, log.shadow_gaps):
+        want = float(np.linalg.norm(s0(pt) - s1(pt)))
+        # the gap is a difference of two points: its rounding scales with them
+        scale_ = max(want, float(np.linalg.norm(s0(pt))), float(np.linalg.norm(s1(pt))))
+        assert abs(gap - want) <= 1e-12 * scale_
 
 
 def test_iterate_rejects_bad_x0():
