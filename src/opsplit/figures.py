@@ -14,6 +14,7 @@ first disk is closed-form and the raster is exact at pixel centers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,33 +79,45 @@ def class_region(p: INParams) -> Disk:
     return Disk(p.alpha, p.beta)
 
 
-def region_membership(points: np.ndarray, p1: INParams, p2: INParams) -> np.ndarray:
-    """Exact membership of ``points`` in the composition region of ``p2 . p1``.
-
-    A point ``p`` is reachable iff some ``q`` with ``||q - (a1, 0)|| <= b1``
-    satisfies ``||p - a2*q|| <= b2*||q||``.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+def _membership(x: np.ndarray, y: np.ndarray, p1: INParams, p2: INParams) -> np.ndarray:
+    """The closed-form test of :func:`region_membership` on broadcastable
+    coordinate arrays ``x`` and ``y``."""
     a1, b1 = p1.alpha, p1.beta
     a2, b2 = p2.alpha, p2.beta
-    c = np.array([a1, 0.0])
-    rho_max = abs(a1) + b1
 
     if a2 == 0.0:
-        return np.hypot(pts[:, 0], pts[:, 1]) <= b2 * rho_max
+        return np.hypot(x, y) <= b2 * (abs(a1) + b1)
 
-    w = pts / a2
+    x, y = x / a2, y / a2
     k = b2 / abs(a2)
-    nw = np.hypot(w[:, 0], w[:, 1])
+    nw = np.hypot(x, y)
     s = 1.0 - k * k
-    # ||w - s*c|| compared against k*||w|| + s*b1; the comparison direction
-    # flips with the sign of s (Apollonius disk vs disk complement).
-    lhs = np.hypot(w[:, 0] - s * c[0], w[:, 1] - s * c[1])
+    # ||w - s*(a1, 0)|| compared against k*||w|| + s*b1; the comparison
+    # direction flips with the sign of s (Apollonius disk vs disk complement).
+    lhs = np.hypot(x - s * a1, y)
     if s > 0.0:
         return lhs <= k * nw + s * b1
     if s < 0.0:
         return lhs >= k * nw + s * b1
-    return w @ c + b1 * nw >= 0.5 * nw * nw
+    return x * a1 + b1 * nw >= 0.5 * nw * nw
+
+
+def region_membership(points: np.ndarray, p1: INParams, p2: INParams) -> np.ndarray:
+    """Exact membership of ``points`` in the composition region of ``p2 . p1``.
+
+    A point ``p`` is reachable iff some ``q`` with ``||q - (a1, 0)|| <= b1``
+    satisfies ``||p - a2*q|| <= b2*||q||``.  Points must be finite.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if not np.isfinite(pts).all():
+        raise DomainError("points must be finite")
+    return _membership(pts[:, 0], pts[:, 1], p1, p2)
+
+
+# Rows per membership pass of a raster.  At resolution 2048 one float
+# temporary of a pass is 0.5 MiB, so a pass works in cache instead of
+# streaming full-grid temporaries through memory.
+_BLOCK_ROWS = 32
 
 
 def composition_region_exact(
@@ -122,32 +135,38 @@ def composition_region_exact(
     """
     if resolution < 64:
         raise DomainError(f"resolution must be >= 64, got {resolution}")
-    if not relax_weight > 0.0:
-        raise DomainError(f"relax weight must be > 0, got {relax_weight}")
+    if not (relax_weight > 0.0 and math.isfinite(relax_weight)):
+        raise DomainError(f"relax weight must be finite and > 0, got {relax_weight}")
     w = relax_weight
     base = (abs(p1.alpha) + p1.beta) * (abs(p2.alpha) + p2.beta)
     extent = abs(1.0 - w) + w * base
     if extent == 0.0:
         extent = 1.0
+    if not math.isfinite(2.0 * extent):
+        raise DomainError(f"region extent overflows: relax weight {w}, base radius {base}")
     ax = -extent + (2.0 * extent / resolution) * np.arange(resolution + 1)
-    gx, gy = np.meshgrid(ax, ax)
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
     # Membership of the relaxed map at p is membership of the base map at
-    # (p - (1-w)*e)/w.
-    shifted = pts.copy()
-    shifted[:, 0] -= 1.0 - w
-    shifted /= w
-    marked = region_membership(shifted, p1, p2)
-    return Raster(marked.reshape(gx.shape), extent, resolution)
+    # (p - (1-w)*e)/w; columns sample x and rows sample y.
+    xs, ys = ((ax - (1.0 - w)) / w)[None, :], (ax / w)[:, None]
+    marked = np.empty((resolution + 1, resolution + 1), dtype=bool)
+    for r in range(0, resolution + 1, _BLOCK_ROWS):
+        marked[r : r + _BLOCK_ROWS] = _membership(xs, ys[r : r + _BLOCK_ROWS], p1, p2)
+    return Raster(marked, extent, resolution)
 
 
 def raster_contains(raster: Raster, point, dilate: int = 0) -> bool:
     """Whether ``point`` falls on a marked pixel (within ``dilate`` pixels)."""
     x, y = float(point[0]), float(point[1])
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise DomainError(f"point must be finite, got ({x}, {y})")
     h = raster.pixel
-    i = round((x + raster.extent) / h)
-    j = round((y + raster.extent) / h)
+    u = (x + raster.extent) / h
+    v = (y + raster.extent) / h
     n = raster.resolution
+    # Far points are outside before rounding, which overflows on infinite u, v.
+    if not (-dilate - 1 <= u <= n + dilate + 1 and -dilate - 1 <= v <= n + dilate + 1):
+        return False
+    i, j = round(u), round(v)
     if not (-dilate <= i <= n + dilate and -dilate <= j <= n + dilate):
         return False
     i0, i1 = max(0, i - dilate), min(n, i + dilate)
@@ -176,14 +195,16 @@ def emit_svg(regions, markers=(), path=None) -> str:
     Returns the SVG text; writes it to ``path`` when given.  Identical inputs
     produce byte-identical output.
     """
-    extent = 1.05
+    sizes = [1.05]
     for region, _ in regions:
         if isinstance(region, Disk):
-            extent = max(extent, abs(region.center_x) + region.radius)
+            sizes.append(abs(region.center_x) + region.radius)
         else:
-            extent = max(extent, region.extent)
-    for m in markers:
-        extent = max(extent, abs(m[0]), abs(m[1]))
+            sizes.append(region.extent)
+    sizes += [abs(c) for m in markers for c in (m[0], m[1])]
+    extent = max(sizes)
+    if not all(map(math.isfinite, sizes + [extent * 1.05])):
+        raise DomainError(f"figure bounds must be finite, got region and marker sizes {sizes}")
     s = CANVAS / 2.0 / (extent * 1.05)
 
     def tx(x):
@@ -210,7 +231,7 @@ def emit_svg(regions, markers=(), path=None) -> str:
                 f'r="{_fmt(region.radius * s)}" {attrs(style)}/>'
             )
         else:
-            lines.append(_raster_path(region, tx, ty, s, attrs(style)))
+            lines.append(_raster_path(region, tx, ty, attrs(style)))
     lines.append(
         f'<circle cx="{_fmt(tx(0))}" cy="{_fmt(ty(0))}" r="{_fmt(s)}" {_GUIDE_STYLE}/>'
     )
@@ -321,28 +342,18 @@ def preset_figure(name: str, resolution: int = 512):
     raise DomainError(f"unknown preset {name!r}; known: {PRESET_NAMES}")
 
 
-def _raster_path(raster: Raster, tx, ty, s, attr_text: str) -> str:
+def _raster_path(raster: Raster, tx, ty, attr_text: str) -> str:
     """One path element: a rect run per maximal horizontal run of pixels."""
-    h = raster.pixel
-    half = h / 2.0
+    half = raster.pixel / 2.0
     ax = raster.axis()
-    parts = []
-    for j in range(raster.grid.shape[0]):
-        row = raster.grid[j]
-        i = 0
-        n = len(row)
-        while i < n:
-            if row[i]:
-                i0 = i
-                while i < n and row[i]:
-                    i += 1
-                x0 = tx(ax[i0] - half)
-                x1 = tx(ax[i - 1] + half)
-                y0 = ty(ax[j] + half)
-                y1 = ty(ax[j] - half)
-                parts.append(
-                    f"M {_fmt(x0)} {_fmt(y0)} H {_fmt(x1)} V {_fmt(y1)} H {_fmt(x0)} Z"
-                )
-            else:
-                i += 1
+    # Rows are zero-padded at both ends, so their edges alternate start, end.
+    padded = np.pad(raster.grid.astype(bool, copy=False), ((0, 0), (1, 1)))
+    rows, cols = np.divmod(np.flatnonzero(np.diff(padded, axis=1)), padded.shape[1] - 1)
+    j, i0, i1 = rows[::2], cols[::2], cols[1::2] - 1
+    x0, x1 = tx(ax[i0] - half).tolist(), tx(ax[i1] + half).tolist()
+    y0, y1 = ty(ax[j] + half).tolist(), ty(ax[j] - half).tolist()
+    parts = [
+        f"M {_fmt(a)} {_fmt(b)} H {_fmt(c)} V {_fmt(d)} H {_fmt(a)} Z"
+        for a, b, c, d in zip(x0, y0, x1, y1)
+    ]
     return f'<path d="{" ".join(parts)}" {attr_text}/>'

@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from opsplit import figures
 from opsplit.calculus import INParams, compose_general
 from opsplit.errors import DomainError
 from opsplit.figures import (
     Disk,
     PRESET_NAMES,
+    Raster,
     class_region,
     composition_region_exact,
     emit_svg,
@@ -156,3 +160,204 @@ def test_all_presets_render():
         assert text.startswith("<?xml") and text.endswith("</svg>\n")
     with pytest.raises(DomainError):
         preset_figure("unknown")
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations: the per-point meshgrid raster and the per-pixel
+# run-length loop that the broadcast raster and the np.diff runs replaced.
+# The rewrite keeps every float operation, so results must be bit-equal.
+
+
+def _reference_membership(points, p1, p2):
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    a1, b1 = p1.alpha, p1.beta
+    a2, b2 = p2.alpha, p2.beta
+    c = np.array([a1, 0.0])
+    rho_max = abs(a1) + b1
+    if a2 == 0.0:
+        return np.hypot(pts[:, 0], pts[:, 1]) <= b2 * rho_max
+    w = pts / a2
+    k = b2 / abs(a2)
+    nw = np.hypot(w[:, 0], w[:, 1])
+    s = 1.0 - k * k
+    lhs = np.hypot(w[:, 0] - s * c[0], w[:, 1] - s * c[1])
+    if s > 0.0:
+        return lhs <= k * nw + s * b1
+    if s < 0.0:
+        return lhs >= k * nw + s * b1
+    return w @ c + b1 * nw >= 0.5 * nw * nw
+
+
+def _meshgrid_points(extent, resolution, w):
+    ax = -extent + (2.0 * extent / resolution) * np.arange(resolution + 1)
+    gx, gy = np.meshgrid(ax, ax)
+    shifted = np.column_stack([gx.ravel(), gy.ravel()])
+    shifted[:, 0] -= 1.0 - w
+    shifted /= w
+    return shifted, gx.shape
+
+
+def _reference_region(p1, p2, resolution=512, relax_weight=1.0):
+    w = relax_weight
+    base = (abs(p1.alpha) + p1.beta) * (abs(p2.alpha) + p2.beta)
+    extent = abs(1.0 - w) + w * base
+    if extent == 0.0:
+        extent = 1.0
+    pts, shape = _meshgrid_points(extent, resolution, w)
+    return Raster(_reference_membership(pts, p1, p2).reshape(shape), extent, resolution)
+
+
+def _reference_raster_path(raster, tx, ty, attr_text):
+    h = raster.pixel
+    half = h / 2.0
+    ax = raster.axis()
+    parts = []
+    for j in range(raster.grid.shape[0]):
+        row = raster.grid[j]
+        i = 0
+        n = len(row)
+        while i < n:
+            if row[i]:
+                i0 = i
+                while i < n and row[i]:
+                    i += 1
+                x0 = tx(ax[i0] - half)
+                x1 = tx(ax[i - 1] + half)
+                y0 = ty(ax[j] + half)
+                y1 = ty(ax[j] - half)
+                parts.append(
+                    f"M {figures._fmt(x0)} {figures._fmt(y0)} H {figures._fmt(x1)} "
+                    f"V {figures._fmt(y1)} H {figures._fmt(x0)} Z"
+                )
+            else:
+                i += 1
+    return f'<path d="{" ".join(parts)}" {attr_text}/>'
+
+
+@pytest.mark.parametrize("resolution", [64, 128, 129])
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_svg_bytes_match_reference(name, resolution, monkeypatch):
+    regions, markers = preset_figure(name, resolution)
+    text = emit_svg(regions, markers)
+    monkeypatch.setattr(figures, "composition_region_exact", _reference_region)
+    monkeypatch.setattr(figures, "_raster_path", _reference_raster_path)
+    ref_regions, ref_markers = preset_figure(name, resolution)
+    for (got, _), (ref, _) in zip(regions, ref_regions):
+        if isinstance(got, Raster):
+            assert got.grid.dtype == ref.grid.dtype and np.array_equal(got.grid, ref.grid)
+    assert text.encode() == emit_svg(ref_regions, ref_markers).encode()
+
+
+def _hand_grids(n=64):
+    m = n + 1
+    edges = np.zeros((m, m), bool)
+    edges[:, :3] = edges[:, -3:] = True
+    edges[5, :] = True
+    single = np.zeros((m, m), bool)
+    single[[0, 0, 7, m - 1, m - 1], [0, m - 1, 30, 0, m - 1]] = True
+    alternating = np.zeros((m, m), bool)
+    alternating[:, ::2] = True
+    alternating[1::2] = ~alternating[1::2]
+    return {
+        "empty": np.zeros((m, m), bool),
+        "full": np.ones((m, m), bool),
+        "edges": edges,
+        "single": single,
+        "alternating": alternating,
+        "random": np.random.default_rng(3).random((m, m)) < 0.5,
+        "counts": np.random.default_rng(4).integers(0, 3, (m, m)),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_hand_grids()))
+def test_hand_made_grid_svg_matches_reference(kind, monkeypatch):
+    regions = [(Raster(_hand_grids()[kind], 1.3, 64), {"fill": "#b8b8b8"})]
+    text = emit_svg(regions)
+    monkeypatch.setattr(figures, "_raster_path", _reference_raster_path)
+    assert text.encode() == emit_svg(regions).encode()
+    if kind == "empty":
+        assert '<path d="" fill="#b8b8b8"/>' in text
+
+
+_SIGN_OF_S = {"s>0": (0.0, 0.95), "s<0": (1.05, 3.0)}
+
+
+@st.composite
+def _descriptor_pairs(draw):
+    p1 = INParams(draw(st.floats(-2.0, 2.0)), draw(st.floats(0.0, 2.0)))
+    case = draw(st.sampled_from(["s>0", "s<0", "s==0", "a2==0"]))
+    if case == "a2==0":
+        return p1, INParams(0.0, draw(st.floats(0.0, 2.0))), case
+    a2 = draw(st.floats(0.05, 2.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    if case == "s==0":
+        return p1, INParams(a2, abs(a2)), case
+    return p1, INParams(a2, abs(a2) * draw(st.floats(*_SIGN_OF_S[case]))), case
+
+
+@settings(max_examples=200, deadline=None)
+@given(_descriptor_pairs(), st.one_of(st.just(1.0), st.floats(0.01, 3.0)),
+       st.sampled_from([64, 65]))
+def test_broadcast_raster_is_bit_equal_to_meshgrid(pair, w, resolution):
+    p1, p2, case = pair
+    k = p2.beta / abs(p2.alpha) if p2.alpha else 0.0
+    s = 1.0 - k * k
+    assert {"s>0": s > 0, "s<0": s < 0, "s==0": s == 0, "a2==0": p2.alpha == 0}[case]
+    r = composition_region_exact(p1, p2, resolution, relax_weight=w)
+    pts, shape = _meshgrid_points(r.extent, resolution, w)
+    assert np.array_equal(r.grid, region_membership(pts, p1, p2).reshape(shape))
+    assert np.array_equal(r.grid, _reference_region(p1, p2, resolution, w).grid)
+
+
+# ---------------------------------------------------------------------------
+# Non-finite inputs are rejected where they enter
+
+
+@pytest.mark.parametrize("w", [float("inf"), float("nan"), 1e308])
+def test_relax_weight_must_give_finite_extent(w):
+    with pytest.raises(DomainError):
+        composition_region_exact(INParams(0.5, 0.5), INParams(0.5, 0.5), 64, relax_weight=w)
+
+
+def test_overflowing_descriptors_are_rejected():
+    big = INParams(1e200, 1e200)
+    with pytest.raises(DomainError):
+        composition_region_exact(big, big, 64)
+
+
+@pytest.mark.parametrize("point", [(float("nan"), 0.0), (0.0, float("inf")),
+                                   (-float("inf"), 0.5)])
+def test_raster_contains_rejects_non_finite_points(point):
+    r = composition_region_exact(INParams(0.5, 0.5), INParams(0.5, 0.5), 64)
+    with pytest.raises(DomainError):
+        raster_contains(r, point)
+
+
+def test_raster_contains_far_points_are_outside():
+    r = composition_region_exact(INParams(0.5, 0.5), INParams(0.5, 0.5), 64)
+    for point in ((1e308, 0.0), (0.0, -1.7e308), (1e300, 1e300)):
+        assert not raster_contains(r, point, dilate=2)
+
+
+def test_region_membership_rejects_non_finite_points():
+    p = INParams(0.5, 0.5)
+    for bad in ([[0.0, float("inf")]], [[float("nan"), 0.0]]):
+        with pytest.raises(DomainError):
+            region_membership(np.array(bad), p, p)
+
+
+@pytest.mark.parametrize(
+    "regions, markers",
+    [
+        ([(Disk(float("inf"), 0.5), {})], ()),
+        ([(Disk(0.0, float("nan")), {})], ()),
+        ([(Raster(np.zeros((65, 65), bool), float("inf"), 64), {})], ()),
+        ([], [(float("inf"), 0.0)]),
+        ([], [(0.0, float("nan"))]),
+        ([], [(1.75e308, 0.0)]),
+    ],
+)
+def test_emit_svg_rejects_non_finite_inputs(regions, markers, tmp_path):
+    out = tmp_path / "x.svg"
+    with pytest.raises(DomainError):
+        emit_svg(regions, markers, out)
+    assert not out.exists()
