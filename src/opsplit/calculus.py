@@ -11,7 +11,8 @@ This module is pure arithmetic: conversions between named classes and
 descriptors, the two-operator coupling coefficients ``d1..d4``, and the
 composition rules that certify a descriptor for a product ``R2 R1`` (inner
 factor first).  Every rule checks its hypotheses and raises a typed error on
-failure so callers can fall back to the naive Lipschitz product
+failure; :func:`certify` tries the two-operator rules in a fixed order, and
+when none applies callers fall back to the naive Lipschitz product
 ``(|a1|+b1)(|a2|+b2)``.
 
 Hypothesis inequalities are checked exactly as stated (strict where strict);
@@ -44,6 +45,7 @@ __all__ = [
     "compose_scaled_averaged_cocoercive",
     "compose_chain",
     "compose_cocoercive_chain",
+    "certify",
     "naive_lipschitz",
     "rescale_averaged",
     "averaged_refactor",
@@ -74,6 +76,13 @@ class INParams:
         """Coarse Lipschitz bound ``|alpha| + beta``."""
         return abs(self.alpha) + self.beta
 
+    def to_in(self) -> INParams:
+        """Itself: the ``(alpha, beta)`` form both descriptors share."""
+        return self
+
+    def to_json(self) -> dict:
+        return {"type": "in", "alpha": self.alpha, "beta": self.beta}
+
 
 @dataclass(frozen=True)
 class ScaledConic:
@@ -97,6 +106,12 @@ class ScaledConic:
     def to_in(self) -> INParams:
         """The induced descriptor ``(delta*(1-alpha), |delta|*alpha)``."""
         return INParams(self.delta * (1.0 - self.alpha), abs(self.delta) * self.alpha)
+
+    def to_json(self) -> dict:
+        return {"type": "scaled-conic", "delta": self.delta, "alpha": self.alpha}
+
+
+Descriptor = INParams | ScaledConic
 
 
 @dataclass(frozen=True)
@@ -378,16 +393,17 @@ def compose_conic(c1: ScaledConic, c2: ScaledConic, *, eps_guard: float = 0.0) -
     """Composition of two scaled conically nonexpansive factors (inner first).
 
     Requires ``a1*a2 < 1`` or ``max(a1, a2) = 1``; the result has scale
-    ``d1*d2`` and conic parameter ``(a1 + a2 - 2 a1 a2)/(1 - a1 a2)`` (or 1 on
-    the ``max = 1`` branch).  The result parameter is below 1 exactly when
-    both factor parameters are.
+    ``d1*d2`` and conic parameter ``(a1 + a2 - 2 a1 a2)/(1 - a1 a2)``, which
+    is 1 on the ``max = 1`` branch (returned exactly, not as the rounded
+    quotient).  The result parameter is below 1 exactly when both factor
+    parameters are.
     """
     a1, a2 = c1.alpha, c2.alpha
     prod = a1 * a2
-    if prod < 1.0 - eps_guard:
-        alpha = (a1 + a2 - 2.0 * prod) / (1.0 - prod)
-    elif max(a1, a2) == 1.0:
+    if max(a1, a2) == 1.0:
         alpha = 1.0
+    elif prod < 1.0 - eps_guard:
+        alpha = (a1 + a2 - 2.0 * prod) / (1.0 - prod)
     else:
         raise GuardError(
             f"composition not certified conic: alpha1*alpha2 = {prod} >= 1 "
@@ -397,16 +413,12 @@ def compose_conic(c1: ScaledConic, c2: ScaledConic, *, eps_guard: float = 0.0) -
     return ScaledConic(c1.delta * c2.delta, alpha)
 
 
-def compose_scaled_averaged_cocoercive(
-    averaged: ScaledConic, coco_beta: float, order: str = "averaged_first"
-) -> ScaledConic:
+def compose_scaled_averaged_cocoercive(averaged: ScaledConic, coco_beta: float) -> ScaledConic:
     """Composition of a scaled averaged factor with a ``1/coco_beta``-cocoercive one.
 
     The result is ``coco_beta*delta``-scaled ``1/(2-alpha)``-averaged in either
-    composition order (``order`` is accepted for interface symmetry only).
+    composition order.
     """
-    if order not in ("averaged_first", "cocoercive_first"):
-        raise DomainError(f"unknown order {order!r}")
     if not 0.0 < averaged.alpha < 1.0:
         raise DomainError(
             f"averaged parameter must lie in ]0,1[, got {averaged.alpha}"
@@ -463,9 +475,31 @@ def compose_cocoercive_chain(betas: Iterable[float]) -> ScaledConic:
     return ScaledConic(math.prod(bs), m / (1.0 + m))
 
 
-def naive_lipschitz(*params: INParams) -> float:
+def certify(inner: Descriptor, outer: Descriptor) -> tuple[Descriptor, str]:
+    """Certified descriptor of ``outer ∘ inner`` and the name of its theorem.
+
+    Tries :func:`compose_conic` (``conic``) when both factors are
+    :class:`ScaledConic`, then :func:`compose_general` (``two-factor-bound``),
+    then :func:`compose_kappa_theta` (``scale-normalized-bound``).  When none
+    applies the last rule's :class:`GuardError`/:class:`DomainError`
+    propagates; the caller's fallback is :func:`naive_lipschitz`.
+    """
+    p1, p2 = inner.to_in(), outer.to_in()
+    if isinstance(inner, ScaledConic) and isinstance(outer, ScaledConic):
+        try:
+            return compose_conic(inner, outer), "conic"
+        except (GuardError, DomainError):
+            pass
+    try:
+        return compose_general(p1, p2), "two-factor-bound"
+    except (GuardError, DomainError):
+        pass
+    return compose_kappa_theta(p1, p2), "scale-normalized-bound"
+
+
+def naive_lipschitz(*params: Descriptor) -> float:
     """Fallback Lipschitz constant of a composition: product of ``|a|+b``."""
-    return math.prod(p.lipschitz for p in params)
+    return math.prod(p.to_in().lipschitz for p in params)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 verifier, emit figures.
 
 Exit codes: 0 success, 1 usage/parse error, 2 certified-hypothesis rejection,
-3 numeric failure.  Every output embeds the fully resolved configuration
-(seed included) so a run can be replayed byte-identically.  The environment
-variable ``OPSPLIT_SEED`` overrides ``--seed``.
+3 numeric failure.  Every output embeds the fully resolved configuration so a
+run can be replayed byte-identically.  ``verify`` samples with ``--seed``,
+which the environment variable ``OPSPLIT_SEED`` overrides.
 """
 
 from __future__ import annotations
@@ -21,10 +21,9 @@ from .calculus import (
     ClassLabel,
     INParams,
     ScaledConic,
+    certify,
     classify,
     compose_chain,
-    compose_general,
-    compose_kappa_theta,
     from_label,
     naive_lipschitz,
 )
@@ -86,17 +85,11 @@ def _label_json(label: ClassLabel) -> dict:
     return out
 
 
-def _descriptor_json(d) -> dict:
-    if isinstance(d, INParams):
-        return {"type": "in", "alpha": d.alpha, "beta": d.beta}
-    return {"type": "scaled-conic", "delta": d.delta, "alpha": d.alpha}
-
-
 def _resolved_seed(args) -> int:
     env = os.environ.get("OPSPLIT_SEED")
     if env is not None:
         return int(env)
-    return args.seed if getattr(args, "seed", None) is not None else DEFAULT_SEED
+    return args.seed if args.seed is not None else DEFAULT_SEED
 
 
 # ---------------------------------------------------------------------------
@@ -112,11 +105,10 @@ def cmd_compose(args) -> int:
         try:
             result = compose_chain(items, args.r)
         except GuardError as exc:
-            fallback = float(np.prod([abs(c.delta) for c in items]))
             print(_dump({"config": config, "error": str(exc),
-                         "fallback_lipschitz": fallback}))
+                         "fallback_lipschitz": naive_lipschitz(*items)}))
             return EXIT_GUARD
-        print(_dump({"config": config, "result": _descriptor_json(result),
+        print(_dump({"config": config, "result": result.to_json(),
                      "theorem": "chain"}))
         return EXIT_OK
 
@@ -126,25 +118,15 @@ def cmd_compose(args) -> int:
     p2 = from_label(parse_class_spec(args.class2))
     config = {"class1": args.class1, "class2": args.class2}
     try:
-        result = compose_general(p1, p2)
-        out = {"config": config, "result": _descriptor_json(result),
-               "alpha": result.alpha, "beta": result.beta,
-               "theorem": "two-factor-bound"}
-        print(_dump(out))
-        return EXIT_OK
-    except (GuardError, DomainError):
-        pass
-    try:
-        result = compose_kappa_theta(p1, p2)
-        out = {"config": config, "result": _descriptor_json(result),
-               "alpha": result.to_in().alpha, "beta": result.to_in().beta,
-               "theorem": "scale-normalized-bound"}
-        print(_dump(out))
-        return EXIT_OK
+        result, theorem = certify(p1, p2)
     except (GuardError, DomainError) as exc:
         print(_dump({"config": config, "error": str(exc),
                      "fallback_lipschitz": naive_lipschitz(p1, p2)}))
         return EXIT_GUARD
+    p = result.to_in()
+    print(_dump({"config": config, "result": result.to_json(),
+                 "alpha": p.alpha, "beta": p.beta, "theorem": theorem}))
+    return EXIT_OK
 
 
 def cmd_classify(args) -> int:
@@ -191,7 +173,6 @@ def _run_solve(args, method: str) -> int:
     gamma = args.gamma if args.gamma is not None else inst.get("gamma")
     if gamma is None:
         raise DomainError("gamma required (flag or instance file)")
-    seed = _resolved_seed(args)
     config = {
         "instance": inst,
         "method": method,
@@ -199,24 +180,22 @@ def _run_solve(args, method: str) -> int:
         "x0": args.x0,
         "max_iter": args.max_iter,
         "tol": args.tol,
-        "seed": seed,
         "force": args.force,
     }
+    if method == "DR":
+        lam = args.lambda_relax if args.lambda_relax is not None else inst.get("lambda", 0.5)
+        config["lambda"] = lam
+        config["order"] = inst.get("order", "A_strong")
+    else:
+        config["case"] = args.case or inst.get("case", "I")
 
-    plan = None
     try:
         if method == "DR":
-            lam = args.lambda_relax if args.lambda_relax is not None else inst.get("lambda", 0.5)
-            config["lambda"] = lam
-            order = inst.get("order", "A_strong")
-            config["order"] = order
-            plan = splitting.plan_dr(inst["mu"], inst["omega"], gamma, lam, order)
+            plan = splitting.plan_dr(inst["mu"], inst["omega"], gamma, lam, config["order"])
             t = splitting.build_dr(plan, a_spec, b_spec)
         else:
-            case = args.case or inst.get("case", "I")
-            config["case"] = case
             plan = splitting.plan_fb(
-                case,
+                config["case"],
                 mu=inst["mu"],
                 omega=inst.get("omega", 0.0),
                 beta=inst.get("beta"),
@@ -234,7 +213,6 @@ def _run_solve(args, method: str) -> int:
             return EXIT_GUARD
         plan = None
         if method == "DR":
-            lam = args.lambda_relax if args.lambda_relax is not None else inst.get("lambda", 0.5)
             t = splitting.dr_operator(a_spec, b_spec, gamma, lam)
         else:
             t = splitting.fb_operator(a_spec, b_spec, gamma)
@@ -353,7 +331,6 @@ def build_parser() -> _Parser:
         s.add_argument("--tol", type=float, default=1e-10)
         s.add_argument("--log", help="CSV output path")
         s.add_argument("--summary", help="JSON summary output path")
-        s.add_argument("--seed", type=int)
         s.add_argument("--force", action="store_true",
                        help="run even when the plan is rejected")
         s.set_defaults(fn=lambda a, m=method: _run_solve(a, m))

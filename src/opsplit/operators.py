@@ -37,8 +37,6 @@ __all__ = [
     "ScaledIdentity",
     "SubspaceNormalPlusScale",
     "QuadraticGradient",
-    "resolvent",
-    "reflected_resolvent",
     "HypoconvexQuadratic",
     "prox",
     "compose",
@@ -50,7 +48,7 @@ __all__ = [
     "estimate_rho",
 ]
 
-Certificate = INParams | ScaledConic
+Certificate = calculus.Descriptor
 
 
 class Op:
@@ -164,13 +162,6 @@ def build_rotation(theta: float, scale: float = 1.0, sign: int = 1) -> Op:
     return matrix_op(m, certificate=INParams(0.0, abs(scale)), name=f"rot({theta:g})")
 
 
-def _nonexpansive_bound(cert: Certificate | None) -> float | None:
-    if cert is None:
-        return None
-    p = cert.to_in() if isinstance(cert, ScaledConic) else cert
-    return p.lipschitz
-
-
 def build_in_operator(alpha: float, beta: float, n: Op) -> Op:
     """The map ``x -> alpha*x + beta*N(x)`` certified as ``INParams(alpha, beta)``.
 
@@ -178,7 +169,7 @@ def build_in_operator(alpha: float, beta: float, n: Op) -> Op:
     """
     if not beta >= 0.0:
         raise DomainError(f"beta must satisfy beta >= 0, got {beta}")
-    bound = _nonexpansive_bound(n.certificate)
+    bound = None if n.certificate is None else n.certificate.to_in().lipschitz
     if bound is None or bound > 1.0:
         raise BuildError(
             f"N must carry a nonexpansive certificate, got bound {bound}"
@@ -356,16 +347,6 @@ class QuadraticGradient(MonotoneSpec):
         return self._affine.resolvent(gamma)
 
 
-def resolvent(spec: MonotoneSpec, gamma: float) -> Op:
-    """``(Id + gamma*A)^{-1}`` evaluated in closed form."""
-    return spec.resolvent(gamma)
-
-
-def reflected_resolvent(spec: MonotoneSpec, gamma: float) -> Op:
-    """``2*(Id + gamma*A)^{-1} - Id``."""
-    return spec.reflected_resolvent(gamma)
-
-
 # ---------------------------------------------------------------------------
 # Proximal mappings of hypoconvex quadratics
 
@@ -420,34 +401,21 @@ def prox(f: HypoconvexQuadratic, gamma: float) -> Op:
 # Combinators
 
 
-def _compose_cert(outer: Certificate | None, inner: Certificate | None):
-    """Certified descriptor of outer∘inner, or the Lipschitz fallback, or None."""
-    if outer is None or inner is None:
-        return None
-    p_out = outer.to_in() if isinstance(outer, ScaledConic) else outer
-    p_in = inner.to_in() if isinstance(inner, ScaledConic) else inner
-    if isinstance(outer, ScaledConic) and isinstance(inner, ScaledConic):
-        try:
-            return calculus.compose_conic(inner, outer)
-        except (GuardError, DomainError):
-            pass
-    try:
-        return calculus.compose_general(p_in, p_out)
-    except (GuardError, DomainError):
-        pass
-    try:
-        return calculus.compose_kappa_theta(p_in, p_out)
-    except (GuardError, DomainError):
-        return INParams(0.0, calculus.naive_lipschitz(p_in, p_out))
-
-
 def compose(outer: Op, inner: Op) -> Op:
-    """``x -> outer(inner(x))`` with certificate propagated where certified."""
+    """``x -> outer(inner(x))``, certified by :func:`calculus.certify` or, when
+    no rule applies, by the naive Lipschitz product; uncertified if either
+    factor is."""
     if outer.dim != inner.dim:
         raise DomainError(
             f"dimension mismatch: {outer.dim} vs {inner.dim}"
         )
-    cert = _compose_cert(outer.certificate, inner.certificate)
+    c_in, c_out = inner.certificate, outer.certificate
+    cert = None
+    if c_in is not None and c_out is not None:
+        try:
+            cert, _ = calculus.certify(c_in, c_out)
+        except (GuardError, DomainError):
+            cert = INParams(0.0, calculus.naive_lipschitz(c_in, c_out))
     name = f"{outer.name}∘{inner.name}"
     mo, mi = outer.matrix, inner.matrix
     if mo is None or mi is None:
@@ -468,7 +436,7 @@ def scale(c: float, op: Op) -> Op:
         if isinstance(cert, ScaledConic) and c != 0.0:
             cert = ScaledConic(c * cert.delta, cert.alpha)
         else:
-            p = cert.to_in() if isinstance(cert, ScaledConic) else cert
+            p = cert.to_in()
             cert = INParams(c * p.alpha, abs(c) * p.beta)
     return _lincomb(0.0, c, op, cert, f"{c:g}*{op.name}")
 
@@ -482,7 +450,7 @@ def relax(lam: float, op: Op) -> Op:
     """``x -> (1-lam)*x + lam*op(x)``."""
     cert = op.certificate
     if cert is not None:
-        p = cert.to_in() if isinstance(cert, ScaledConic) else cert
+        p = cert.to_in()
         cert = INParams((1.0 - lam) + lam * p.alpha, abs(lam) * p.beta)
     return _lincomb(1.0 - lam, lam, op, cert, f"relax({lam:g},{op.name})")
 
@@ -491,7 +459,7 @@ def shift(c: float, op: Op) -> Op:
     """``x -> op(x) + c*x``."""
     cert = op.certificate
     if cert is not None:
-        p = cert.to_in() if isinstance(cert, ScaledConic) else cert
+        p = cert.to_in()
         cert = INParams(p.alpha + c, p.beta)
     return _lincomb(c, 1.0, op, cert, f"{op.name}+{c:g}*Id")
 

@@ -329,13 +329,11 @@ def build_dr(plan: SplitPlan, A: MonotoneSpec, B: MonotoneSpec) -> Op:
     _check_modulus("A", A, rho_a)
     _check_modulus("B", B, rho_b)
     t = dr_operator(A, B, plan.gamma, plan.lambda_relax)
-    auto = t.certificate
+    auto = t.certificate.to_in()
     cert = INParams(1.0 - plan.averaged_alpha, plan.averaged_alpha)
     # The propagated certificate comes from the specs' exact moduli, which are
     # at least the plan's, so its disk must sit inside the planned one.
-    if isinstance(auto, INParams) and (
-        abs(auto.alpha - cert.alpha) + auto.beta > cert.beta + 1e-9
-    ):
+    if abs(auto.alpha - cert.alpha) + auto.beta > cert.beta + 1e-9:
         raise NumericError(f"certificate cross-check failed: {auto} vs {cert}")
     t.certificate = cert
     return t

@@ -336,20 +336,12 @@ def run_random_suite(
             {
                 "kind": kind,
                 "params": params,
-                "certificate": _descriptor_json(cert),
+                "certificate": cert.to_json(),
                 "worst_violation": rep.worst_violation,
                 "passed": rep.passed,
             }
         )
     return out
-
-
-def _descriptor_json(d) -> dict:
-    if isinstance(d, INParams):
-        return {"type": "in", "alpha": d.alpha, "beta": d.beta}
-    if isinstance(d, ScaledConic):
-        return {"type": "scaled-conic", "delta": d.delta, "alpha": d.alpha}
-    return {"type": "other", "repr": repr(d)}
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +513,7 @@ def _case_averaged_pair(a1: float, a2: float, name: str, samples: int = 20) -> C
         empirical_failed=empirical_failed,
         agree=(not guard_rejected) and empirical_failed is False,
         details={
-            "certified": _descriptor_json(cert) if cert else None,
+            "certified": cert.to_json() if cert is not None else None,
             "worst_violation": worst,
         },
     )

@@ -20,6 +20,7 @@ from opsplit.calculus import (
     Kind,
     ScaledConic,
     averaged_refactor,
+    certify,
     classify,
     compose_chain,
     compose_cocoercive_chain,
@@ -320,6 +321,15 @@ def test_compose_conic_branch_consistency_at_one():
     assert got.alpha == 1.0
 
 
+def test_compose_conic_unit_factor_is_exactly_one():
+    # the quotient (1 - a2)/(1 - a2) rounds below 1 for this a2, which would
+    # certify an averaged map where the theorem gives only a nonexpansive one
+    got = compose_conic(ScaledConic(1.0, 1.0), ScaledConic(1.0, 0.5307942336954935))
+    assert got.alpha == 1.0
+    got = compose_conic(ScaledConic(1.0, 0.5307942336954935), ScaledConic(1.0, 1.0))
+    assert got.alpha == 1.0
+
+
 def test_compose_conic_averaged_iff_both_averaged():
     got = compose_conic(ScaledConic(1.0, 0.7), ScaledConic(1.0, 0.6))
     assert got.alpha < 1.0
@@ -363,12 +373,43 @@ def test_compose_scaled_averaged_cocoercive():
     # near-identity averaged factor keeps the cocoercive class
     got = compose_scaled_averaged_cocoercive(ScaledConic(1.0, 1e-9), 1.0)
     assert math.isclose(got.alpha, 0.5, rel_tol=1e-8)
-    assert (
-        compose_scaled_averaged_cocoercive(ScaledConic(1.0, 0.5), 1.0, "cocoercive_first")
-        == compose_scaled_averaged_cocoercive(ScaledConic(1.0, 0.5), 1.0)
-    )
     with pytest.raises(DomainError):
         compose_scaled_averaged_cocoercive(ScaledConic(1.0, 1.5), 1.0)
+
+
+def test_certify_ladder_order():
+    # both scaled-conic: the sharp conic rule
+    got = certify(ScaledConic(1.0, 0.5), ScaledConic(-2.0, 0.5))
+    assert got == (ScaledConic(-2.0, 2.0 / 3.0), "conic")
+    # (alpha, beta) pairs skip the conic rule
+    p = INParams(0.5, 0.5)
+    assert certify(p, p) == (INParams(1.0 / 3.0, 2.0 / 3.0), "two-factor-bound")
+    # nonexpansive factors degenerate d1+d2 = 0: the scale-normalised bound
+    got = certify(INParams(0.0, 1.0), INParams(0.0, 0.8))
+    assert got == (ScaledConic(0.8, 1.0), "scale-normalized-bound")
+    # a failed conic rule (product 1.5625) falls through to the (alpha, beta) rules
+    c = ScaledConic(-2.0, 1.25)
+    with pytest.raises(GuardError):
+        compose_conic(c, c)
+    assert certify(c, c) == (compose_general(c.to_in(), c.to_in()), "two-factor-bound")
+
+
+def test_certify_reraises_the_last_rule():
+    p1, p2 = from_label(ClassLabel.conic(1.7)), from_label(ClassLabel.conic(0.7))
+    with pytest.raises(GuardError, match="kappa-theta"):
+        certify(p1, p2)
+    p = from_label(ClassLabel.neg_conic(0.5))
+    with pytest.raises(DomainError, match="alpha\\+beta > 0"):
+        certify(p, p)
+
+
+def test_descriptor_protocol():
+    p = INParams(-0.5, 1.5)
+    assert p.to_in() is p
+    assert p.to_json() == {"type": "in", "alpha": -0.5, "beta": 1.5}
+    c = ScaledConic(-2.0, 0.75)
+    assert c.to_json() == {"type": "scaled-conic", "delta": -2.0, "alpha": 0.75}
+    assert naive_lipschitz(c, p) == c.to_in().lipschitz * p.lipschitz == 4.0
 
 
 def test_compose_chain_examples():

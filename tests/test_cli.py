@@ -100,6 +100,75 @@ def test_compose_chain_file(tmp_path):
     assert r.returncode == 2
 
 
+def test_compose_chain_fallback_is_a_lipschitz_bound(tmp_path):
+    # Id ∘ (-5.5 Id) ∘ Id lies in these classes, so no bound below 5.5 is sound
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        json.dumps(
+            [
+                {"delta": 1.0, "alpha": 0.25},
+                {"delta": 1.0, "alpha": 3.25},
+                {"delta": 1.0, "alpha": 0.75},
+            ]
+        )
+    )
+    r = run_cli("compose", "--chain", str(bad), "--r", "1")
+    assert r.returncode == 2
+    assert json.loads(r.stdout)["fallback_lipschitz"] == 5.5
+
+
+def _compose_ok(class1, class2, theorem, result, alpha, beta):
+    return {"alpha": alpha, "beta": beta,
+            "config": {"class1": class1, "class2": class2},
+            "result": result, "theorem": theorem}
+
+
+def _compose_rejected(class1, class2, error, fallback):
+    return {"config": {"class1": class1, "class2": class2}, "error": error,
+            "fallback_lipschitz": fallback}
+
+
+# Recorded stdout and exit code of `compose --class1 --class2`, one pair per
+# ladder outcome: two-factor bound, scale-normalised bound, GuardError and
+# DomainError rejection.
+COMPOSE_TABLE = [
+    ("averaged:0.5", "averaged:0.5", 0, _compose_ok(
+        "averaged:0.5", "averaged:0.5", "two-factor-bound",
+        {"alpha": 0.3333333333333333, "beta": 0.6666666666666666, "type": "in"},
+        0.3333333333333333, 0.6666666666666666)),
+    ("conic:1.7", "conic:0.45", 0, _compose_ok(
+        "conic:1.7", "conic:0.45", "two-factor-bound",
+        {"alpha": -1.6382978723404262, "beta": 2.6382978723404262, "type": "in"},
+        -1.6382978723404262, 2.6382978723404262)),
+    ("scaled-conic:2:0.75", "cocoercive:1.4", 0, _compose_ok(
+        "scaled-conic:2:0.75", "cocoercive:1.4", "two-factor-bound",
+        {"alpha": 0.5384615384615384, "beta": 2.266295363485575, "type": "in"},
+        0.5384615384615384, 2.266295363485575)),
+    ("neg-conic:2", "contraction:0.9", 0, _compose_ok(
+        "neg-conic:2", "contraction:0.9", "scale-normalized-bound",
+        {"alpha": 0.9999999999999997, "delta": 2.7, "type": "scaled-conic"},
+        8.99280649946377e-16, 2.6999999999999993)),
+    ("nonexpansive", "lipschitz:0.8", 0, _compose_ok(
+        "nonexpansive", "lipschitz:0.8", "scale-normalized-bound",
+        {"alpha": 1.0, "delta": 0.8, "type": "scaled-conic"}, 0.0, 0.8)),
+    ("conic:1.7", "conic:0.7", 2, _compose_rejected(
+        "conic:1.7", "conic:0.7",
+        "no kappa-theta form certified: requires b1*b2/((a1+b1)(a2+b2)) < 1 "
+        "or max ratio = 1, got product 1.19 and max 1.7", 2.4)),
+    ("neg-conic:0.5", "neg-conic:0.5", 2, _compose_rejected(
+        "neg-conic:0.5", "neg-conic:0.5",
+        "requires alpha+beta > 0 for both factors, got 0.0, 0.0", 1.0)),
+]
+
+
+@pytest.mark.parametrize("class1,class2,code,expected", COMPOSE_TABLE)
+def test_compose_table_matches_recorded_output(class1, class2, code, expected, capsys):
+    from opsplit.cli import main
+
+    assert main(["compose", "--class1", class1, "--class2", class2]) == code
+    assert capsys.readouterr().out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
 def test_compose_parse_error_is_usage():
     r = run_cli("compose", "--class1", "averaged:1.5", "--class2", "averaged:0.5")
     assert r.returncode == 1
@@ -135,6 +204,14 @@ def test_solve_fb_tight_rate(tmp_path, fb_instance):
     assert out["rate"]["satisfied"] and out["result"]["converged"]
     header = log.read_text().splitlines()[0]
     assert header == "k,step_norm,err_norm,shadow_gap"
+
+
+def test_solve_takes_no_seed(fb_instance):
+    # the solvers draw nothing at random, so there is no seed to echo or set
+    r = run_cli("solve-fb", "--instance", str(fb_instance), "--gamma", "0.2")
+    assert r.returncode == 0 and "seed" not in json.loads(r.stdout)["config"]
+    r = run_cli("solve-fb", "--instance", str(fb_instance), "--gamma", "0.2", "--seed", "3")
+    assert r.returncode == 1
 
 
 def test_solve_dr_out_of_range_prints_interval(dr_instance):

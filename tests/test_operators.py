@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opsplit import calculus
 from opsplit.calculus import INParams, ScaledConic
-from opsplit.errors import BuildError, DomainError
+from opsplit.errors import BuildError, DomainError, GuardError
 from opsplit.operators import (
     Affine,
     HypoconvexQuadratic,
@@ -25,9 +26,7 @@ from opsplit.operators import (
     matrix_op,
     negate,
     prox,
-    reflected_resolvent,
     relax,
-    resolvent,
     rotation_matrix,
     scale,
     shift,
@@ -97,37 +96,37 @@ def test_build_in_operator_requires_nonexpansive_certificate():
 
 def test_scaled_identity_resolvent():
     spec = ScaledIdentity(-0.5, dim=2)
-    j = resolvent(spec, 1.0)  # 1/(1 - 1*0.5) = 2
+    j = spec.resolvent(1.0)  # 1/(1 - 1*0.5) = 2
     assert np.allclose(j(np.array([1.0, 2.0])), [2.0, 4.0])
-    r = reflected_resolvent(spec, 1.0)
+    r = spec.reflected_resolvent(1.0)
     assert np.allclose(r(np.array([1.0, 0.0])), [3.0, 0.0])
 
 
 def test_subspace_normal_resolvent():
     spec = SubspaceNormalPlusScale(np.array([[1.0, 0.0]]), mu=3.0)
-    j = resolvent(spec, 1.0)
+    j = spec.resolvent(1.0)
     assert np.allclose(j(np.array([2.0, 5.0])), [0.5, 0.0])
-    r = reflected_resolvent(spec, 1.0)
+    r = spec.reflected_resolvent(1.0)
     # (2/(1+g*mu)) P_U - Id
     assert np.allclose(r(np.array([2.0, 5.0])), [2.0 * 0.5 - 2.0, -5.0])
 
 
 def test_affine_zero_resolvent_is_identity():
     spec = Affine(np.zeros((3, 3)))
-    j = resolvent(spec, 0.7)
+    j = spec.resolvent(0.7)
     x = np.array([1.0, -2.0, 3.0])
     assert np.allclose(j(x), x)
 
 
 def test_resolvent_single_valuedness_guard():
     with pytest.raises(DomainError):
-        resolvent(ScaledIdentity(-2.0, dim=2), 1.0)  # gamma*rho = -2
-    resolvent(ScaledIdentity(-2.0, dim=2), 0.4)  # fine: -0.8 > -1
+        ScaledIdentity(-2.0, dim=2).resolvent(1.0)  # gamma*rho = -2
+    ScaledIdentity(-2.0, dim=2).resolvent(0.4)  # fine: -0.8 > -1
 
 
 def test_reflected_identity(rng):
     spec = random_monotone_affine(0.3, 4, rng)
-    j, r = resolvent(spec, 0.5), reflected_resolvent(spec, 0.5)
+    j, r = spec.resolvent(0.5), spec.reflected_resolvent(0.5)
     xs = rng.standard_normal((50, 4))
     assert np.max(np.abs(2.0 * j(xs) - xs - r(xs))) < 1e-12
 
@@ -139,14 +138,14 @@ def test_resolvent_firm_nonexpansiveness(rng):
         random_monotone_affine(1.2, 2, rng),
         ScaledIdentity(2.0, dim=2),
     ):
-        j = resolvent(spec, 0.8)
+        j = spec.resolvent(0.8)
         rep = check_membership(j, INParams(0.5, 0.5), pairs=10_000, tol=1e-9)
         assert rep.passed, rep.worst_violation
 
 
 def test_resolvent_certificates_hold(rng):
     spec = random_monotone_affine(-0.4, 2, rng)
-    for op in (resolvent(spec, 0.5), reflected_resolvent(spec, 0.5)):
+    for op in (spec.resolvent(0.5), spec.reflected_resolvent(0.5)):
         rep = check_membership(op, op.certificate, pairs=1000, tol=1e-9)
         assert rep.passed, (op.name, rep.worst_violation)
 
@@ -213,7 +212,7 @@ def test_prox_agrees_with_gradient_resolvent(rng):
     f1 = HypoconvexQuadratic(q, b)
     gamma = min(0.9 / f1.lam, 1.0) if f1.lam > 0 else 1.0
     p = prox(f1, gamma)
-    j = resolvent(QuadraticGradient(q, b), gamma)
+    j = QuadraticGradient(q, b).resolvent(gamma)
     xs = rng.standard_normal((40, 3))
     assert np.max(np.abs(p(xs) - j(xs))) < 1e-12
 
@@ -269,6 +268,66 @@ def test_compose_certificate_falls_back_to_lipschitz():
     c2 = build_in_operator(-1.0, 2.0, negate(build_rotation(0.4)))
     t = compose(c2, c1)
     assert t.certificate == INParams(0.0, 9.0)
+
+
+def _reference_compose_cert(outer, inner):
+    """Reference: the fallback ladder spelled out with its descriptor branches."""
+    if outer is None or inner is None:
+        return None
+    p_out = outer.to_in() if isinstance(outer, ScaledConic) else outer
+    p_in = inner.to_in() if isinstance(inner, ScaledConic) else inner
+    if isinstance(outer, ScaledConic) and isinstance(inner, ScaledConic):
+        try:
+            return calculus.compose_conic(inner, outer)
+        except (GuardError, DomainError):
+            pass
+    try:
+        return calculus.compose_general(p_in, p_out)
+    except (GuardError, DomainError):
+        pass
+    try:
+        return calculus.compose_kappa_theta(p_in, p_out)
+    except (GuardError, DomainError):
+        return INParams(0.0, calculus.naive_lipschitz(p_in, p_out))
+
+
+# Boundary descriptors: unit conic parameters (the max = 1 branches), the
+# degenerate d1+d2 = 0 pair, alpha+beta = 0 and the README's guard rejection.
+_edge_descriptors = st.sampled_from(
+    [
+        INParams(0.0, 1.0),
+        INParams(0.5, 0.5),
+        INParams(-0.5, 0.5),
+        INParams(1.0, 0.0),
+        INParams(-0.7, 1.7),
+        INParams(0.3, 0.7),
+        ScaledConic(1.0, 1.0),
+        ScaledConic(-1.0, 1.0),
+        ScaledConic(1.0, 1.7),
+        ScaledConic(-2.0, 1.25),
+        ScaledConic(1.0, 0.7),
+    ]
+)
+_descriptors = st.one_of(
+    st.none(),
+    _edge_descriptors,
+    st.builds(INParams, st.floats(-3.0, 3.0), st.floats(0.0, 3.0)),
+    st.builds(
+        ScaledConic,
+        st.floats(0.05, 3.0) | st.floats(-3.0, -0.05),
+        st.floats(0.01, 3.0),
+    ),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_descriptors, _descriptors)
+def test_compose_certificate_matches_reference_ladder(outer_cert, inner_cert):
+    outer = Op(lambda x: x, 2, outer_cert)
+    inner = Op(lambda x: x, 2, inner_cert)
+    got = compose(outer, inner).certificate
+    expected = _reference_compose_cert(outer_cert, inner_cert)
+    assert type(got) is type(expected) and got == expected
 
 
 def test_scale_keeps_scaled_conic_structure():
