@@ -363,7 +363,8 @@ def compose_kappa_theta(p1: INParams, p2: INParams, *, eps_guard: float = 0.0) -
         theta = 1                                  if max(t1, t2) = 1
 
     Requires ``b1 > 0``, ``b2 > 0``, ``s1 > 0``, ``s2 > 0`` and one of the two
-    branch conditions (they agree where both hold).
+    branch conditions (they agree where both hold; the ``max = 1`` branch is
+    tested first, so a unit ratio gives exactly 1, not the rounded quotient).
     """
     a1, b1 = p1.alpha, p1.beta
     a2, b2 = p2.alpha, p2.beta
@@ -376,10 +377,10 @@ def compose_kappa_theta(p1: INParams, p2: INParams, *, eps_guard: float = 0.0) -
         )
     t1, t2 = b1 / s1, b2 / s2
     kappa = s1 * s2
-    if t1 * t2 < 1.0 - eps_guard:
-        theta = (t1 + t2 - 2.0 * t1 * t2) / (1.0 - t1 * t2)
-    elif max(t1, t2) == 1.0:
+    if max(t1, t2) == 1.0:
         theta = 1.0
+    elif t1 * t2 < 1.0 - eps_guard:
+        theta = (t1 + t2 - 2.0 * t1 * t2) / (1.0 - t1 * t2)
     else:
         raise GuardError(
             "no kappa-theta form certified: requires b1*b2/((a1+b1)(a2+b2)) < 1 "

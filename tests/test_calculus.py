@@ -289,6 +289,16 @@ def test_compose_kappa_theta_unit_ratio_branch():
     assert got.delta == 1.0 and got.alpha == 1.0
 
 
+def test_compose_kappa_theta_unit_ratio_is_exactly_one():
+    # t2 = 0.9/0.9 = 1, so theta = 1; the product branch's quotient
+    # (t1 + 1 - 2 t1)/(1 - t1) rounds to 0.9999999999999997 at t1 = 2/3
+    got = compose_kappa_theta(INParams(1.0, 2.0), INParams(0.0, 0.9))
+    assert got.alpha == 1.0 and got.delta == 2.7
+    for b in (0.1, 0.3, 0.7, 1.9, 7.0):
+        assert compose_kappa_theta(INParams(1.0, b), INParams(0.0, 0.9)).alpha == 1.0
+        assert compose_kappa_theta(INParams(0.0, 0.9), INParams(1.0, b)).alpha == 1.0
+
+
 def test_compose_kappa_theta_values():
     got = compose_kappa_theta(INParams(0.4, 0.7), INParams(0.3, 0.6))
     assert math.isclose(got.delta, 0.99, rel_tol=1e-15)

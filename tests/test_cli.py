@@ -146,8 +146,7 @@ COMPOSE_TABLE = [
         0.5384615384615384, 2.266295363485575)),
     ("neg-conic:2", "contraction:0.9", 0, _compose_ok(
         "neg-conic:2", "contraction:0.9", "scale-normalized-bound",
-        {"alpha": 0.9999999999999997, "delta": 2.7, "type": "scaled-conic"},
-        8.99280649946377e-16, 2.6999999999999993)),
+        {"alpha": 1.0, "delta": 2.7, "type": "scaled-conic"}, 0.0, 2.7)),
     ("nonexpansive", "lipschitz:0.8", 0, _compose_ok(
         "nonexpansive", "lipschitz:0.8", "scale-normalized-bound",
         {"alpha": 1.0, "delta": 0.8, "type": "scaled-conic"}, 0.0, 0.8)),

@@ -1,15 +1,24 @@
 """Splitting plans, operator assembly, iteration driver, rate measurement."""
 
+import csv
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from opsplit import operators as ops
 from opsplit.calculus import INParams, ScaledConic
 from opsplit.errors import DomainError, NumericError, StepSizeError
 from opsplit.operators import Op, ScaledIdentity, SubspaceNormalPlusScale, identity, scale
 from opsplit.splitting import (
+    _BLOCK,
+    _CSV_ROWS,
     GammaRange,
+    IterLog,
     build_dr,
     build_fb,
     dr_operator,
@@ -367,6 +376,252 @@ def test_iterate_shadow_gaps_match_shadow_ops(order, rng):
         assert abs(gap - want) <= 1e-12 * scale_
 
 
+# ---------------------------------------------------------------------------
+# blocked iteration against the unblocked loop
+
+
+def _unblocked_iterate(T, x0, max_iter=10_000, tol_fix=1e-10, x_star=None, gap=None,
+                       divergence_factor=1e6, growth_window=50):
+    """``iterate`` before its bookkeeping was blocked: every norm, error and
+    shadow gap taken one step at a time, the log filled as the loop goes.
+    ``gap`` is the fused shadow-gap op that ``track_shadow`` builds."""
+    def norm(v):
+        return math.sqrt(v.dot(v))
+
+    x = np.asarray(x0, dtype=float)
+    log = IterLog(err_norms=[] if x_star is not None else None,
+                  shadow_gaps=[] if gap is not None else None)
+    target = None if x_star is None else np.asarray(x_star, dtype=float)
+    x_norm = norm(x)
+    norm_cap = divergence_factor * (1.0 + x_norm)
+
+    def record(pt):
+        log.points.append(pt)
+        if target is not None:
+            log.err_norms.append(float(np.linalg.norm(pt - target)))
+        if gap is not None:
+            log.shadow_gaps.append(norm(gap(pt)))
+
+    record(x)
+    growth = 0
+    last_step = math.inf
+    for k in range(1, max_iter + 1):
+        x_new = T(x)
+        new_norm = norm(x_new)
+        if not math.isfinite(new_norm) and not np.all(np.isfinite(x_new)):
+            raise NumericError(f"non-finite iterate at iteration {k}", iteration=k)
+        step = norm(x_new - x)
+        log.step_norms.append(step)
+        record(x_new)
+        log.n_iter = k
+        if step <= tol_fix * (1.0 + x_norm):
+            log.converged = True
+            break
+        growth = growth + 1 if step > last_step else 0
+        last_step = step
+        x, x_norm = x_new, new_norm
+        if x_norm > norm_cap:
+            log.diverged = True
+            log.reason = f"iterate norm exceeded {norm_cap:g} at iteration {k}"
+            break
+        if growth >= growth_window:
+            log.diverged = True
+            log.reason = f"step norm grew for {growth_window} consecutive iterations"
+            break
+    if not log.converged and not log.diverged:
+        log.reason = f"no convergence within {max_iter} iterations"
+    return log
+
+
+def _assert_same_log(got, want):
+    """Everything bit-equal except shadow gaps, which the blocked loop takes
+    as one batched product and so may differ in the last bits."""
+    assert (got.n_iter, got.converged, got.diverged, got.reason) == (
+        want.n_iter, want.converged, want.diverged, want.reason)
+    assert got.step_norms == want.step_norms
+    assert got.err_norms == want.err_norms
+    assert len(got.points) == len(want.points)
+    assert all(np.array_equal(a, b) for a, b in zip(got.points, want.points))
+    if want.shadow_gaps is None:
+        assert got.shadow_gaps is None
+        return
+    assert len(got.shadow_gaps) == len(want.shadow_gaps)
+    for pt, g, w in zip(want.points, got.shadow_gaps, want.shadow_gaps):
+        assert abs(g - w) <= 1e-12 * (1.0 + float(np.linalg.norm(pt)))
+
+
+def _counted(fn, dim=2):
+    """A fresh ``Op`` returning ``fn(call_number, x)`` and its call counter."""
+    calls = [0]
+
+    def step(x):
+        calls[0] += 1
+        return fn(calls[0], x)
+    return Op(step, dim), calls
+
+
+def _converge_at(k):
+    # oscillates with a constant step, then repeats x (a zero step) at call k
+    return _counted(lambda c, x: x if c >= k else -x)
+
+
+STOP_AT = [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK]
+
+
+@pytest.mark.parametrize("k", STOP_AT)
+@pytest.mark.parametrize("kind", ["converge", "norm", "growth"])
+def test_blocked_stop_matches_unblocked_loop(kind, k):
+    x0 = np.array([1.0, 0.0])
+    if kind == "converge":
+        make, kw = (lambda: _converge_at(k)[0]), {}
+    elif kind == "norm":
+        # ||x_j|| = 2^j first exceeds the cap 0.75 * 2^k at j = k
+        make = lambda: scale(2.0, identity(2))
+        kw = {"divergence_factor": 0.375 * 2.0**k, "growth_window": 10**6}
+    else:
+        # steps grow from step 2 on, so the counter reaches k - 1 at step k
+        make = lambda: scale(1.5, identity(2))
+        kw = {"divergence_factor": 1e300, "growth_window": k - 1}
+    log = iterate(make(), x0, max_iter=5 * _BLOCK, **kw)
+    _assert_same_log(log, _unblocked_iterate(make(), x0, max_iter=5 * _BLOCK, **kw))
+    assert log.n_iter == k
+    assert log.converged == (kind == "converge") and log.diverged == (kind != "converge")
+
+
+@pytest.mark.parametrize("max_iter", [0, 1, _BLOCK - 1, _BLOCK + 1, 2 * _BLOCK + 7,
+                                      3 * _BLOCK - 5])
+def test_blocked_max_iter_not_a_multiple_of_block(max_iter):
+    t, calls = _counted(lambda c, x: -x)
+    log = iterate(t, np.array([1.0, 2.0]), max_iter=max_iter)
+    _assert_same_log(log, _unblocked_iterate(_counted(lambda c, x: -x)[0],
+                                             np.array([1.0, 2.0]), max_iter=max_iter))
+    assert log.n_iter == max_iter and calls[0] == max_iter
+    assert log.reason == f"no convergence within {max_iter} iterations"
+
+
+@pytest.mark.parametrize("start", [_BLOCK - 10, 2 * _BLOCK - 49, 2 * _BLOCK - 1])
+def test_blocked_growth_run_spans_block_boundary(start):
+    def fn(c, x):
+        return 0.9 * x if c < start else 1.1 * x
+
+    log = iterate(_counted(fn)[0], np.array([1.0, -1.0]), max_iter=5 * _BLOCK)
+    _assert_same_log(log, _unblocked_iterate(_counted(fn)[0], np.array([1.0, -1.0]),
+                                             max_iter=5 * _BLOCK))
+    assert log.reason.startswith("step norm grew")
+    # the run of growing steps starts in one block and ends in the next
+    assert (log.n_iter - 50) // _BLOCK < (log.n_iter - 1) // _BLOCK
+
+
+@pytest.mark.parametrize("resets", [(_BLOCK - 24,), (_BLOCK - 24, _BLOCK + 1)])
+def test_blocked_growth_counter_carries_across_blocks(resets):
+    # steps grow by 1.05 except at the reset calls, whose smaller step sets
+    # the counter back to 0: it is carried over the first block boundary, and
+    # a reset just past that boundary restarts it
+    def fn(c, x):
+        return 1.01 * x if c in resets else 1.05 * x
+
+    kw = {"max_iter": 5 * _BLOCK, "divergence_factor": 1e300}
+    log = iterate(_counted(fn)[0], np.array([1.0, 0.0]), **kw)
+    _assert_same_log(log, _unblocked_iterate(_counted(fn)[0], np.array([1.0, 0.0]), **kw))
+    assert log.diverged and log.n_iter == resets[-1] + 50
+
+
+@pytest.mark.parametrize("n", [1, _BLOCK // 2, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+def test_blocked_nan_raises_at_the_same_iteration(n):
+    with pytest.raises(NumericError) as want:
+        _unblocked_iterate(_nan_on_call(n), np.array([1.0, 2.0]), max_iter=5 * _BLOCK)
+    with pytest.raises(NumericError) as got:
+        iterate(_nan_on_call(n), np.array([1.0, 2.0]), max_iter=5 * _BLOCK)
+    assert got.value.iteration == want.value.iteration == n
+    assert str(got.value) == str(want.value)
+
+
+def _raising_after(k, stop):
+    """Oscillates; at call ``k`` converges when ``stop`` holds; raises on
+    every call after ``k``."""
+    def fn(c, x):
+        if c > k:
+            raise RuntimeError(f"call {c}")
+        return x if (stop and c == k) else -x
+    return _counted(fn)
+
+
+@pytest.mark.parametrize("k", [1, _BLOCK // 2, _BLOCK - 1, _BLOCK, _BLOCK + 3])
+def test_T_raising_after_the_stop_does_not_escape(k):
+    t, calls = _raising_after(k, stop=True)
+    log = iterate(t, np.array([1.0, 2.0]), max_iter=5 * _BLOCK)
+    assert log.converged and log.n_iter == k and len(log.points) == k + 1
+    assert calls[0] <= k + 1  # the first raising call ends the block
+
+
+@pytest.mark.parametrize("k", [0, _BLOCK // 2, _BLOCK, _BLOCK + 3])
+def test_T_raising_before_any_stop_is_reraised(k):
+    with pytest.raises(RuntimeError, match=f"call {k + 1}$"):
+        iterate(_raising_after(k, stop=False)[0], np.array([1.0, 2.0]), max_iter=5 * _BLOCK)
+    # a non-finite iterate before the raising call is reported first
+    def fn(c, x):
+        if c == k + 2:
+            raise RuntimeError("late")
+        return np.full_like(x, np.nan) if c == k + 1 else -x
+    with pytest.raises(NumericError) as got:
+        iterate(_counted(fn)[0], np.array([1.0, 2.0]), max_iter=5 * _BLOCK)
+    assert got.value.iteration == k + 1
+
+
+def test_blocked_extra_steps_emit_no_warnings():
+    # the run stops at step 1; the steps computed past it overflow to inf
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        log = iterate(scale(1e100, identity(2)), np.array([1.0, 1.0]), max_iter=_BLOCK)
+    assert log.diverged and log.n_iter == 1 and len(log.points) == 2
+
+
+def test_blocked_err_norms_bit_equal(rng):
+    for d in (1, 3, 16):
+        a = random_monotone_affine(2.0, d, rng)
+        b = random_monotone_affine(-1.0, d, rng)
+        t = build_dr(plan_dr(2.0, 1.0, 0.1), a, b)
+        x_star = rng.standard_normal(d)
+        x0 = rng.standard_normal(d)
+        gap = ops.difference(*dr_shadow_ops(a, b, 0.1))
+        log = iterate(t, x0, x_star=x_star, track_shadow=True, A=a, B=b, gamma=0.1)
+        want = _unblocked_iterate(t, x0, x_star=x_star, gap=gap)
+        _assert_same_log(log, want)
+        assert log.converged and log.n_iter > _BLOCK
+        assert log.err_norms == [float(np.linalg.norm(p - x_star)) for p in log.points]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 6),
+    factor=st.floats(0.5, 1.2),
+    max_iter=st.integers(0, 3 * _BLOCK),
+    tol_fix=st.sampled_from([1e-10, 1e-4, 1e-2]),
+    divergence_factor=st.sampled_from([3.0, 1e2, 1e6]),
+    growth_window=st.integers(1, 80),
+    with_star=st.booleans(),
+    with_gap=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocked_iterate_matches_unblocked_loop(d, factor, max_iter, tol_fix,
+                                                divergence_factor, growth_window,
+                                                with_star, with_gap, seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    t = ops._affine(d, factor * q, rng.standard_normal(d))
+    x0 = rng.standard_normal(d)
+    x_star = rng.standard_normal(d) if with_star else None
+    kw = {"max_iter": max_iter, "tol_fix": tol_fix, "x_star": x_star,
+          "divergence_factor": divergence_factor, "growth_window": growth_window}
+    gap, shadow = None, {}
+    if with_gap:
+        a = random_monotone_affine(0.5, d, rng)
+        b = random_monotone_affine(-0.2, d, rng)
+        gap = ops.difference(*dr_shadow_ops(a, b, 0.3))
+        shadow = {"track_shadow": True, "A": a, "B": b, "gamma": 0.3}
+    _assert_same_log(iterate(t, x0, **kw, **shadow), _unblocked_iterate(t, x0, gap=gap, **kw))
+
+
 def test_iterate_rejects_bad_x0():
     from opsplit.operators import identity
 
@@ -485,3 +740,84 @@ def test_csv_log_columns(tmp_path):
     assert lines[0] == "k,step_norm,err_norm,shadow_gap"
     assert lines[1].startswith("0,,")
     assert len(lines) == len(log.points) + 1
+
+
+def _csv_writer_reference(log, path):
+    """``write_csv`` as it was: one ``csv.writer`` row per point."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["k", "step_norm", "err_norm", "shadow_gap"])
+        for k in range(len(log.points)):
+            row = [k]
+            row.append(repr(log.step_norms[k - 1]) if k >= 1 else "")
+            row.append(repr(log.err_norms[k]) if log.err_norms is not None else "")
+            row.append(repr(log.shadow_gaps[k]) if log.shadow_gaps is not None else "")
+            w.writerow(row)
+
+
+ODD_VALUES = [math.inf, -math.inf, math.nan, 5e-324, -0.0, 0.0, 1e16, 1e-5, 0.1,
+              1.7976931348623157e308, 123456789.12345679, 2.5]
+
+
+@pytest.mark.parametrize("errs", [False, True])
+@pytest.mark.parametrize("gaps", [False, True])
+@pytest.mark.parametrize("n", [0, 1, 2, len(ODD_VALUES) + 1, _CSV_ROWS, _CSV_ROWS + 1,
+                               2 * _CSV_ROWS + 5])
+def test_write_csv_bytes_match_csv_writer(tmp_path, errs, gaps, n):
+    reps = n // len(ODD_VALUES) + 2
+    vals = (ODD_VALUES * reps)[: max(n - 1, 0)]
+    log = IterLog(points=[np.zeros(2)] * n, step_norms=vals,
+                  err_norms=(ODD_VALUES[::-1] * reps)[:n] if errs else None,
+                  shadow_gaps=((ODD_VALUES[3:] + ODD_VALUES) * reps)[:n] if gaps else None)
+    write_csv(log, tmp_path / "got.csv")
+    _csv_writer_reference(log, tmp_path / "want.csv")
+    got = (tmp_path / "got.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    assert got.count(b"\r\n") == n + 1
+
+
+def _csv_columns(path):
+    with open(path, newline="") as fh:
+        return list(zip(*csv.reader(fh)))
+
+
+@pytest.mark.parametrize("method", ["DR", "FB"])
+def test_cli_solve_csv_matches_unblocked_loop(tmp_path, method):
+    from opsplit.cli import main
+
+    rng = np.random.default_rng(7)
+    d = 5
+    a = random_monotone_affine(2.0, d, rng)
+    b = random_monotone_affine(-1.0, d, rng)
+    gamma = 0.1
+    inst = {"A": {"kind": "affine", "matrix": a.matrix.tolist(), "offset": a.offset.tolist()},
+            "B": {"kind": "affine", "matrix": b.matrix.tolist(), "offset": b.offset.tolist()},
+            "mu": 2.0, "omega": 1.0, "beta": 1.0, "case": "I", "x_star": [0.0] * d}
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(inst))
+    x0 = ",".join(map(repr, rng.standard_normal(d).tolist()))
+    out = tmp_path / "got.csv"
+    assert main([f"solve-{method.lower()}", "--instance", str(path), "--gamma", str(gamma),
+                 "--x0", x0, "--log", str(out)]) == 0
+
+    from opsplit.cli import spec_from_json
+    sa, sb = spec_from_json(inst["A"]), spec_from_json(inst["B"])
+    if method == "DR":
+        t = build_dr(plan_dr(2.0, 1.0, gamma), sa, sb)
+        gap = ops.difference(*dr_shadow_ops(sa, sb, gamma))
+    else:
+        t = build_fb(plan_fb("I", mu=2.0, omega=1.0, beta=1.0, gamma=gamma), sa, sb)
+        gap = None
+    want_log = _unblocked_iterate(t, np.array([float(v) for v in x0.split(",")]),
+                                  x_star=np.zeros(d), gap=gap)
+    assert want_log.converged and want_log.n_iter > _BLOCK
+    want = tmp_path / "want.csv"
+    _csv_writer_reference(want_log, want)
+    if method == "FB":
+        assert out.read_bytes() == want.read_bytes()
+    got_cols, want_cols = _csv_columns(out), _csv_columns(want)
+    assert got_cols[:3] == want_cols[:3]  # k, step_norm, err_norm
+    gaps = [float(v) for v in got_cols[3][1:] if v]
+    assert len(gaps) == (len(want_log.points) if method == "DR" else 0)
+    for g, w in zip(gaps, want_log.shadow_gaps or []):
+        assert abs(g - w) <= 1e-12 * (1.0 + w)
