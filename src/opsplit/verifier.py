@@ -214,6 +214,15 @@ def check_composition_identity(
 # Tightest-class fitting
 
 
+# The family parameter ``q`` as the (alpha, beta) descriptor it fits.
+_FAMILIES = {
+    "lipschitz": lambda q: INParams(0.0, q),
+    "averaged": lambda q: INParams(1.0 - q, q),
+    "conic": lambda q: INParams(1.0 - q, q),
+    "cocoercive": lambda q: INParams(q / 2.0, q / 2.0),  # q is the diameter
+}
+
+
 def fit_tightest(
     T: Op,
     family: str,
@@ -223,41 +232,54 @@ def fit_tightest(
     seed: int = DEFAULT_SEED,
     adversarial: tuple = (),
 ) -> ClassLabel:
-    """Bisect the family parameter to the smallest value passing membership.
+    """The smallest family parameter passing membership on the sampled pairs.
 
     The result is a lower bound on the true class: sampling can refute but
     never prove membership.  Families: ``lipschitz``, ``averaged``, ``conic``,
     ``cocoercive`` (fitted on the diameter, reported as a modulus).
+
+    With ``r = ||Tx-Ty||^2/||x-y||^2`` and ``c = <x-y, Tx-Ty>/||x-y||^2``, a
+    pair's normalized violation is closed form in the parameter ``q``:
+    ``r - q^2`` (lipschitz), ``r - 2c + 1 - 2q(1 - c)`` (averaged, conic) and
+    ``r - q*c`` (cocoercive).  Pairs on which it falls as ``q`` grows bound
+    ``q`` from below at the root where it meets ``tol``; the others bound it
+    from above, beyond the bracket's upper end once that end passes.  So the
+    fit is the largest lower root, clipped to the bracket, then stepped up by
+    1, 2, 4, ... ulps until membership accepts it.
     """
     if pairs < 100:
         raise DomainError(f"needs at least 100 pairs, got {pairs}")
+    descriptor = _FAMILIES.get(family)
+    if descriptor is None:
+        raise DomainError(f"unknown family {family!r}; known: {sorted(_FAMILIES)}")
     xs, ys = _pairs(T, pairs, dim, seed, adversarial)
     dx = xs - ys
     dt = T(xs) - T(ys)
+    if not np.isfinite(dt).all():
+        raise DomainError(f"non-finite T(x) - T(y) at sampled pairs, family {family!r}")
 
-    def passes(param: float) -> bool:
-        if family == "lipschitz":
-            p = INParams(0.0, param)
-        elif family in ("averaged", "conic"):
-            p = INParams(1.0 - param, param)
-        elif family == "cocoercive":
-            p = INParams(param / 2.0, param / 2.0)
-        else:
-            raise DomainError(f"unknown family {family!r}")
-        return float(np.max(_in_violations(dx, dt, p))) <= tol
+    def passes(q: float) -> bool:
+        return float(np.max(_in_violations(dx, dt, descriptor(q)))) <= tol
 
     lo, hi = 1e-6, 1.0 - 1e-12 if family == "averaged" else 1e6
     if passes(lo):
         return _family_label(family, lo)
     if not passes(hi):
         raise DomainError(f"not in family {family!r} at sampled pairs")
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if passes(mid):
-            hi = mid
-        else:
-            lo = mid
-    return _family_label(family, hi)
+    nd = np.sum(dx * dx, axis=1)
+    r = np.sum(dt * dt, axis=1) / nd
+    c = np.sum(dx * dt, axis=1) / nd
+    if family == "lipschitz":
+        root = math.sqrt(max(float(np.max(r)) - tol, 0.0))
+    else:
+        num, den = (r - tol, c) if family == "cocoercive" else (r - 2 * c + 1 - tol, 2 * (1 - c))
+        roots = np.divide(num, den, out=np.full_like(num, -np.inf), where=den > 0.0)
+        root = float(np.max(roots))
+    q, step = min(max(root, lo), hi), 1.0
+    while not passes(q):
+        q = min(q + math.ulp(q) * step, hi)
+        step *= 2.0
+    return _family_label(family, q)
 
 
 def _family_label(family: str, value: float) -> ClassLabel:

@@ -673,6 +673,63 @@ def test_rate_report_dr_averaged(rng):
     assert rep.satisfied and rep.empirical_rate <= 1.0 + 1e-8
 
 
+def _tight_fb_specs(kind_a, kind_b, d, mu, omega, beta, s, rng):
+    """Specs meeting FB case I/Ib: ``A - mu*Id`` is ``1/beta``-cocoercive (within
+    ``beta/2`` of ``(beta/2)*Id``) and ``B`` is ``(-omega)``-monotone.  Both
+    keep one random unit vector ``e``, with ``A e = (mu + beta*(1+s)/2) e`` and
+    ``B e = -omega*e``; for ``s`` = -1 (case I) or +1 (case Ib) the FB map
+    scales ``e`` by exactly the certified factor."""
+    q, r = np.linalg.qr(rng.standard_normal((d, d)))
+    u = q * np.sign(np.diag(r))  # e is its first column
+    on_e = np.zeros((d, d))
+    on_e[0, 0] = 1.0
+    off_e = np.eye(d) - on_e
+    if kind_a == "scaled_identity":
+        a = ScaledIdentity(mu + 0.5 * beta * (1.0 + s), dim=d)
+    else:
+        k = rng.standard_normal((d, d))
+        k = off_e @ (k + k.T if kind_a == "quadratic" else k) @ off_e
+        k *= rng.uniform(0.0, 1.0) / np.linalg.norm(k, 2)
+        m = u @ (mu * np.eye(d) + 0.5 * beta * (np.eye(d) + s * on_e + k)) @ u.T
+        a = ops.QuadraticGradient(0.5 * (m + m.T)) if kind_a == "quadratic" else ops.Affine(m)
+    g = rng.standard_normal((d, d))
+    if kind_b == "scaled_identity":
+        return a, ScaledIdentity(-omega, dim=d)
+    if kind_b == "subspace_normal":
+        basis = np.vstack([u[:, 0], rng.standard_normal((d // 2, d))])
+        return a, SubspaceNormalPlusScale(basis, mu=-omega)
+    mono = g @ g.T / d + (g - g.T if kind_b == "affine" else 0.0)
+    m = u @ (-omega * np.eye(d) + off_e @ mono @ off_e) @ u.T
+    return a, ops.QuadraticGradient(0.5 * (m + m.T)) if kind_b == "quadratic" else ops.Affine(m)
+
+
+@pytest.mark.parametrize("d", [2, 7, 16])
+@pytest.mark.parametrize("kind_b", ["affine", "scaled_identity", "subspace_normal", "quadratic"])
+@pytest.mark.parametrize("kind_a", ["affine", "scaled_identity", "quadratic"])
+def test_fb_certified_rate_is_the_spectral_radius(kind_a, kind_b, d):
+    # T x = M x + c contracts no faster than rho(M), so a sound certified rate
+    # is at least rho(M); on these instances it is attained on e
+    rng = np.random.default_rng(1000 * d + 7)
+    for case, s in (("I", -1.0), ("Ib", 1.0)):
+        for _ in range(3):
+            mu = rng.uniform(0.5, 2.0)
+            omega = mu * rng.uniform(0.1, 0.8)
+            beta = rng.uniform(0.5, 4.0)
+            lo, hi = 0.0, 2.0 / (beta + 2.0 * mu)
+            if case == "Ib":
+                lo, hi = hi, 2.0 / (beta + mu + omega)  # keeps the factor in ]-1, 0]
+            gamma = lo + rng.uniform(0.05, 0.95) * (hi - lo)
+            plan = plan_fb(case, mu=mu, omega=omega, beta=beta, gamma=gamma)
+            t = build_fb(plan, *_tight_fb_specs(kind_a, kind_b, d, mu, omega, beta, s, rng))
+            log = iterate(t, rng.standard_normal(d), max_iter=40, tol_fix=0.0,
+                          x_star=np.zeros(d))
+            certified = rate_report(log, plan).certified_rate
+            m = t.matrix
+            rho = abs(m) if isinstance(m, float) else float(np.max(np.abs(np.linalg.eigvals(m))))
+            assert rho <= certified * (1.0 + 1e-12), (case, plan, rho)
+            assert rho >= certified * (1.0 - 1e-9), (case, plan, rho)
+
+
 # ---------------------------------------------------------------------------
 # invariants
 

@@ -4,14 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from opsplit import operators as ops
+from opsplit import verifier
 from opsplit.calculus import INParams, ScaledConic
 from opsplit.errors import DomainError
-from opsplit.operators import build_in_operator, build_rotation, identity, matrix_op
-from opsplit.sampling import pair_samples
+from opsplit.operators import Op, build_in_operator, build_rotation, identity, matrix_op
+from opsplit.sampling import DEFAULT_SEED, pair_samples
 from opsplit.verifier import (
+    COMPOSITION_KINDS,
+    _family_label,
+    _in_violations,
     characterization_violations,
     check_composition_identity,
     check_membership,
@@ -223,6 +229,159 @@ def test_fit_never_exceeds_construction(rng):
 def test_fit_rejects_small_samples():
     with pytest.raises(DomainError):
         fit_tightest(identity(2), "lipschitz", pairs=10)
+
+
+def test_fit_rejects_unknown_family_before_evaluating_T(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("called before the family was checked")
+
+    monkeypatch.setattr(verifier, "pair_samples", boom)
+    with pytest.raises(DomainError, match="unknown family"):
+        fit_tightest(Op(boom, 2), "contractive")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("family", ["lipschitz", "averaged", "conic", "cocoercive"])
+def test_fit_rejects_non_finite_images(bad, family):
+    def fn(x):
+        y = 0.5 * x
+        y[..., 0] = np.where(x[..., 0] > 2.0, bad, y[..., 0])  # a few rows only
+        return y
+
+    with pytest.raises(DomainError, match="non-finite"):
+        fit_tightest(Op(fn, 2), family, pairs=2000)
+
+
+def _bisect_fit(T, family, pairs=10_000, tol=1e-9, seed=DEFAULT_SEED):
+    """Reference: the bisection ``fit_tightest`` used before the closed form."""
+    xs, ys = pair_samples(pairs, T.dim, seed=seed)
+    dx = xs - ys
+    dt = T(xs) - T(ys)
+
+    def passes(param):
+        if family == "lipschitz":
+            p = INParams(0.0, param)
+        elif family in ("averaged", "conic"):
+            p = INParams(1.0 - param, param)
+        else:
+            p = INParams(param / 2.0, param / 2.0)
+        return float(np.max(_in_violations(dx, dt, p))) <= tol
+
+    lo, hi = 1e-6, 1.0 - 1e-12 if family == "averaged" else 1e6
+    if passes(lo):
+        return _family_label(family, lo)
+    if not passes(hi):
+        raise DomainError(f"not in family {family!r} at sampled pairs")
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if passes(mid):
+            hi = mid
+        else:
+            lo = mid
+    return _family_label(family, hi)
+
+
+def _fit_or_none(fit, T, family, seed):
+    try:
+        return fit(T, family, pairs=2000, seed=seed)
+    except DomainError:
+        return None
+
+
+def _check_against_bisection(T, family, seed):
+    tested = []
+
+    def recording(dx, dt, p):
+        tested.append(p)
+        return _in_violations(dx, dt, p)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verifier, "_in_violations", recording)
+        got = _fit_or_none(fit_tightest, T, family, seed)
+    want = _fit_or_none(_bisect_fit, T, family, seed)
+    assert (got is None) == (want is None), (family, got, want)
+    if got is None:
+        return
+    assert abs(got.value - want.value) <= 1e-12 * want.value, (family, got, want)
+    # the returned class is the last one tested, and it passes on the pairs
+    p = tested[-1]
+    assert got.value == (1.0 / (2.0 * p.alpha) if family == "cocoercive" else p.beta)
+    xs, ys = pair_samples(2000, T.dim, seed=seed)
+    assert np.max(_in_violations(xs - ys, T(xs) - T(ys), p)) <= 1e-9
+
+
+FAMILIES = ("lipschitz", "averaged", "conic", "cocoercive")
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(COMPOSITION_KINDS))
+def test_fit_matches_bisection_on_random_compositions(seed, kind):
+    T = random_certified_composition(kind, np.random.default_rng(seed))[0]
+    for family in FAMILIES:
+        _check_against_bisection(T, family, seed)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.0, 0.8))
+def test_fit_matches_bisection_on_expansive_rotation(seed, theta):
+    # c = 1.5*cos(theta) > 1 on every pair: averaged and conic are refuted
+    T = build_rotation(theta, scale=1.5)
+    for family in FAMILIES:
+        _check_against_bisection(T, family, seed)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.1, 3.0), st.sampled_from([0.0, 1e-16, 2e-15]))
+def test_fit_cocoercive_matches_bisection_with_non_positive_pairs(seed, k, s):
+    # the axis pairs along the second direction have c = -s <= 0; at s = 2e-15
+    # they refute the family at the bracket's upper end
+    _check_against_bisection(matrix_op(np.diag([k, -s])), "cocoercive", seed)
+
+
+def test_fit_conic_of_projection_ignores_float_noise_at_large_parameters():
+    # Id on the first axis: at conic parameters near 1e6, q^2 - (1-q)^2 rounds
+    # by ~1e-4, far above tol, so the sampled test is noisy there and the
+    # bisection settled near 1e6; the projection is 1/2-conic.
+    T = matrix_op(np.diag([1.0, 0.0]))
+    assert 0.5 - 1e-6 <= fit_tightest(T, "conic").value <= 0.5
+    assert _bisect_fit(T, "conic").value > 1e5
+
+
+def test_fit_makes_few_membership_passes(monkeypatch):
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return _in_violations(*args)
+
+    monkeypatch.setattr(verifier, "_in_violations", counted)
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        for kind in COMPOSITION_KINDS:
+            T = random_certified_composition(kind, rng)[0]
+            for family in FAMILIES:
+                calls[0] = 0
+                try:
+                    fit_tightest(T, family)
+                except DomainError:
+                    pass
+                assert 1 <= calls[0] <= 10, (kind, family, calls[0])
+
+
+def test_lipschitz_fit_and_certificates_match_exact_affine_oracle():
+    # T x = M x + b: the tightest Lipschitz constant is sigma_max(M), and T is
+    # in INParams(a, b) iff lambda_max(M^T M - a(M + M^T) + (a^2 - b^2) I) <= 0
+    rng = np.random.default_rng(13)
+    for i in range(30):
+        T, cert, _ = random_certified_composition(COMPOSITION_KINDS[i % 3], rng)
+        m = T.matrix
+        assert isinstance(m, np.ndarray)
+        sigma = float(np.linalg.norm(m, 2))
+        fit = fit_tightest(T, "lipschitz").value
+        assert sigma * (1.0 - 1e-6) <= fit <= sigma * (1.0 + 1e-12), (i, fit, sigma)
+        p = cert.to_in()
+        gram = m.T @ m - p.alpha * (m + m.T) + (p.alpha**2 - p.beta**2) * np.eye(len(m))
+        assert np.linalg.eigvalsh(gram)[-1] <= 1e-9 * (1.0 + sigma**2), (i, cert)
 
 
 # ---------------------------------------------------------------------------
