@@ -361,3 +361,77 @@ def test_emit_svg_rejects_non_finite_inputs(regions, markers, tmp_path):
     with pytest.raises(DomainError):
         emit_svg(regions, markers, out)
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# The screened raster: a sqrt screen on the distinct |y| rows, with
+# _membership deciding every pixel whose screened margin is too small to sign.
+
+
+@st.composite
+def _scaled_descriptor_pairs(draw):
+    def scale():
+        return 10.0 ** draw(st.floats(-170.0, 150.0))
+
+    s1, s2 = scale(), scale()
+    b1 = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0))) * s1
+    p1 = INParams(draw(st.floats(-2.0, 2.0)) * s1, b1)
+    case = draw(st.sampled_from(["s>0", "s<0", "s==0", "a2==0"]))
+    if case == "a2==0":
+        return p1, INParams(0.0, draw(st.floats(0.0, 2.0)) * s2), case
+    a2 = draw(st.floats(0.05, 2.0)) * draw(st.sampled_from([-1.0, 1.0])) * s2
+    if case == "s==0":
+        return p1, INParams(a2, abs(a2)), case
+    return p1, INParams(a2, abs(a2) * draw(st.floats(*_SIGN_OF_S[case]))), case
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scaled_descriptor_pairs(), st.one_of(st.just(1.0), st.floats(1e-3, 1e3)),
+       st.sampled_from([64, 65, 100]))
+def test_screened_raster_is_bit_equal_to_reference_over_scales(pair, w, resolution):
+    p1, p2, case = pair
+    k = p2.beta / abs(p2.alpha) if p2.alpha else 0.0
+    s = 1.0 - k * k
+    assert {"s>0": s > 0, "s<0": s < 0, "s==0": s == 0, "a2==0": p2.alpha == 0}[case]
+    r = composition_region_exact(p1, p2, resolution, relax_weight=w)
+    with np.errstate(all="ignore"):
+        ref = _reference_region(p1, p2, resolution, w)
+    assert r.extent == ref.extent
+    assert np.array_equal(r.grid, ref.grid)
+
+
+def test_screen_falls_back_to_membership_on_the_boundary(monkeypatch):
+    # extent 1 at resolution 128 puts pixel centres exactly on the origin,
+    # on the marker (1, 0) and on the tangency points (0, +-0.5), all of
+    # which lie on the region's boundary, so the screen cannot sign them.
+    p = INParams(0.5, 0.5)
+    sizes = []
+
+    def counting(x, y, p1, p2):
+        sizes.append(np.broadcast(x, y).size)
+        return exact(x, y, p1, p2)
+
+    exact = figures._membership
+    monkeypatch.setattr(figures, "_membership", counting)
+    r = composition_region_exact(p, p, 128)
+    assert 0 < sum(sizes) <= 16
+    ref = _reference_region(p, p, 128)
+    assert np.array_equal(r.grid, ref.grid)
+    for point in ((0.0, 0.0), (1.0, 0.0), (0.0, 0.5), (0.0, -0.5)):
+        assert raster_contains(r, point)
+
+
+@pytest.mark.parametrize("resolution", [512, 2048])
+@pytest.mark.parametrize("name", [n for n in PRESET_NAMES if n != "single-class"])
+def test_preset_grid_and_svg_match_reference_at_benchmark_resolutions(name, resolution,
+                                                                      monkeypatch):
+    regions, markers = preset_figure(name, resolution)
+    text = emit_svg(regions, markers)
+    monkeypatch.setattr(figures, "composition_region_exact", _reference_region)
+    ref_regions, ref_markers = preset_figure(name, resolution)
+    rasters = [(got, ref) for (got, _), (ref, _) in zip(regions, ref_regions)
+               if isinstance(got, Raster)]
+    assert len(rasters) == 1
+    for got, ref in rasters:
+        assert got.grid.dtype == ref.grid.dtype and np.array_equal(got.grid, ref.grid)
+    assert text.encode() == emit_svg(ref_regions, ref_markers).encode()
