@@ -405,13 +405,12 @@ def test_screen_falls_back_to_membership_on_the_boundary(monkeypatch):
     # on the marker (1, 0) and on the tangency points (0, +-0.5), all of
     # which lie on the region's boundary, so the screen cannot sign them.
     p = INParams(0.5, 0.5)
-    sizes = []
+    exact, sizes = figures._membership, []
 
     def counting(x, y, p1, p2):
         sizes.append(np.broadcast(x, y).size)
         return exact(x, y, p1, p2)
 
-    exact = figures._membership
     monkeypatch.setattr(figures, "_membership", counting)
     r = composition_region_exact(p, p, 128)
     assert 0 < sum(sizes) <= 16
