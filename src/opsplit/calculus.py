@@ -15,8 +15,7 @@ failure; :func:`certify` tries the two-operator rules in a fixed order, and
 when none applies callers fall back to the naive Lipschitz product
 ``(|a1|+b1)(|a2|+b2)``.
 
-Hypothesis inequalities are checked exactly as stated (strict where strict);
-``eps_guard`` tightens them by a margin and never loosens them.
+Hypothesis inequalities are checked exactly as stated (strict where strict).
 """
 
 from __future__ import annotations
@@ -289,7 +288,7 @@ def resolvent_class(rho: float) -> ResolventClasses:
 # Two-operator composition
 
 
-def delta_bundle(p1: INParams, p2: INParams, *, eps_guard: float = 0.0) -> DeltaBundle:
+def delta_bundle(p1: INParams, p2: INParams) -> DeltaBundle:
     """Coupling coefficients of the composition ``R2 R1``.
 
     With ``q_i = ((1-a_i)^2 - b_i^2)/(1-a_i)``::
@@ -303,11 +302,11 @@ def delta_bundle(p1: INParams, p2: INParams, *, eps_guard: float = 0.0) -> Delta
     """
     a1, b1 = p1.alpha, p1.beta
     a2, b2 = p2.alpha, p2.beta
-    if not a1 < 1.0 - eps_guard:
+    if not a1 < 1.0:
         raise DomainError(f"requires p1.alpha < 1, got {a1}")
-    if not a2 < 1.0 - eps_guard:
+    if not a2 < 1.0:
         raise DomainError(f"requires p2.alpha < 1, got {a2}")
-    if a2 * (a2 - 1.0) > b2 * b2 + eps_guard:
+    if a2 * (a2 - 1.0) > b2 * b2:
         raise DomainError(
             f"requires p2.alpha*(p2.alpha-1) <= p2.beta^2, got {a2 * (a2 - 1.0)} > {b2 * b2}"
         )
@@ -322,7 +321,7 @@ def delta_bundle(p1: INParams, p2: INParams, *, eps_guard: float = 0.0) -> Delta
     return DeltaBundle(d1, d2, d3, d1 * d2 / s, degenerate=False)
 
 
-def compose_general(p1: INParams, p2: INParams, *, eps_guard: float = 0.0) -> INParams:
+def compose_general(p1: INParams, p2: INParams) -> INParams:
     """Certified descriptor of ``R2 R1`` from the coupling coefficients.
 
     Requires ``d1+d2 > 0``, ``d3 - d4 + d3*d4 >= 0`` and ``d4 > -1``; then::
@@ -332,19 +331,19 @@ def compose_general(p1: INParams, p2: INParams, *, eps_guard: float = 0.0) -> IN
     Each failed hypothesis raises a distinct :class:`GuardError` so callers
     can fall back to :func:`naive_lipschitz`.
     """
-    b = delta_bundle(p1, p2, eps_guard=eps_guard)
-    if b.degenerate or not b.d1 + b.d2 > eps_guard:
+    b = delta_bundle(p1, p2)
+    if b.degenerate or not b.d1 + b.d2 > 0.0:
         raise GuardError(
             f"composition not certified: d1+d2 = {b.d1 + b.d2} fails d1+d2 > 0",
             hypothesis="d1+d2 > 0",
         )
     rad = b.d3 - b.d4 + b.d3 * b.d4
-    if not rad >= eps_guard:
+    if not rad >= 0.0:
         raise GuardError(
             f"composition not certified: d3-d4+d3*d4 = {rad} fails >= 0",
             hypothesis="d3-d4+d3*d4 >= 0",
         )
-    if not b.d4 > -1.0 + eps_guard:
+    if not b.d4 > -1.0:
         raise GuardError(
             f"composition not certified: d4 = {b.d4} fails d4 > -1",
             hypothesis="d4 > -1",
@@ -353,7 +352,7 @@ def compose_general(p1: INParams, p2: INParams, *, eps_guard: float = 0.0) -> IN
     return INParams(b.d4 / denom, math.sqrt(max(rad, 0.0)) / denom)
 
 
-def compose_kappa_theta(p1: INParams, p2: INParams, *, eps_guard: float = 0.0) -> ScaledConic:
+def compose_kappa_theta(p1: INParams, p2: INParams) -> ScaledConic:
     """Scaled-conic descriptor of ``R2 R1`` for positive-``beta`` factors.
 
     With ``s_i = a_i + b_i > 0`` and ratios ``t_i = b_i/s_i``, the product is
@@ -379,7 +378,7 @@ def compose_kappa_theta(p1: INParams, p2: INParams, *, eps_guard: float = 0.0) -
     kappa = s1 * s2
     if max(t1, t2) == 1.0:
         theta = 1.0
-    elif t1 * t2 < 1.0 - eps_guard:
+    elif t1 * t2 < 1.0:
         theta = (t1 + t2 - 2.0 * t1 * t2) / (1.0 - t1 * t2)
     else:
         raise GuardError(
@@ -390,7 +389,7 @@ def compose_kappa_theta(p1: INParams, p2: INParams, *, eps_guard: float = 0.0) -
     return ScaledConic(kappa, theta)
 
 
-def compose_conic(c1: ScaledConic, c2: ScaledConic, *, eps_guard: float = 0.0) -> ScaledConic:
+def compose_conic(c1: ScaledConic, c2: ScaledConic) -> ScaledConic:
     """Composition of two scaled conically nonexpansive factors (inner first).
 
     Requires ``a1*a2 < 1`` or ``max(a1, a2) = 1``; the result has scale
@@ -403,7 +402,7 @@ def compose_conic(c1: ScaledConic, c2: ScaledConic, *, eps_guard: float = 0.0) -
     prod = a1 * a2
     if max(a1, a2) == 1.0:
         alpha = 1.0
-    elif prod < 1.0 - eps_guard:
+    elif prod < 1.0:
         alpha = (a1 + a2 - 2.0 * prod) / (1.0 - prod)
     else:
         raise GuardError(
@@ -429,7 +428,7 @@ def compose_scaled_averaged_cocoercive(averaged: ScaledConic, coco_beta: float) 
     return ScaledConic(coco_beta * averaged.delta, 1.0 / (2.0 - averaged.alpha))
 
 
-def compose_chain(items: list[ScaledConic], r: int, *, eps_guard: float = 0.0) -> ScaledConic:
+def compose_chain(items: list[ScaledConic], r: int) -> ScaledConic:
     """Composition of ``m >= 2`` scaled conic factors, applied first-to-last.
 
     All factors except the one at index ``r`` must be scaled *averaged*
@@ -451,7 +450,7 @@ def compose_chain(items: list[ScaledConic], r: int, *, eps_guard: float = 0.0) -
     a_r = items[r].alpha
     s_other = sum(c.alpha / (1.0 - c.alpha) for i, c in enumerate(items) if i != r)
     abar = s_other / (1.0 + s_other)
-    if not a_r * abar < 1.0 - eps_guard:
+    if not a_r * abar < 1.0:
         raise GuardError(
             f"chain not certified: a_r*abar = {a_r * abar} fails < 1",
             hypothesis="a_r*abar < 1",

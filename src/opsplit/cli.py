@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -60,6 +61,8 @@ def parse_class_spec(text: str) -> ClassLabel:
     vals = [float(p) for p in parts[1:]]
     if kind == "nonexpansive":
         return ClassLabel.nonexpansive()
+    if kind == "cocoercive" and len(vals) == 1 and not vals[0] > 0.0:
+        raise DomainError(f"cocoercive diameter must be > 0, got {vals[0]}")
     if len(vals) == 1:
         one = {
             "averaged": ClassLabel.averaged,
@@ -162,10 +165,14 @@ def _parse_x0(text: str, dim: int) -> np.ndarray:
     x = np.asarray([float(t) for t in text.split(",")], dtype=float)
     if x.shape != (dim,):
         raise DomainError(f"--x0 must have {dim} components, got {x.shape[0]}")
+    if not np.isfinite(x).all():
+        raise DomainError(f"--x0 must be finite, got {text!r}")
     return x
 
 
 def _run_solve(args, method: str) -> int:
+    if not math.isfinite(args.tol):
+        raise DomainError(f"--tol must be finite, got {args.tol}")
     with open(args.instance) as fh:
         inst = json.load(fh)
     a_spec = spec_from_json(inst["A"])

@@ -49,10 +49,10 @@ class Disk:
     center_x: float
     radius: float
 
-    def contains(self, pts: np.ndarray, slack: float = 0.0) -> np.ndarray:
+    def contains(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
         d = np.hypot(pts[:, 0] - self.center_x, pts[:, 1])
-        return d <= self.radius * (1.0 + 1e-12) + slack
+        return d <= self.radius * (1.0 + 1e-12)
 
 
 @dataclass

@@ -57,8 +57,8 @@ class Op:
     An affine ``Op`` also carries its form ``x -> matrix @ x + offset``:
     ``matrix`` is a float for a multiple of the identity (O(d) maps are never
     made dense) or an ``(n, n)`` array, and ``offset`` an ``(n,)`` array or
-    ``None`` for zero.  Both are ``None`` for any other map.  Replacing ``fn``
-    drops the form, which no longer describes the map.
+    ``None`` for zero.  Both are ``None`` for any other map.  ``fn`` is
+    read-only, so the form always describes the map.
     """
 
     __slots__ = ("_fn", "dim", "certificate", "name", "matrix", "offset")
@@ -79,11 +79,6 @@ class Op:
     @property
     def fn(self) -> Callable[[np.ndarray], np.ndarray]:
         return self._fn
-
-    @fn.setter
-    def fn(self, fn: Callable[[np.ndarray], np.ndarray]):
-        self._fn = fn
-        self.matrix = self.offset = None
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -154,11 +149,9 @@ def rotation_matrix(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def build_rotation(theta: float, scale: float = 1.0, sign: int = 1) -> Op:
-    """The planar map ``x -> scale*sign*R_theta x``; certified ``|scale|``-Lipschitz."""
-    if sign not in (1, -1):
-        raise DomainError(f"sign must be +1 or -1, got {sign}")
-    m = scale * sign * rotation_matrix(theta)
+def build_rotation(theta: float, scale: float = 1.0) -> Op:
+    """The planar map ``x -> scale*R_theta x``; certified ``|scale|``-Lipschitz."""
+    m = scale * rotation_matrix(theta)
     return matrix_op(m, certificate=INParams(0.0, abs(scale)), name=f"rot({theta:g})")
 
 
@@ -249,6 +242,8 @@ class Affine(MonotoneSpec):
         self.offset = (
             np.zeros(n) if self.offset is None else np.asarray(self.offset, dtype=float)
         )
+        if not (np.isfinite(self.matrix).all() and np.isfinite(self.offset).all()):
+            raise DomainError("matrix and offset must be finite")
         self.dim = n
         exact = float(np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.T))[0])
         if self.rho_claimed is not None and self.rho_claimed > exact + 1e-10:
@@ -281,6 +276,8 @@ class ScaledIdentity(MonotoneSpec):
     coco: float | None = None
 
     def __post_init__(self):
+        if not np.isfinite(self.c):
+            raise DomainError(f"c must be finite, got {self.c}")
         self.rho = self.c
         self._check_coco()
 
@@ -308,6 +305,8 @@ class SubspaceNormalPlusScale(MonotoneSpec):
 
     def __post_init__(self):
         b = np.atleast_2d(np.asarray(self.basis, dtype=float))
+        if not (np.isfinite(b).all() and np.isfinite(self.mu)):
+            raise DomainError("basis and mu must be finite")
         q, r = np.linalg.qr(b.T)
         rank = int(np.sum(np.abs(np.diag(r)) > 1e-12))
         q = q[:, :rank]
@@ -331,11 +330,11 @@ class QuadraticGradient(MonotoneSpec):
     coco: float | None = None
 
     def __post_init__(self):
-        q = np.asarray(self.matrix, dtype=float)
+        self._affine = Affine(self.matrix, self.offset, coco=self.coco)
+        q = self._affine.matrix
         if not np.allclose(q, q.T, atol=1e-12 * max(1.0, float(np.abs(q).max()))):
             raise DomainError("quadratic matrix must be symmetric")
-        self._affine = Affine(q, self.offset, coco=self.coco)
-        self.matrix = self._affine.matrix
+        self.matrix = q
         self.offset = self._affine.offset
         self.dim = self._affine.dim
         self.rho = self._affine.rho

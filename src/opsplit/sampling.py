@@ -3,7 +3,7 @@
 All membership/monotonicity checks in this package draw the same kind of
 sample: Gaussian pairs seeded by default with ``0xC0FFEE``, augmented with the
 axis-aligned unit pairs (rotation-family worst cases lie on simple
-directions) and any caller-provided adversarial pairs.
+directions).
 """
 
 from __future__ import annotations
@@ -13,18 +13,11 @@ import numpy as np
 DEFAULT_SEED = 0xC0FFEE
 
 
-def pair_samples(
-    pairs: int,
-    dim: int,
-    seed: int | None = None,
-    adversarial: tuple = (),
-    rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def pair_samples(pairs: int, dim: int, seed: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Return arrays ``xs, ys`` of shape ``(m, dim)`` with ``x != y`` rowwise."""
     if pairs < 1:
         raise ValueError(f"need at least one pair, got {pairs}")
-    if rng is None:
-        rng = np.random.default_rng(DEFAULT_SEED if seed is None else seed)
+    rng = np.random.default_rng(DEFAULT_SEED if seed is None else seed)
     xs = rng.standard_normal((pairs, dim))
     ys = rng.standard_normal((pairs, dim))
 
@@ -33,12 +26,6 @@ def pair_samples(
     ax_y = np.concatenate([np.zeros((dim, dim)), -eye, np.zeros((dim, dim))])
     xs = np.concatenate([xs, ax_x])
     ys = np.concatenate([ys, ax_y])
-
-    if adversarial:
-        adv_x = np.asarray([a for a, _ in adversarial], dtype=float)
-        adv_y = np.asarray([b for _, b in adversarial], dtype=float)
-        xs = np.concatenate([xs, adv_x])
-        ys = np.concatenate([ys, adv_y])
 
     keep = np.linalg.norm(xs - ys, axis=1) > 1e-14
     return xs[keep], ys[keep]

@@ -58,19 +58,14 @@ class MembershipReport:
     tol: float
 
 
-def _pairs(T, pairs, dim, seed, adversarial):
-    xs, ys = pair_samples(pairs, dim if dim is not None else T.dim, seed=seed,
-                          adversarial=adversarial)
-    return xs, ys
-
-
 def _in_violations(dx, dt, p: INParams) -> np.ndarray:
-    # ||Tx-Ty||^2 - 2a<x-y, Tx-Ty> - (b^2 - a^2)||x-y||^2, normalized.
+    # ||Tx-Ty||^2 - 2a<x-y, Tx-Ty> - (b^2 - a^2)||x-y||^2, normalized; b^2 - a^2
+    # is formed as (b - a)(b + a), which does not cancel when |a| ~ |b| is large.
     a, b = p.alpha, p.beta
     nd = np.sum(dx * dx, axis=1)
     ndt = np.sum(dt * dt, axis=1)
     ip = np.sum(dx * dt, axis=1)
-    return (ndt - 2.0 * a * ip - (b * b - a * a) * nd) / nd
+    return (ndt - 2.0 * a * ip - (b - a) * (b + a) * nd) / nd
 
 
 def _conic_violations(dx, dt, c: ScaledConic) -> np.ndarray:
@@ -87,9 +82,7 @@ def check_membership(
     descriptor,
     pairs: int = 10_000,
     tol: float = 1e-9,
-    dim: int | None = None,
     seed: int = DEFAULT_SEED,
-    adversarial: tuple = (),
 ) -> MembershipReport:
     """Sampled check that ``T`` belongs to the class of ``descriptor``.
 
@@ -99,7 +92,7 @@ def check_membership(
     """
     if isinstance(descriptor, ClassLabel):
         descriptor = from_label(descriptor)
-    xs, ys = _pairs(T, pairs, dim, seed, adversarial)
+    xs, ys = pair_samples(pairs, T.dim, seed=seed)
     dx = xs - ys
     dt = T(xs) - T(ys)
     if isinstance(descriptor, ScaledConic):
@@ -123,16 +116,14 @@ def check_monotone(
     rho: float,
     pairs: int = 10_000,
     tol: float = 1e-9,
-    dim: int | None = None,
     seed: int = DEFAULT_SEED,
-    adversarial: tuple = (),
 ) -> MembershipReport:
     """Sampled check of ``<x-y, Fx-Fy> >= rho*||x-y||^2``.
 
     The normalized violation is ``rho - <x-y, Fx-Fy>/||x-y||^2`` (positive
     when the inequality fails); its negation is the worst monotonicity slack.
     """
-    xs, ys = _pairs(F, pairs, dim, seed, adversarial)
+    xs, ys = pair_samples(pairs, F.dim, seed=seed)
     dx = xs - ys
     df = F(xs) - F(ys)
     v = rho - np.sum(dx * df, axis=1) / np.sum(dx * dx, axis=1)
@@ -182,7 +173,6 @@ def check_composition_identity(
     R2: Op,
     lam: float,
     pairs: int = 1000,
-    dim: int | None = None,
     seed: int = DEFAULT_SEED,
 ) -> float:
     """Worst scaled residual of the relaxed-composition inner-product identity.
@@ -194,7 +184,7 @@ def check_composition_identity(
     """
     if R1.dim != R2.dim:
         raise DomainError(f"dimension mismatch: {R1.dim} vs {R2.dim}")
-    xs, ys = _pairs(R1, pairs, dim, seed, ())
+    xs, ys = pair_samples(pairs, R1.dim, seed=seed)
     dx = xs - ys
     r1x, r1y = R1(xs), R1(ys)
     d1 = r1x - r1y
@@ -228,9 +218,7 @@ def fit_tightest(
     family: str,
     pairs: int = 10_000,
     tol: float = 1e-9,
-    dim: int | None = None,
     seed: int = DEFAULT_SEED,
-    adversarial: tuple = (),
 ) -> ClassLabel:
     """The smallest family parameter passing membership on the sampled pairs.
 
@@ -252,7 +240,7 @@ def fit_tightest(
     descriptor = _FAMILIES.get(family)
     if descriptor is None:
         raise DomainError(f"unknown family {family!r}; known: {sorted(_FAMILIES)}")
-    xs, ys = _pairs(T, pairs, dim, seed, adversarial)
+    xs, ys = pair_samples(pairs, T.dim, seed=seed)
     dx = xs - ys
     dt = T(xs) - T(ys)
     if not np.isfinite(dt).all():

@@ -361,13 +361,10 @@ def test_compose_conic_guard():
         compose_conic(ScaledConic(1.0, 2.0), ScaledConic(1.0, 2.0))
 
 
-def test_eps_guard_tightens_never_loosens():
-    c1, c2 = ScaledConic(1.0, 0.9999), ScaledConic(1.0, 1.0)
+def test_compose_conic_accepts_unit_factor_and_product_just_below_one():
+    c1 = ScaledConic(1.0, 0.9999)
     compose_conic(c1, ScaledConic(1.0, 1.0))  # max = 1 branch, fine
-    borderline = ScaledConic(1.0, 1.0001)
-    compose_conic(c1, borderline)  # product 0.99999... < 1
-    with pytest.raises(GuardError):
-        compose_conic(c1, borderline, eps_guard=1e-3)
+    compose_conic(c1, ScaledConic(1.0, 1.0001))  # product 0.99999... < 1
 
 
 def test_compose_conic_scales_multiply():

@@ -332,3 +332,41 @@ def test_replay_from_echoed_config(tmp_path, fb_instance):
     )
     assert json.loads(r2.stdout)["config"] == cfg
     assert log1.read_bytes() == log2.read_bytes()
+
+
+_SI_A = {"kind": "scaled_identity", "c": 2.0}
+_SI_B = {"kind": "scaled_identity", "c": -1.0}
+_NAN = float("nan")
+
+
+# Non-finite or degenerate input is a usage error (exit 1), reported by the
+# spec constructor or option parse it enters through.
+@pytest.mark.parametrize("args,A,B,message", [
+    (["compose", "--class1", "cocoercive:0", "--class2", "averaged:0.5"],
+     None, None, "cocoercive diameter must be > 0"),
+    (["solve-fb"], {"kind": "affine", "matrix": [[_NAN, 0.0], [0.0, 2.0]]}, _SI_B, "finite"),
+    (["solve-dr"], {"kind": "affine", "matrix": [[_NAN, 0.0], [0.0, 2.0]]}, _SI_B, "finite"),
+    (["solve-fb"], {"kind": "affine", "matrix": [[2.0, 0.0], [0.0, 2.0]],
+                    "offset": [_NAN, 0.0]}, _SI_B, "finite"),
+    (["solve-fb"], _SI_A, {"kind": "quadratic", "matrix": [[_NAN, 0.0], [0.0, -1.0]]},
+     "finite"),
+    (["solve-dr"], {"kind": "scaled_identity", "c": _NAN}, _SI_B, "finite"),
+    (["solve-dr"], {"kind": "subspace_normal", "basis": [[_NAN, 0.0]], "mu": 2.0}, _SI_B,
+     "finite"),
+    (["solve-dr"], {"kind": "subspace_normal", "basis": [[1.0, 0.0]], "mu": _NAN}, _SI_B,
+     "finite"),
+    (["solve-fb", "--x0", "nan,0"], _SI_A, _SI_B, "--x0 must be finite"),
+    (["solve-fb", "--tol", "nan"], _SI_A, _SI_B, "--tol must be finite"),
+], ids=["cocoercive-0", "fb-affine-matrix", "dr-affine-matrix", "affine-offset",
+        "quadratic-matrix", "scaled-identity-c", "subspace-basis", "subspace-mu", "x0", "tol"])
+def test_non_finite_and_degenerate_input_is_usage(args, A, B, message, tmp_path, capsys):
+    from opsplit.cli import main
+
+    if A is not None:
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({"A": A, "B": B, "mu": 2.0, "omega": 1.0, "beta": 1.0,
+                                    "case": "I", "gamma": 0.2 if args[0] == "solve-fb" else 0.1}))
+        args = args + ["--instance", str(inst)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err

@@ -23,7 +23,6 @@ from opsplit.operators import (
     difference,
     estimate_rho,
     identity,
-    matrix_op,
     negate,
     prox,
     relax,
@@ -365,8 +364,7 @@ def test_estimate_rho_exact_kinds():
 
 def test_estimate_rho_sampled_matches_exact(rng):
     m = np.array([[0.0, -1.0], [1.0, 0.0]])
-    op = identity(2)
-    op.fn = lambda x: x @ m.T
+    op = Op(lambda x: x @ m.T, 2)
     assert abs(estimate_rho(op, samples=500)) < 1e-12
     with pytest.raises(DomainError):
         estimate_rho(op, samples=1)
@@ -561,13 +559,6 @@ def test_custom_fn_composes_through_closures(monkeypatch):
     m = rotation_matrix(0.4)
     assert np.allclose(t(x), 0.5 * x + 0.5 * m @ np.clip(2.0 * m @ x, -1.0, 1.0))
     assert _count_nodes(t, x, monkeypatch) > 1
-
-
-def test_replacing_fn_drops_affine_form():
-    op = matrix_op(np.diag([2.0, 3.0]), offset=np.ones(2))
-    op.fn = lambda x: -x
-    assert op.matrix is None and op.offset is None
-    assert np.array_equal(compose(op, identity(2))(np.array([1.0, 2.0])), [-1.0, -2.0])
 
 
 def test_difference_folds_and_falls_back():
