@@ -180,6 +180,8 @@ def _run_solve(args, method: str) -> int:
     gamma = args.gamma if args.gamma is not None else inst.get("gamma")
     if gamma is None:
         raise DomainError("gamma required (flag or instance file)")
+    if not math.isfinite(gamma):
+        raise DomainError(f"gamma must be finite, got {gamma}")
     config = {
         "instance": inst,
         "method": method,
@@ -191,6 +193,8 @@ def _run_solve(args, method: str) -> int:
     }
     if method == "DR":
         lam = args.lambda_relax if args.lambda_relax is not None else inst.get("lambda", 0.5)
+        if not math.isfinite(lam):
+            raise DomainError(f"lambda must be finite, got {lam}")
         config["lambda"] = lam
         config["order"] = inst.get("order", "A_strong")
     else:
@@ -274,6 +278,8 @@ def _run_solve(args, method: str) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.count < 1:
+        raise DomainError(f"--count must be at least 1, got {args.count}")
     seed = _resolved_seed(args)
     if args.suite == "named":
         reports = verifier.run_named_suite()

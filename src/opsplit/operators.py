@@ -242,6 +242,8 @@ class Affine(MonotoneSpec):
         self.offset = (
             np.zeros(n) if self.offset is None else np.asarray(self.offset, dtype=float)
         )
+        if self.offset.shape != (n,):
+            raise DomainError(f"offset must have shape ({n},), got {self.offset.shape}")
         if not (np.isfinite(self.matrix).all() and np.isfinite(self.offset).all()):
             raise DomainError("matrix and offset must be finite")
         self.dim = n

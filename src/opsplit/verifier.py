@@ -58,13 +58,17 @@ class MembershipReport:
     tol: float
 
 
-def _in_violations(dx, dt, p: INParams) -> np.ndarray:
+def _moments(dx, dt) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # The row reductions ||x-y||^2, ||Tx-Ty||^2 and <x-y, Tx-Ty>, which no
+    # class parameter enters.
+    return np.sum(dx * dx, axis=1), np.sum(dt * dt, axis=1), np.sum(dx * dt, axis=1)
+
+
+def _in_violations(moments, p: INParams) -> np.ndarray:
     # ||Tx-Ty||^2 - 2a<x-y, Tx-Ty> - (b^2 - a^2)||x-y||^2, normalized; b^2 - a^2
     # is formed as (b - a)(b + a), which does not cancel when |a| ~ |b| is large.
     a, b = p.alpha, p.beta
-    nd = np.sum(dx * dx, axis=1)
-    ndt = np.sum(dt * dt, axis=1)
-    ip = np.sum(dx * dt, axis=1)
+    nd, ndt, ip = moments
     return (ndt - 2.0 * a * ip - (b - a) * (b + a) * nd) / nd
 
 
@@ -98,7 +102,7 @@ def check_membership(
     if isinstance(descriptor, ScaledConic):
         v = _conic_violations(dx, dt, descriptor)
     else:
-        v = _in_violations(dx, dt, descriptor)
+        v = _in_violations(_moments(dx, dt), descriptor)
     i = int(np.argmax(v))
     worst = float(v[i])
     return MembershipReport(
@@ -106,7 +110,7 @@ def check_membership(
         pairs_tested=len(xs),
         worst_violation=worst,
         passed=worst <= tol,
-        worst_pair=(xs[i], ys[i]),
+        worst_pair=(xs[i].copy(), ys[i].copy()),
         tol=tol,
     )
 
@@ -134,7 +138,7 @@ def check_monotone(
         pairs_tested=len(xs),
         worst_violation=worst,
         passed=worst <= tol,
-        worst_pair=(xs[i], ys[i]),
+        worst_pair=(xs[i].copy(), ys[i].copy()),
         tol=tol,
     )
 
@@ -246,17 +250,19 @@ def fit_tightest(
     if not np.isfinite(dt).all():
         raise DomainError(f"non-finite T(x) - T(y) at sampled pairs, family {family!r}")
 
+    moments = _moments(dx, dt)
+
     def passes(q: float) -> bool:
-        return float(np.max(_in_violations(dx, dt, descriptor(q)))) <= tol
+        return float(np.max(_in_violations(moments, descriptor(q)))) <= tol
 
     lo, hi = 1e-6, 1.0 - 1e-12 if family == "averaged" else 1e6
     if passes(lo):
         return _family_label(family, lo)
     if not passes(hi):
         raise DomainError(f"not in family {family!r} at sampled pairs")
-    nd = np.sum(dx * dx, axis=1)
-    r = np.sum(dt * dt, axis=1) / nd
-    c = np.sum(dx * dt, axis=1) / nd
+    nd, ndt, ip = moments
+    r = ndt / nd
+    c = ip / nd
     if family == "lipschitz":
         root = math.sqrt(max(float(np.max(r)) - tol, 0.0))
     else:

@@ -340,33 +340,57 @@ _NAN = float("nan")
 
 
 # Non-finite or degenerate input is a usage error (exit 1), reported by the
-# spec constructor or option parse it enters through.
-@pytest.mark.parametrize("args,A,B,message", [
+# spec constructor or option parse it enters through, before any planning.
+# ``inst`` overrides fields of the instance file.
+_BAD_OFFSET = {"kind": "affine", "matrix": [[2.0, 0.0], [0.0, 2.0]], "offset": [1.0, 0.0, 0.0]}
+
+
+@pytest.mark.parametrize("args,A,B,inst,message", [
     (["compose", "--class1", "cocoercive:0", "--class2", "averaged:0.5"],
-     None, None, "cocoercive diameter must be > 0"),
-    (["solve-fb"], {"kind": "affine", "matrix": [[_NAN, 0.0], [0.0, 2.0]]}, _SI_B, "finite"),
-    (["solve-dr"], {"kind": "affine", "matrix": [[_NAN, 0.0], [0.0, 2.0]]}, _SI_B, "finite"),
+     None, None, {}, "cocoercive diameter must be > 0"),
+    (["solve-fb"], {"kind": "affine", "matrix": [[_NAN, 0.0], [0.0, 2.0]]}, _SI_B, {},
+     "finite"),
+    (["solve-dr"], {"kind": "affine", "matrix": [[_NAN, 0.0], [0.0, 2.0]]}, _SI_B, {},
+     "finite"),
     (["solve-fb"], {"kind": "affine", "matrix": [[2.0, 0.0], [0.0, 2.0]],
-                    "offset": [_NAN, 0.0]}, _SI_B, "finite"),
-    (["solve-fb"], _SI_A, {"kind": "quadratic", "matrix": [[_NAN, 0.0], [0.0, -1.0]]},
+                    "offset": [_NAN, 0.0]}, _SI_B, {}, "finite"),
+    (["solve-fb"], _SI_A, {"kind": "quadratic", "matrix": [[_NAN, 0.0], [0.0, -1.0]]}, {},
      "finite"),
-    (["solve-dr"], {"kind": "scaled_identity", "c": _NAN}, _SI_B, "finite"),
-    (["solve-dr"], {"kind": "subspace_normal", "basis": [[_NAN, 0.0]], "mu": 2.0}, _SI_B,
+    (["solve-dr"], {"kind": "scaled_identity", "c": _NAN}, _SI_B, {}, "finite"),
+    (["solve-dr"], {"kind": "subspace_normal", "basis": [[_NAN, 0.0]], "mu": 2.0}, _SI_B, {},
      "finite"),
-    (["solve-dr"], {"kind": "subspace_normal", "basis": [[1.0, 0.0]], "mu": _NAN}, _SI_B,
+    (["solve-dr"], {"kind": "subspace_normal", "basis": [[1.0, 0.0]], "mu": _NAN}, _SI_B, {},
      "finite"),
-    (["solve-fb", "--x0", "nan,0"], _SI_A, _SI_B, "--x0 must be finite"),
-    (["solve-fb", "--tol", "nan"], _SI_A, _SI_B, "--tol must be finite"),
+    (["solve-fb", "--x0", "nan,0"], _SI_A, _SI_B, {}, "--x0 must be finite"),
+    (["solve-fb", "--tol", "nan"], _SI_A, _SI_B, {}, "--tol must be finite"),
+    (["solve-fb"], _BAD_OFFSET, _SI_B, {}, "offset must have shape (2,)"),
+    (["solve-dr"], _BAD_OFFSET, _SI_B, {}, "offset must have shape (2,)"),
+    (["solve-fb"], _SI_A, dict(_BAD_OFFSET, kind="quadratic"), {},
+     "offset must have shape (2,)"),
+    (["solve-fb", "--gamma", "nan"], _SI_A, _SI_B, {}, "gamma must be finite"),
+    (["solve-dr", "--gamma", "inf"], _SI_A, _SI_B, {}, "gamma must be finite"),
+    (["solve-fb"], _SI_A, _SI_B, {"gamma": _NAN}, "gamma must be finite"),
+    (["solve-dr"], _SI_A, _SI_B, {"gamma": float("inf")}, "gamma must be finite"),
+    (["solve-dr", "--lambda", "nan"], _SI_A, _SI_B, {}, "lambda must be finite"),
+    (["verify", "--suite", "random", "--count", "-3"], None, None, {},
+     "--count must be at least 1"),
+    (["verify", "--suite", "random", "--count", "0"], None, None, {},
+     "--count must be at least 1"),
 ], ids=["cocoercive-0", "fb-affine-matrix", "dr-affine-matrix", "affine-offset",
-        "quadratic-matrix", "scaled-identity-c", "subspace-basis", "subspace-mu", "x0", "tol"])
-def test_non_finite_and_degenerate_input_is_usage(args, A, B, message, tmp_path, capsys):
+        "quadratic-matrix", "scaled-identity-c", "subspace-basis", "subspace-mu", "x0", "tol",
+        "fb-offset-shape", "dr-offset-shape", "quadratic-offset-shape", "gamma-flag-nan",
+        "gamma-flag-inf", "gamma-file-nan", "gamma-file-inf", "lambda-nan", "count-negative",
+        "count-zero"])
+def test_non_finite_and_degenerate_input_is_usage(args, A, B, inst, message, tmp_path, capsys):
     from opsplit.cli import main
 
     if A is not None:
-        inst = tmp_path / "inst.json"
-        inst.write_text(json.dumps({"A": A, "B": B, "mu": 2.0, "omega": 1.0, "beta": 1.0,
-                                    "case": "I", "gamma": 0.2 if args[0] == "solve-fb" else 0.1}))
-        args = args + ["--instance", str(inst)]
+        path = tmp_path / "inst.json"
+        fields = {"A": A, "B": B, "mu": 2.0, "omega": 1.0, "beta": 1.0, "case": "I",
+                  "gamma": 0.2 if args[0] == "solve-fb" else 0.1}
+        path.write_text(json.dumps({**fields, **inst}))
+        args = args + ["--instance", str(path)]
     assert main(args) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err, err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err, captured.err

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opsplit import calculus
+from opsplit import calculus, sampling
 from opsplit.calculus import INParams, ScaledConic
 from opsplit.errors import BuildError, DomainError, GuardError
 from opsplit.operators import (
@@ -153,6 +153,14 @@ def test_affine_claimed_modulus_checked():
     with pytest.raises(DomainError):
         Affine(np.eye(2), rho_claimed=2.0)
     Affine(np.eye(2), rho_claimed=0.5)
+
+
+@pytest.mark.parametrize("offset", [np.zeros(3), np.zeros((2, 1)), np.float64(1.0)])
+def test_affine_offset_shape_checked(offset):
+    with pytest.raises(DomainError, match="offset must have shape"):
+        Affine(np.eye(2), offset)
+    with pytest.raises(DomainError, match="offset must have shape"):
+        QuadraticGradient(np.eye(2), offset)
 
 
 def test_monotone_cocoercive_claim_consistency():
@@ -375,6 +383,20 @@ def test_pair_samples_are_deterministic():
     b = pair_samples(100, 2, seed=7)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
     assert np.all(np.linalg.norm(a[0] - a[1], axis=1) > 0)
+
+
+def test_pair_samples_are_read_only_and_equal_a_fresh_draw():
+    fresh = sampling._draw.__wrapped__
+    for key in [(50, 3, 1), (50, 3, 2), (50, 3, 1)]:
+        xs, ys = pair_samples(*key[:2], seed=key[2])
+        want = fresh(*key)
+        assert np.array_equal(xs, want[0]) and np.array_equal(ys, want[1]), key
+        assert not xs.flags.writeable and not ys.flags.writeable
+        with pytest.raises(ValueError):
+            xs[0, 0] = 1.0
+    a = pair_samples(40, 2)
+    b = pair_samples(40, 2, seed=sampling.DEFAULT_SEED)
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from opsplit.verifier import (
     _conic_violations,
     _family_label,
     _in_violations,
+    _moments,
     characterization_violations,
     check_composition_identity,
     check_membership,
@@ -71,6 +72,50 @@ def test_membership_fails_for_false_claim():
     assert not rep.passed and rep.worst_violation > 1.0
 
 
+@pytest.mark.parametrize("check", ["membership", "monotone"])
+def test_worst_pair_is_a_copy_of_the_cached_sample(check):
+    T = build_rotation(1.3, scale=1.5)
+
+    def run():
+        if check == "membership":
+            return check_membership(T, INParams(0.0, 1.0), pairs=300)
+        return check_monotone(T, 1.0, pairs=300)
+
+    first = run()
+    x, y = first.worst_pair
+    assert x.flags.writeable and y.flags.writeable
+    x_saved, y_saved = x.copy(), y.copy()
+    xs, ys = pair_samples(300, 2, seed=DEFAULT_SEED)
+    xs_saved, ys_saved = xs.copy(), ys.copy()
+    x[:] = 1e9
+    y[:] = -1e9
+    assert np.array_equal(xs, xs_saved) and np.array_equal(ys, ys_saved)
+    second = run()
+    assert second.worst_violation == first.worst_violation
+    assert np.array_equal(second.worst_pair[0], x_saved)
+    assert np.array_equal(second.worst_pair[1], y_saved)
+
+
+def test_fit_reduces_the_sample_once_per_fit(monkeypatch):
+    calls = [0]
+
+    def counted(dx, dt):
+        calls[0] += 1
+        return _moments(dx, dt)
+
+    monkeypatch.setattr(verifier, "_moments", counted)
+    rng = np.random.default_rng(3)
+    for kind in COMPOSITION_KINDS:
+        T = random_certified_composition(kind, rng)[0]
+        for family in FAMILIES:
+            calls[0] = 0
+            try:
+                fit_tightest(T, family, pairs=1000)
+            except DomainError:
+                pass
+            assert calls[0] == 1, (kind, family, calls[0])
+
+
 def test_membership_does_not_cancel_at_large_parameters():
     # INParams(1 - q, q) has b^2 - a^2 = 2q - 1; squaring each term loses
     # ~ulp(q^2) ~ 1e-6, far above tol, while (b - a)(b + a) is exact here
@@ -98,7 +143,7 @@ def test_conic_violations_reduce_to_in_violations(seed, dim, log_m, sign, log_de
     xs, ys = pair_samples(100, dim, seed=seed)
     dx, dt = xs - ys, T(xs) - T(ys)
     got = _conic_violations(dx, dt, c)
-    want = _in_violations(dx, dt, c.to_in()) / c.delta**2
+    want = _in_violations(_moments(dx, dt), c.to_in()) / c.delta**2
     r = np.sum(dt * dt, axis=1) / np.sum(dx * dx, axis=1)
     scale = (a + abs(1.0 - a)) * (1.0 + r / c.delta**2)
     assert np.all(np.abs(got - want) <= 1e-12 * scale)
@@ -328,9 +373,9 @@ def _fit_or_none(fit, T, family, seed):
 def _check_against_bisection(T, family, seed):
     tested = []
 
-    def recording(dx, dt, p):
+    def recording(moments, p):
         tested.append(p)
-        return _in_violations(dx, dt, p)
+        return _in_violations(moments, p)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(verifier, "_in_violations", recording)
@@ -344,7 +389,7 @@ def _check_against_bisection(T, family, seed):
     p = tested[-1]
     assert got.value == (1.0 / (2.0 * p.alpha) if family == "cocoercive" else p.beta)
     xs, ys = pair_samples(2000, T.dim, seed=seed)
-    assert np.max(_in_violations(xs - ys, T(xs) - T(ys), p)) <= 1e-9
+    assert np.max(_in_violations(_moments(xs - ys, T(xs) - T(ys)), p)) <= 1e-9
 
 
 FAMILIES = ("lipschitz", "averaged", "conic", "cocoercive")
