@@ -91,7 +91,10 @@ def _label_json(label: ClassLabel) -> dict:
 def _resolved_seed(args) -> int:
     env = os.environ.get("OPSPLIT_SEED")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise DomainError(f"OPSPLIT_SEED must be an integer, got {env!r}") from None
     return args.seed if args.seed is not None else DEFAULT_SEED
 
 
@@ -170,6 +173,20 @@ def _parse_x0(text: str, dim: int) -> np.ndarray:
     return x
 
 
+def _check_finite_real(name: str, value) -> None:
+    # Instance files are JSON, so a value may arrive as a string, bool, list,
+    # null or an int beyond the float range; bool is an int subclass and must
+    # not pass as 0 or 1.
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise DomainError(f"{name} must be finite, got {value}")
+
+
 def _run_solve(args, method: str) -> int:
     if not math.isfinite(args.tol):
         raise DomainError(f"--tol must be finite, got {args.tol}")
@@ -180,8 +197,7 @@ def _run_solve(args, method: str) -> int:
     gamma = args.gamma if args.gamma is not None else inst.get("gamma")
     if gamma is None:
         raise DomainError("gamma required (flag or instance file)")
-    if not math.isfinite(gamma):
-        raise DomainError(f"gamma must be finite, got {gamma}")
+    _check_finite_real("gamma", gamma)
     config = {
         "instance": inst,
         "method": method,
@@ -193,8 +209,7 @@ def _run_solve(args, method: str) -> int:
     }
     if method == "DR":
         lam = args.lambda_relax if args.lambda_relax is not None else inst.get("lambda", 0.5)
-        if not math.isfinite(lam):
-            raise DomainError(f"lambda must be finite, got {lam}")
+        _check_finite_real("lambda", lam)
         config["lambda"] = lam
         config["order"] = inst.get("order", "A_strong")
     else:

@@ -24,7 +24,7 @@ import numpy as np
 from . import calculus
 from .calculus import INParams, ScaledConic, resolvent_class
 from .errors import BuildError, DomainError, GuardError, NumericError
-from .sampling import DEFAULT_SEED, pair_samples
+from .sampling import DEFAULT_SEED, _row_dot, pair_samples
 
 __all__ = [
     "Op",
@@ -497,4 +497,4 @@ def estimate_rho(target: MonotoneSpec | Op, samples: int = 1000, seed: int = DEF
     xs, ys = pair_samples(samples, target.dim, seed=seed)
     dx = xs - ys
     df = target(xs) - target(ys)
-    return float(np.min(np.sum(dx * df, axis=1) / np.sum(dx * dx, axis=1)))
+    return float(np.min(_row_dot(dx, df) / _row_dot(dx, dx)))

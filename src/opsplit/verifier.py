@@ -3,6 +3,12 @@
 Sampling refutes, never proves: a passing report means no violation was found
 on the sampled pairs at the given tolerance.  Violations are normalized by
 ``||x - y||^2`` so tolerances are scale-free.
+
+Every per-pair row reduction (``||x-y||^2``, ``||Tx-Ty||^2``,
+``<x-y, Tx-Ty>`` and the like) is ``sampling._row_dot``.  For rows of
+length ``n <= 7`` it adds the column products from left to right, the order
+in which ``np.sum`` adds up such a row, so each reduction is bit-equal to
+``np.sum`` (up to the sign of a zero); from ``n = 8`` it calls ``np.sum``.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from .calculus import (
 )
 from .errors import DomainError, GuardError, StepSizeError
 from .operators import Op, build_in_operator, build_rotation, matrix_op
-from .sampling import DEFAULT_SEED, pair_samples
+from .sampling import DEFAULT_SEED, _row_dot, pair_samples
 
 __all__ = [
     "MembershipReport",
@@ -61,7 +67,7 @@ class MembershipReport:
 def _moments(dx, dt) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # The row reductions ||x-y||^2, ||Tx-Ty||^2 and <x-y, Tx-Ty>, which no
     # class parameter enters.
-    return np.sum(dx * dx, axis=1), np.sum(dt * dt, axis=1), np.sum(dx * dt, axis=1)
+    return _row_dot(dx, dx), _row_dot(dt, dt), _row_dot(dx, dt)
 
 
 def _in_violations(moments, p: INParams) -> np.ndarray:
@@ -77,8 +83,8 @@ def _conic_violations(dx, dt, c: ScaledConic) -> np.ndarray:
     a = c.alpha
     dts = dt / c.delta
     dd = dx - dts
-    nd = np.sum(dx * dx, axis=1)
-    return ((1.0 - a) * np.sum(dd * dd, axis=1) + a * np.sum(dts * dts, axis=1) - a * nd) / nd
+    nd = _row_dot(dx, dx)
+    return ((1.0 - a) * _row_dot(dd, dd) + a * _row_dot(dts, dts) - a * nd) / nd
 
 
 def check_membership(
@@ -130,7 +136,7 @@ def check_monotone(
     xs, ys = pair_samples(pairs, F.dim, seed=seed)
     dx = xs - ys
     df = F(xs) - F(ys)
-    v = rho - np.sum(dx * df, axis=1) / np.sum(dx * dx, axis=1)
+    v = rho - _row_dot(dx, df) / _row_dot(dx, dx)
     i = int(np.argmax(v))
     worst = float(v[i])
     return MembershipReport(
@@ -154,11 +160,11 @@ def characterization_violations(T: Op, p: INParams, xs, ys, variant: str) -> np.
     dx = xs - ys
     dt = T(xs) - T(ys)
     dd = dx - dt
-    nd = np.sum(dx * dx, axis=1)
-    ndt = np.sum(dt * dt, axis=1)
-    ndd = np.sum(dd * dd, axis=1)
-    ip_x_t = np.sum(dx * dt, axis=1)
-    ip_t_d = np.sum(dt * dd, axis=1)
+    nd = _row_dot(dx, dx)
+    ndt = _row_dot(dt, dt)
+    ndd = _row_dot(dd, dd)
+    ip_x_t = _row_dot(dx, dt)
+    ip_t_d = _row_dot(dt, dd)
     if variant == "b":
         lhs = ndt - 2.0 * a * ip_x_t - (b * b - a * a) * nd
     elif variant == "c":
@@ -195,10 +201,10 @@ def check_composition_identity(
     d21 = R2(r1x) - R2(r1y)
     drl = (1.0 - lam) * dx + lam * d21
     ddl = dx - drl
-    lhs = np.sum(drl * ddl, axis=1)
-    t1 = (1.0 - 2.0 * lam) * np.sum(dx * ddl, axis=1)
-    t2 = lam * lam * np.sum((dx + d1) * (dx - d1), axis=1)
-    t3 = lam * lam * np.sum((d1 + d21) * (d1 - d21), axis=1)
+    lhs = _row_dot(drl, ddl)
+    t1 = (1.0 - 2.0 * lam) * _row_dot(dx, ddl)
+    t2 = lam * lam * _row_dot(dx + d1, dx - d1)
+    t3 = lam * lam * _row_dot(d1 + d21, d1 - d21)
     rhs = t1 + t2 + t3
     scale = 1.0 + np.abs(lhs) + np.abs(t1) + np.abs(t2) + np.abs(t3)
     return float(np.max(np.abs(lhs - rhs) / scale))

@@ -275,6 +275,16 @@ def test_seed_env_override(tmp_path):
     assert json.loads(out.read_text())["config"]["seed"] == 11
 
 
+def test_non_integer_seed_env_is_usage(monkeypatch, capsys):
+    from opsplit.cli import main
+
+    monkeypatch.setenv("OPSPLIT_SEED", "abc")
+    assert main(["verify", "--suite", "random", "--count", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: OPSPLIT_SEED must be an integer, got 'abc'\n"
+
+
 def test_figure_hash_stable(tmp_path):
     a, b = tmp_path / "a.svg", tmp_path / "b.svg"
     r1 = run_cli("figure", "--preset", "averaged-averaged-0.5-0.5", "--out", str(a),
@@ -372,6 +382,14 @@ _BAD_OFFSET = {"kind": "affine", "matrix": [[2.0, 0.0], [0.0, 2.0]], "offset": [
     (["solve-fb"], _SI_A, _SI_B, {"gamma": _NAN}, "gamma must be finite"),
     (["solve-dr"], _SI_A, _SI_B, {"gamma": float("inf")}, "gamma must be finite"),
     (["solve-dr", "--lambda", "nan"], _SI_A, _SI_B, {}, "lambda must be finite"),
+    (["solve-fb"], _SI_A, _SI_B, {"gamma": "0.1"}, "gamma must be a real number"),
+    (["solve-dr"], _SI_A, _SI_B, {"gamma": True}, "gamma must be a real number"),
+    (["solve-dr"], _SI_A, _SI_B, {"gamma": [0.1]}, "gamma must be a real number"),
+    (["solve-fb"], _SI_A, _SI_B, {"gamma": 10**400}, "gamma must be finite"),
+    (["solve-dr"], _SI_A, _SI_B, {"lambda": "0.5"}, "lambda must be a real number"),
+    (["solve-dr"], _SI_A, _SI_B, {"lambda": False}, "lambda must be a real number"),
+    (["solve-dr"], _SI_A, _SI_B, {"lambda": [0.5]}, "lambda must be a real number"),
+    (["solve-dr"], _SI_A, _SI_B, {"lambda": None}, "lambda must be a real number"),
     (["verify", "--suite", "random", "--count", "-3"], None, None, {},
      "--count must be at least 1"),
     (["verify", "--suite", "random", "--count", "0"], None, None, {},
@@ -379,7 +397,9 @@ _BAD_OFFSET = {"kind": "affine", "matrix": [[2.0, 0.0], [0.0, 2.0]], "offset": [
 ], ids=["cocoercive-0", "fb-affine-matrix", "dr-affine-matrix", "affine-offset",
         "quadratic-matrix", "scaled-identity-c", "subspace-basis", "subspace-mu", "x0", "tol",
         "fb-offset-shape", "dr-offset-shape", "quadratic-offset-shape", "gamma-flag-nan",
-        "gamma-flag-inf", "gamma-file-nan", "gamma-file-inf", "lambda-nan", "count-negative",
+        "gamma-flag-inf", "gamma-file-nan", "gamma-file-inf", "lambda-nan", "gamma-file-str",
+        "gamma-file-bool", "gamma-file-list", "gamma-file-huge-int", "lambda-file-str",
+        "lambda-file-bool", "lambda-file-list", "lambda-file-null", "count-negative",
         "count-zero"])
 def test_non_finite_and_degenerate_input_is_usage(args, A, B, inst, message, tmp_path, capsys):
     from opsplit.cli import main

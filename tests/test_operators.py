@@ -399,6 +399,58 @@ def test_pair_samples_are_read_only_and_equal_a_fresh_draw():
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
+def _draw_with_linalg_norm(pairs, dim, seed):
+    """The draw as it was before ``_row_dot``: rows kept by ``np.linalg.norm``."""
+    rng = np.random.default_rng(seed)
+    xs = rng.standard_normal((pairs, dim))
+    ys = rng.standard_normal((pairs, dim))
+    eye = np.eye(dim)
+    ax_x = np.concatenate([eye, eye, -eye])
+    ax_y = np.concatenate([np.zeros((dim, dim)), -eye, np.zeros((dim, dim))])
+    xs = np.concatenate([xs, ax_x])
+    ys = np.concatenate([ys, ax_y])
+    keep = np.linalg.norm(xs - ys, axis=1) > 1e-14
+    return xs[keep], ys[keep]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 9])
+def test_pair_samples_equal_the_linalg_norm_draw(dim):
+    for pairs, seed in [(1, 0), (100, 7), (2000, 13), (5000, sampling.DEFAULT_SEED)]:
+        xs, ys = pair_samples(pairs, dim, seed=seed)
+        want_x, want_y = _draw_with_linalg_norm(pairs, dim, seed)
+        assert xs.shape == want_x.shape == (pairs + 3 * dim, dim)
+        assert xs.tobytes() == want_x.tobytes() and ys.tobytes() == want_y.tobytes()
+
+
+def _row_dot_operand(rng, m, n, width, zero_share):
+    """Signs at random, and magnitudes log-uniform over ``width`` decades
+    about a row centre, itself log-uniform, all within 1e-150 to 1e150: so no
+    product or row sum overflows or turns subnormal, and narrow windows make
+    the rounding depend on the order of the sum.  A share of the entries are
+    exact zeros that keep their sign."""
+    centre = rng.uniform(-150.0 + width, 150.0 - width, (m, 1))
+    x = rng.choice([-1.0, 1.0], (m, n)) * 10.0 ** (centre + rng.uniform(-width, width, (m, n)))
+    zero = rng.random((m, n)) < zero_share
+    x[zero] = np.copysign(0.0, x[zero])
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 64), st.sampled_from([0.5, 8.0, 150.0]),
+       st.sampled_from([0.0, 0.2, 0.9]), st.integers(0, 2**32 - 1))
+def test_row_dot_is_bit_equal_to_np_sum(n, m, width, zero_share, seed):
+    # A zero may differ in sign: a row whose products are all -0.0 sums to
+    # -0.0 in _row_dot and to +0.0 in np.sum, which starts a row at +0.0.
+    rng = np.random.default_rng(seed)
+    a = _row_dot_operand(rng, m, n, width, zero_share)
+    b = _row_dot_operand(rng, m, n, width, zero_share)
+    got = sampling._row_dot(a, b)
+    want = np.sum(a * b, axis=1)
+    assert got.dtype == want.dtype and got.shape == want.shape == (m,)
+    same_bits = got.view(np.int64) == want.view(np.int64)
+    assert np.all(same_bits | ((got == 0.0) & (want == 0.0))), (got, want)
+
+
 # ---------------------------------------------------------------------------
 # affine fusion
 
