@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -51,6 +52,16 @@ def _dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
+def _load_json(path):
+    # ValueError: malformed text, bytes that are not UTF-8, or an integer
+    # literal past the int/str conversion limit.
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise DomainError(str(exc)) from None
+
+
 def parse_class_spec(text: str) -> ClassLabel:
     """Parse specs like ``averaged:0.5``, ``conic:1.7``, ``cocoercive:1.4``
     (the value is the Lipschitz diameter), ``lipschitz:0.8``,
@@ -58,7 +69,10 @@ def parse_class_spec(text: str) -> ClassLabel:
     ``nonexpansive``."""
     parts = text.split(":")
     kind = parts[0].strip().lower()
-    vals = [float(p) for p in parts[1:]]
+    try:
+        vals = [float(p) for p in parts[1:]]
+    except ValueError:
+        raise DomainError(f"cannot parse class spec {text!r}") from None
     if kind == "nonexpansive":
         return ClassLabel.nonexpansive()
     if kind == "cocoercive" and len(vals) == 1 and not vals[0] > 0.0:
@@ -80,12 +94,8 @@ def parse_class_spec(text: str) -> ClassLabel:
 
 
 def _label_json(label: ClassLabel) -> dict:
-    out = {"kind": label.kind.value}
-    if label.value is not None:
-        out["value"] = label.value
-    if label.scale is not None:
-        out["scale"] = label.scale
-    return out
+    out = {k: v for k, v in asdict(label).items() if v is not None}
+    return {**out, "kind": label.kind.value}
 
 
 def _resolved_seed(args) -> int:
@@ -104,8 +114,12 @@ def _resolved_seed(args) -> int:
 
 def cmd_compose(args) -> int:
     if args.chain:
-        with open(args.chain) as fh:
-            raw = json.load(fh)
+        raw = _load_json(args.chain)
+        if not (isinstance(raw, list) and all(isinstance(d, dict) for d in raw)):
+            raise DomainError("--chain must hold a JSON list of {delta, alpha} objects")
+        for i, d in enumerate(raw):
+            _check_finite_real(f"chain[{i}].delta", d["delta"])
+            _check_finite_real(f"chain[{i}].alpha", d["alpha"])
         items = [ScaledConic(d["delta"], d["alpha"]) for d in raw]
         config = {"chain": raw, "r": args.r}
         try:
@@ -165,7 +179,10 @@ def spec_from_json(d: dict) -> MonotoneSpec:
 
 
 def _parse_x0(text: str, dim: int) -> np.ndarray:
-    x = np.asarray([float(t) for t in text.split(",")], dtype=float)
+    try:
+        x = np.asarray([float(t) for t in text.split(",")], dtype=float)
+    except ValueError:
+        raise DomainError(f"--x0 must be comma-separated numbers, got {text!r}") from None
     if x.shape != (dim,):
         raise DomainError(f"--x0 must have {dim} components, got {x.shape[0]}")
     if not np.isfinite(x).all():
@@ -190,8 +207,7 @@ def _check_finite_real(name: str, value) -> None:
 def _run_solve(args, method: str) -> int:
     if not math.isfinite(args.tol):
         raise DomainError(f"--tol must be finite, got {args.tol}")
-    with open(args.instance) as fh:
-        inst = json.load(fh)
+    inst = _load_json(args.instance)
     a_spec = spec_from_json(inst["A"])
     b_spec = spec_from_json(inst["B"])
     gamma = args.gamma if args.gamma is not None else inst.get("gamma")
@@ -259,13 +275,7 @@ def _run_solve(args, method: str) -> int:
     rate = None
     if plan is not None and len(log.step_norms) >= 10 and (log.converged or log.diverged
                                                            or x_star is not None):
-        r = splitting.rate_report(log, plan)
-        rate = {
-            "empirical_rate": r.empirical_rate,
-            "certified_rate": r.certified_rate,
-            "satisfied": r.satisfied,
-            "reason": r.reason,
-        }
+        rate = asdict(splitting.rate_report(log, plan))
     summary = {
         "config": config,
         "plan": plan.to_json() if plan is not None else None,
@@ -388,7 +398,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         code = EXIT_NUMERIC
-    except (DomainError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (DomainError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_USAGE
     if argv is None:

@@ -35,7 +35,6 @@ __all__ = [
     "class_region",
     "composition_region_exact",
     "region_membership",
-    "raster_contains",
     "emit_svg",
     "PRESET_NAMES",
     "preset_figure",
@@ -74,11 +73,6 @@ class Raster:
 
     def axis(self) -> np.ndarray:
         return -self.extent + self.pixel * np.arange(self.resolution + 1)
-
-    def marked_points(self) -> np.ndarray:
-        js, is_ = np.nonzero(self.grid)
-        ax = self.axis()
-        return np.column_stack([ax[is_], ax[js]])
 
 
 def class_region(p: INParams) -> Disk:
@@ -232,26 +226,6 @@ def composition_region_exact(
     return Raster(marked, extent, resolution)
 
 
-def raster_contains(raster: Raster, point, dilate: int = 0) -> bool:
-    """Whether ``point`` falls on a marked pixel (within ``dilate`` pixels)."""
-    x, y = float(point[0]), float(point[1])
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise DomainError(f"point must be finite, got ({x}, {y})")
-    h = raster.pixel
-    u = (x + raster.extent) / h
-    v = (y + raster.extent) / h
-    n = raster.resolution
-    # Far points are outside before rounding, which overflows on infinite u, v.
-    if not (-dilate - 1 <= u <= n + dilate + 1 and -dilate - 1 <= v <= n + dilate + 1):
-        return False
-    i, j = round(u), round(v)
-    if not (-dilate <= i <= n + dilate and -dilate <= j <= n + dilate):
-        return False
-    i0, i1 = max(0, i - dilate), min(n, i + dilate)
-    j0, j1 = max(0, j - dilate), min(n, j + dilate)
-    return bool(raster.grid[j0 : j1 + 1, i0 : i1 + 1].any())
-
-
 # ---------------------------------------------------------------------------
 # SVG emission
 
@@ -355,16 +329,12 @@ def _single_class_regions():
     ]
 
 
-def _composition_preset(p1, p2, resolution, certified=True, relax_weight=1.0):
+def _composition_preset(p1, p2, resolution, certified=True):
     from .calculus import compose_general
 
-    regions = [(composition_region_exact(p1, p2, resolution, relax_weight), dict(_RASTER_STYLE))]
+    regions = [(composition_region_exact(p1, p2, resolution), dict(_RASTER_STYLE))]
     if certified:
-        cert = compose_general(p1, p2)
-        if relax_weight != 1.0:
-            w = relax_weight
-            cert = INParams((1.0 - w) + w * cert.alpha, w * cert.beta)
-        regions.append((class_region(cert), dict(_CERT_STYLE)))
+        regions.append((class_region(compose_general(p1, p2)), dict(_CERT_STYLE)))
     return regions
 
 

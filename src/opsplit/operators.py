@@ -7,8 +7,11 @@ the wrapped function maps arrays of shape ``(..., n)`` to arrays of the same
 shape.
 
 Monotone operators enter through :class:`MonotoneSpec` subclasses, each with
-a closed-form resolvent ``(Id + gamma*A)^{-1}``; proximal mappings of
-hypoconvex quadratics reduce to the resolvent of their gradient.
+a closed-form resolvent ``(Id + gamma*A)^{-1}`` and a monotonicity modulus,
+the only property of the operator that the certificates read.  A
+:class:`QuadraticGradient` is an :class:`Affine` with a symmetric matrix;
+proximal mappings of hypoconvex quadratics reduce to the resolvent of their
+gradient.
 
 Affine maps carry their form ``x -> matrix @ x + offset`` and the combinators
 fold it, so a tree of affine maps evaluates as a single matvec.
@@ -24,7 +27,6 @@ import numpy as np
 from . import calculus
 from .calculus import INParams, ScaledConic, resolvent_class
 from .errors import BuildError, DomainError, GuardError, NumericError
-from .sampling import DEFAULT_SEED, _row_dot, pair_samples
 
 __all__ = [
     "Op",
@@ -45,7 +47,6 @@ __all__ = [
     "relax",
     "shift",
     "difference",
-    "estimate_rho",
 ]
 
 Certificate = calculus.Descriptor
@@ -61,19 +62,17 @@ class Op:
     read-only, so the form always describes the map.
     """
 
-    __slots__ = ("_fn", "dim", "certificate", "name", "matrix", "offset")
+    __slots__ = ("_fn", "dim", "certificate", "matrix", "offset")
 
     def __init__(
         self,
         fn: Callable[[np.ndarray], np.ndarray],
         dim: int,
         certificate: Certificate | None = None,
-        name: str = "",
     ):
         self._fn = fn
         self.dim = dim
         self.certificate = certificate
-        self.name = name
         self.matrix = self.offset = None
 
     @property
@@ -89,17 +88,17 @@ class Op:
         return self._fn(x)
 
     def __repr__(self):
-        return f"Op({self.name or 'anonymous'}, dim={self.dim}, cert={self.certificate})"
+        return f"Op(dim={self.dim}, cert={self.certificate})"
 
 
-def _affine(dim: int, matrix, offset, certificate=None, name="") -> Op:
+def _affine(dim: int, matrix, offset, certificate=None) -> Op:
     """The :class:`Op` ``x -> matrix @ x + offset`` (batched as ``x @ M.T + b``)."""
     if isinstance(matrix, float):
         fn = (lambda x: matrix * x) if offset is None else (lambda x: matrix * x + offset)
     else:
         mt = matrix.T
         fn = (lambda x: x @ mt) if offset is None else (lambda x: x @ mt + offset)
-    op = Op(fn, dim, certificate, name)
+    op = Op(fn, dim, certificate)
     op.matrix, op.offset = matrix, offset
     return op
 
@@ -118,21 +117,21 @@ def _mix(a: float, m, b: float, n):
     return out
 
 
-def _lincomb(c0: float, c1: float, op: Op, certificate, name: str) -> Op:
+def _lincomb(c0: float, c1: float, op: Op, certificate) -> Op:
     """``x -> c0*x + c1*op(x)``, folded into one affine map when ``op`` is affine."""
     if op.matrix is not None:
         offset = None if op.offset is None else c1 * op.offset
-        return _affine(op.dim, _mix(c0, 1.0, c1, op.matrix), offset, certificate, name)
+        return _affine(op.dim, _mix(c0, 1.0, c1, op.matrix), offset, certificate)
     if c0 == 0.0:
-        return Op(lambda x: c1 * op(x), op.dim, certificate, name)
-    return Op(lambda x: c0 * x + c1 * op(x), op.dim, certificate, name)
+        return Op(lambda x: c1 * op(x), op.dim, certificate)
+    return Op(lambda x: c0 * x + c1 * op(x), op.dim, certificate)
 
 
 def identity(dim: int) -> Op:
-    return _affine(dim, 1.0, None, INParams(1.0, 0.0), name="Id")
+    return _affine(dim, 1.0, None, INParams(1.0, 0.0))
 
 
-def matrix_op(matrix: np.ndarray, offset=None, certificate=None, name="") -> Op:
+def matrix_op(matrix: np.ndarray, offset=None, certificate=None) -> Op:
     """The affine map ``x -> M x + b`` (batched as ``x @ M.T + b``)."""
     m = np.asarray(matrix, dtype=float)
     n = m.shape[0]
@@ -141,7 +140,7 @@ def matrix_op(matrix: np.ndarray, offset=None, certificate=None, name="") -> Op:
     b = None if offset is None else np.asarray(offset, dtype=float)
     if b is not None and b.shape != (n,):
         raise DomainError(f"offset must have shape ({n},), got {b.shape}")
-    return _affine(n, m, b, certificate, name)
+    return _affine(n, m, b, certificate)
 
 
 def rotation_matrix(theta: float) -> np.ndarray:
@@ -152,7 +151,7 @@ def rotation_matrix(theta: float) -> np.ndarray:
 def build_rotation(theta: float, scale: float = 1.0) -> Op:
     """The planar map ``x -> scale*R_theta x``; certified ``|scale|``-Lipschitz."""
     m = scale * rotation_matrix(theta)
-    return matrix_op(m, certificate=INParams(0.0, abs(scale)), name=f"rot({theta:g})")
+    return matrix_op(m, certificate=INParams(0.0, abs(scale)))
 
 
 def build_in_operator(alpha: float, beta: float, n: Op) -> Op:
@@ -167,7 +166,7 @@ def build_in_operator(alpha: float, beta: float, n: Op) -> Op:
         raise BuildError(
             f"N must carry a nonexpansive certificate, got bound {bound}"
         )
-    return _lincomb(alpha, beta, n, INParams(alpha, beta), f"{alpha:g}*Id+{beta:g}*N")
+    return _lincomb(alpha, beta, n, INParams(alpha, beta))
 
 
 # ---------------------------------------------------------------------------
@@ -177,25 +176,13 @@ def build_in_operator(alpha: float, beta: float, n: Op) -> Op:
 class MonotoneSpec:
     """Base for operator specifications with a known monotonicity modulus.
 
-    ``rho`` is the certified modulus: ``<x-y, Ax-Ay> >= rho*||x-y||^2`` on the
-    graph.  ``coco``, when set, claims the operator (or a stated shift of it)
-    is ``coco``-cocoercive; a claim with ``rho > coco`` is contradictory and
-    rejected at construction.
+    ``rho`` is the modulus: ``<x-y, Ax-Ay> >= rho*||x-y||^2`` on the graph.
+    Every certificate derived from a spec (its resolvent's class, the
+    splitting plans' modulus checks) reads ``rho`` alone.
     """
 
     rho: float
     dim: int
-    coco: float | None
-
-    def _check_coco(self):
-        if self.coco is not None:
-            if not self.coco > 0.0:
-                raise DomainError(f"cocoercivity modulus must be > 0, got {self.coco}")
-            if self.rho > self.coco + 1e-12:
-                raise DomainError(
-                    f"inconsistent claim: rho = {self.rho} exceeds cocoercivity "
-                    f"modulus {self.coco}"
-                )
 
     def _check_gamma(self, gamma: float):
         if not gamma > 0.0:
@@ -219,7 +206,7 @@ class MonotoneSpec:
         # ScaledConic(-1, a) keeps the sign structure: the *negated* reflection
         # is a-conic, which is what the sharp composition rules need.
         cert = ScaledConic(-1.0, 1.0 / (1.0 + gamma * self.rho))
-        return _lincomb(-1.0, 2.0, j, cert, f"refl({j.name})")
+        return _lincomb(-1.0, 2.0, j, cert)
 
     def _resolvent_cert(self, gamma: float) -> INParams:
         return calculus.from_label(resolvent_class(gamma * self.rho).resolvent)
@@ -231,8 +218,6 @@ class Affine(MonotoneSpec):
 
     matrix: np.ndarray
     offset: np.ndarray | None = None
-    rho_claimed: float | None = None
-    coco: float | None = None
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=float)
@@ -247,17 +232,10 @@ class Affine(MonotoneSpec):
         if not (np.isfinite(self.matrix).all() and np.isfinite(self.offset).all()):
             raise DomainError("matrix and offset must be finite")
         self.dim = n
-        exact = float(np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.T))[0])
-        if self.rho_claimed is not None and self.rho_claimed > exact + 1e-10:
-            raise DomainError(
-                f"claimed modulus {self.rho_claimed} exceeds exact value {exact}"
-            )
-        self.rho = exact if self.rho_claimed is None else self.rho_claimed
-        self._rho_exact = exact
-        self._check_coco()
+        self.rho = float(np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.T))[0])
 
     def forward(self) -> Op:
-        return matrix_op(self.matrix, self.offset, name="A")
+        return matrix_op(self.matrix, self.offset)
 
     def resolvent(self, gamma: float) -> Op:
         self._check_gamma(gamma)
@@ -266,7 +244,7 @@ class Affine(MonotoneSpec):
             inv = np.linalg.inv(np.eye(n) + gamma * self.matrix)
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"singular resolvent solve: {exc}") from exc
-        return _affine(n, inv, -(inv @ (gamma * self.offset)), self._resolvent_cert(gamma), "J")
+        return _affine(n, inv, -(inv @ (gamma * self.offset)), self._resolvent_cert(gamma))
 
 
 @dataclass(eq=False)
@@ -275,21 +253,19 @@ class ScaledIdentity(MonotoneSpec):
 
     c: float
     dim: int = 2
-    coco: float | None = None
 
     def __post_init__(self):
         if not np.isfinite(self.c):
             raise DomainError(f"c must be finite, got {self.c}")
         self.rho = self.c
-        self._check_coco()
 
     def forward(self) -> Op:
-        return _affine(self.dim, float(self.c), None, name=f"{self.c:g}*Id")
+        return _affine(self.dim, float(self.c), None)
 
     def resolvent(self, gamma: float) -> Op:
         self._check_gamma(gamma)
         f = 1.0 / (1.0 + gamma * self.c)
-        return _affine(self.dim, float(f), None, self._resolvent_cert(gamma), "J")
+        return _affine(self.dim, float(f), None, self._resolvent_cert(gamma))
 
 
 @dataclass(eq=False)
@@ -303,7 +279,6 @@ class SubspaceNormalPlusScale(MonotoneSpec):
 
     basis: np.ndarray
     mu: float = 0.0
-    coco: float | None = None
 
     def __post_init__(self):
         b = np.atleast_2d(np.asarray(self.basis, dtype=float))
@@ -315,37 +290,21 @@ class SubspaceNormalPlusScale(MonotoneSpec):
         self.projector = q @ q.T
         self.dim = b.shape[1]
         self.rho = self.mu
-        self._check_coco()
 
     def resolvent(self, gamma: float) -> Op:
         self._check_gamma(gamma)
         p = self.projector / (1.0 + gamma * self.mu)
-        return _affine(self.dim, p, None, self._resolvent_cert(gamma), "J")
+        return _affine(self.dim, p, None, self._resolvent_cert(gamma))
 
 
-@dataclass(eq=False)
-class QuadraticGradient(MonotoneSpec):
+class QuadraticGradient(Affine):
     """Gradient ``x -> Q x + b`` of the quadratic ``x^T Q x/2 + b^T x``, ``Q`` symmetric."""
 
-    matrix: np.ndarray
-    offset: np.ndarray | None = None
-    coco: float | None = None
-
     def __post_init__(self):
-        self._affine = Affine(self.matrix, self.offset, coco=self.coco)
-        q = self._affine.matrix
+        super().__post_init__()
+        q = self.matrix
         if not np.allclose(q, q.T, atol=1e-12 * max(1.0, float(np.abs(q).max()))):
             raise DomainError("quadratic matrix must be symmetric")
-        self.matrix = q
-        self.offset = self._affine.offset
-        self.dim = self._affine.dim
-        self.rho = self._affine.rho
-
-    def forward(self) -> Op:
-        return self._affine.forward()
-
-    def resolvent(self, gamma: float) -> Op:
-        return self._affine.resolvent(gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +326,6 @@ class HypoconvexQuadratic:
 
     def __post_init__(self):
         self.gradient = QuadraticGradient(self.matrix, self.offset)
-        self.matrix = self.gradient.matrix
-        self.offset = self.gradient.offset
-        self.dim = self.gradient.dim
         lam_min = self.gradient.rho
         if self.lam is None:
             self.lam = max(0.0, -lam_min)
@@ -417,17 +373,16 @@ def compose(outer: Op, inner: Op) -> Op:
             cert, _ = calculus.certify(c_in, c_out)
         except (GuardError, DomainError):
             cert = INParams(0.0, calculus.naive_lipschitz(c_in, c_out))
-    name = f"{outer.name}∘{inner.name}"
     mo, mi = outer.matrix, inner.matrix
     if mo is None or mi is None:
-        return Op(lambda x: outer(inner(x)), inner.dim, cert, name=name)
+        return Op(lambda x: outer(inner(x)), inner.dim, cert)
     dense = isinstance(mo, np.ndarray)
     matrix = mo @ mi if dense and isinstance(mi, np.ndarray) else mo * mi
     offset = outer.offset
     if inner.offset is not None:
         moved = mo @ inner.offset if dense else mo * inner.offset
         offset = moved if offset is None else moved + offset
-    return _affine(inner.dim, matrix, offset, cert, name)
+    return _affine(inner.dim, matrix, offset, cert)
 
 
 def scale(c: float, op: Op) -> Op:
@@ -439,7 +394,7 @@ def scale(c: float, op: Op) -> Op:
         else:
             p = cert.to_in()
             cert = INParams(c * p.alpha, abs(c) * p.beta)
-    return _lincomb(0.0, c, op, cert, f"{c:g}*{op.name}")
+    return _lincomb(0.0, c, op, cert)
 
 
 def negate(op: Op) -> Op:
@@ -453,7 +408,7 @@ def relax(lam: float, op: Op) -> Op:
     if cert is not None:
         p = cert.to_in()
         cert = INParams((1.0 - lam) + lam * p.alpha, abs(lam) * p.beta)
-    return _lincomb(1.0 - lam, lam, op, cert, f"relax({lam:g},{op.name})")
+    return _lincomb(1.0 - lam, lam, op, cert)
 
 
 def shift(c: float, op: Op) -> Op:
@@ -462,39 +417,18 @@ def shift(c: float, op: Op) -> Op:
     if cert is not None:
         p = cert.to_in()
         cert = INParams(p.alpha + c, p.beta)
-    return _lincomb(c, 1.0, op, cert, f"{op.name}+{c:g}*Id")
+    return _lincomb(c, 1.0, op, cert)
 
 
 def difference(a: Op, b: Op) -> Op:
     """``x -> a(x) - b(x)``, without a certificate."""
     if a.dim != b.dim:
         raise DomainError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    name = f"{a.name}-{b.name}"
     if a.matrix is None or b.matrix is None:
-        return Op(lambda x: a(x) - b(x), a.dim, name=name)
+        return Op(lambda x: a(x) - b(x), a.dim)
     if b.offset is None:
         offset = a.offset
     else:
         offset = -b.offset if a.offset is None else a.offset - b.offset
-    return _affine(a.dim, _mix(1.0, a.matrix, -1.0, b.matrix), offset, name=name)
+    return _affine(a.dim, _mix(1.0, a.matrix, -1.0, b.matrix), offset)
 
-
-# ---------------------------------------------------------------------------
-
-
-def estimate_rho(target: MonotoneSpec | Op, samples: int = 1000, seed: int = DEFAULT_SEED) -> float:
-    """Monotonicity modulus: exact for matrix-backed specs, sampled otherwise.
-
-    For an :class:`Op`, returns the minimum over sampled pairs of
-    ``<x-y, Fx-Fy>/||x-y||^2`` (a sampling upper bound on the true modulus).
-    """
-    if isinstance(target, (Affine, QuadraticGradient)):
-        return target._rho_exact if isinstance(target, Affine) else target.rho
-    if isinstance(target, MonotoneSpec):
-        return target.rho
-    if samples < 2:
-        raise DomainError(f"need at least 2 samples, got {samples}")
-    xs, ys = pair_samples(samples, target.dim, seed=seed)
-    dx = xs - ys
-    df = target(xs) - target(ys)
-    return float(np.min(_row_dot(dx, df) / _row_dot(dx, dx)))

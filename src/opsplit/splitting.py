@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -96,22 +96,7 @@ class SplitPlan:
     order: str | None = None
 
     def to_json(self) -> dict:
-        return {
-            "method": self.method,
-            "case": self.case,
-            "mu": self.mu,
-            "omega": self.omega,
-            "beta": self.beta,
-            "beta_bar": self.beta_bar,
-            "gamma": self.gamma,
-            "gamma_range": str(self.gamma_range),
-            "lambda_relax": self.lambda_relax,
-            "order": self.order,
-            "nu": self.nu,
-            "delta": self.delta,
-            "averaged_alpha": self.averaged_alpha,
-            "contraction": self.contraction,
-        }
+        return {**asdict(self), "gamma_range": str(self.gamma_range)}
 
 
 def _require(cond: bool, msg: str):

@@ -14,7 +14,7 @@ in which ``np.sum`` adds up such a row, so each reduction is bit-equal to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -39,7 +39,6 @@ __all__ = [
     "check_membership",
     "check_monotone",
     "check_composition_identity",
-    "characterization_violations",
     "fit_tightest",
     "CaseReport",
     "NAMED_CASES",
@@ -147,35 +146,6 @@ def check_monotone(
         worst_pair=(xs[i].copy(), ys[i].copy()),
         tol=tol,
     )
-
-
-def characterization_violations(T: Op, p: INParams, xs, ys, variant: str) -> np.ndarray:
-    """Normalized violations of the four equivalent membership inequalities.
-
-    Variants ``b``..``e`` express nonexpansiveness of the residual factor via
-    the image difference, the displacement difference, or convex mixtures of
-    both; all four are algebraically equal and must agree numerically.
-    """
-    a, b = p.alpha, p.beta
-    dx = xs - ys
-    dt = T(xs) - T(ys)
-    dd = dx - dt
-    nd = _row_dot(dx, dx)
-    ndt = _row_dot(dt, dt)
-    ndd = _row_dot(dd, dd)
-    ip_x_t = _row_dot(dx, dt)
-    ip_t_d = _row_dot(dt, dd)
-    if variant == "b":
-        lhs = ndt - 2.0 * a * ip_x_t - (b * b - a * a) * nd
-    elif variant == "c":
-        lhs = (1.0 - 2.0 * a) * ndt - 2.0 * a * ip_t_d - (b * b - a * a) * nd
-    elif variant == "d":
-        lhs = (2.0 * a - 1.0) * ndd - 2.0 * (1.0 - a) * ip_t_d - (b * b - (1.0 - a) ** 2) * nd
-    elif variant == "e":
-        lhs = (1.0 - a) * ndt + a * ndd - (b * b - a * (a - 1.0)) * nd
-    else:
-        raise DomainError(f"unknown characterization variant {variant!r}")
-    return lhs / nd
 
 
 def check_composition_identity(
@@ -302,7 +272,7 @@ def random_orthogonal(rng: np.random.Generator) -> Op:
     m = ops.rotation_matrix(theta)
     if rng.random() < 0.5:
         m = m @ np.diag([1.0, -1.0])
-    return matrix_op(m, certificate=INParams(0.0, 1.0), name="orth")
+    return matrix_op(m, certificate=INParams(0.0, 1.0))
 
 
 def random_certified_composition(kind: str, rng: np.random.Generator):
@@ -384,15 +354,7 @@ class CaseReport:
     details: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "params": self.params,
-            "guard_rejected": self.guard_rejected,
-            "guard_message": self.guard_message,
-            "empirical_failed": self.empirical_failed,
-            "agree": self.agree,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 def _rotation_counterexample(theta: float, alpha1: float, alpha2: float, name: str) -> CaseReport:

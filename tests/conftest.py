@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from opsplit.errors import DomainError
 from opsplit.operators import Affine
 
 
@@ -16,3 +19,30 @@ def random_monotone_affine(rho, dim, rng, offset_scale=1.0):
     k = rng.standard_normal((dim, dim))
     m = rho * np.eye(dim) + psd + (k - k.T)
     return Affine(m, offset_scale * rng.standard_normal(dim))
+
+
+def marked_points(raster) -> np.ndarray:
+    """The ``(x, y)`` sample points of a raster's marked pixels."""
+    js, is_ = np.nonzero(raster.grid)
+    ax = raster.axis()
+    return np.column_stack([ax[is_], ax[js]])
+
+
+def raster_contains(raster, point, dilate: int = 0) -> bool:
+    """Whether ``point`` falls on a marked pixel (within ``dilate`` pixels)."""
+    x, y = float(point[0]), float(point[1])
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise DomainError(f"point must be finite, got ({x}, {y})")
+    h = raster.pixel
+    u = (x + raster.extent) / h
+    v = (y + raster.extent) / h
+    n = raster.resolution
+    # Far points are outside before rounding, which overflows on infinite u, v.
+    if not (-dilate - 1 <= u <= n + dilate + 1 and -dilate - 1 <= v <= n + dilate + 1):
+        return False
+    i, j = round(u), round(v)
+    if not (-dilate <= i <= n + dilate and -dilate <= j <= n + dilate):
+        return False
+    i0, i1 = max(0, i - dilate), min(n, i + dilate)
+    j0, j1 = max(0, j - dilate), min(n, j + dilate)
+    return bool(raster.grid[j0 : j1 + 1, i0 : i1 + 1].any())

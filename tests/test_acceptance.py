@@ -30,7 +30,7 @@ from opsplit.verifier import (
     run_named_case,
 )
 
-from conftest import random_monotone_affine
+from conftest import marked_points, random_monotone_affine, raster_contains
 
 
 def _report(n, ok, detail=""):
@@ -216,21 +216,15 @@ def test_criterion_9_figure_soundness():
     for p1, p2 in pairs:
         raster = composition_region_exact(p1, p2, 512)
         disk = class_region(compose_general(p1, p2))
-        violating = int((~disk.contains(raster.marked_points())).sum())
+        violating = int((~disk.contains(marked_points(raster))).sum())
         pts = _sampled_displacements(p1, p2, 10_000, rng)
         missed = sum(
-            0 if _in_dilated(raster, pt) else 1 for pt in pts
+            0 if raster_contains(raster, pt, dilate=1) else 1 for pt in pts
         )
         details.append(f"violating={violating} missed={missed}")
         ok = ok and violating == 0 and missed == 0
     elapsed = time.perf_counter() - t0
     _report(9, ok and elapsed < 60.0, "; ".join(details) + f"; {elapsed:.1f}s")
-
-
-def _in_dilated(raster, pt):
-    from opsplit.figures import raster_contains
-
-    return raster_contains(raster, pt, dilate=1)
 
 
 def test_criterion_10_cli_determinism(tmp_path):

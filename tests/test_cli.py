@@ -358,6 +358,8 @@ _BAD_OFFSET = {"kind": "affine", "matrix": [[2.0, 0.0], [0.0, 2.0]], "offset": [
 @pytest.mark.parametrize("args,A,B,inst,message", [
     (["compose", "--class1", "cocoercive:0", "--class2", "averaged:0.5"],
      None, None, {}, "cocoercive diameter must be > 0"),
+    (["compose", "--class1", "averaged:abc", "--class2", "averaged:0.5"],
+     None, None, {}, "cannot parse class spec 'averaged:abc'"),
     (["solve-fb"], {"kind": "affine", "matrix": [[_NAN, 0.0], [0.0, 2.0]]}, _SI_B, {},
      "finite"),
     (["solve-dr"], {"kind": "affine", "matrix": [[_NAN, 0.0], [0.0, 2.0]]}, _SI_B, {},
@@ -372,11 +374,14 @@ _BAD_OFFSET = {"kind": "affine", "matrix": [[2.0, 0.0], [0.0, 2.0]], "offset": [
     (["solve-dr"], {"kind": "subspace_normal", "basis": [[1.0, 0.0]], "mu": _NAN}, _SI_B, {},
      "finite"),
     (["solve-fb", "--x0", "nan,0"], _SI_A, _SI_B, {}, "--x0 must be finite"),
+    (["solve-fb", "--x0", "1,abc"], _SI_A, _SI_B, {}, "--x0 must be comma-separated numbers"),
     (["solve-fb", "--tol", "nan"], _SI_A, _SI_B, {}, "--tol must be finite"),
     (["solve-fb"], _BAD_OFFSET, _SI_B, {}, "offset must have shape (2,)"),
     (["solve-dr"], _BAD_OFFSET, _SI_B, {}, "offset must have shape (2,)"),
     (["solve-fb"], _SI_A, dict(_BAD_OFFSET, kind="quadratic"), {},
      "offset must have shape (2,)"),
+    (["solve-fb"], _SI_A, {"kind": "quadratic", "matrix": [[-1.0, 1.0], [0.0, -1.0]]}, {},
+     "quadratic matrix must be symmetric"),
     (["solve-fb", "--gamma", "nan"], _SI_A, _SI_B, {}, "gamma must be finite"),
     (["solve-dr", "--gamma", "inf"], _SI_A, _SI_B, {}, "gamma must be finite"),
     (["solve-fb"], _SI_A, _SI_B, {"gamma": _NAN}, "gamma must be finite"),
@@ -394,9 +399,10 @@ _BAD_OFFSET = {"kind": "affine", "matrix": [[2.0, 0.0], [0.0, 2.0]], "offset": [
      "--count must be at least 1"),
     (["verify", "--suite", "random", "--count", "0"], None, None, {},
      "--count must be at least 1"),
-], ids=["cocoercive-0", "fb-affine-matrix", "dr-affine-matrix", "affine-offset",
-        "quadratic-matrix", "scaled-identity-c", "subspace-basis", "subspace-mu", "x0", "tol",
-        "fb-offset-shape", "dr-offset-shape", "quadratic-offset-shape", "gamma-flag-nan",
+], ids=["cocoercive-0", "class-spec-junk", "fb-affine-matrix", "dr-affine-matrix", "affine-offset",
+        "quadratic-matrix", "scaled-identity-c", "subspace-basis", "subspace-mu", "x0", "x0-junk",
+        "tol", "fb-offset-shape", "dr-offset-shape", "quadratic-offset-shape",
+        "quadratic-asymmetric", "gamma-flag-nan",
         "gamma-flag-inf", "gamma-file-nan", "gamma-file-inf", "lambda-nan", "gamma-file-str",
         "gamma-file-bool", "gamma-file-list", "gamma-file-huge-int", "lambda-file-str",
         "lambda-file-bool", "lambda-file-list", "lambda-file-null", "count-negative",
@@ -411,6 +417,44 @@ def test_non_finite_and_degenerate_input_is_usage(args, A, B, inst, message, tmp
         path.write_text(json.dumps({**fields, **inst}))
         args = args + ["--instance", str(path)]
     assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err, captured.err
+
+
+_DR_TEXT = json.dumps({"A": _SI_A, "B": _SI_B, "mu": 2.0, "omega": 1.0, "gamma": 0.1})
+
+
+# A file given to --instance or --chain that is not the JSON the command
+# needs is a usage error (exit 1), not a traceback.
+@pytest.mark.parametrize("args,text,message", [
+    (["solve-dr", "--instance"], '{"gamma": 0.1,', "Expecting"),
+    pytest.param(["solve-dr", "--instance"], _DR_TEXT.replace("0.1", "1" * 5000),
+                 "integer string", marks=pytest.mark.skipif(
+                     not hasattr(sys, "get_int_max_str_digits"),
+                     reason="no int/str conversion limit before Python 3.10.7")),
+    (["solve-fb", "--instance"], b"\xff\xfe", "codec can't decode"),
+    (["compose", "--chain"], "[{\"delta\": 1.0, \"alpha\": 0.5},", "Expecting"),
+    (["compose", "--chain"], '{"a": 1}', "--chain must hold a JSON list"),
+    (["compose", "--chain"], "[1.0, 0.5]", "--chain must hold a JSON list"),
+    (["compose", "--chain"], '[{"delta": "x", "alpha": 0.5}, {"delta": 1.0, "alpha": 0.5}]',
+     "chain[0].delta must be a real number"),
+    (["compose", "--chain"], '[{"delta": 1.0, "alpha": 0.5}, {"delta": 1.0, "alpha": true}]',
+     "chain[1].alpha must be a real number"),
+    (["compose", "--chain"], '[{"delta": 1.0, "alpha": 0.5}, {"delta": 1e999, "alpha": 0.5}]',
+     "chain[1].delta must be finite"),
+], ids=["instance-truncated", "instance-huge-int", "instance-not-utf8", "chain-truncated",
+        "chain-object", "chain-numbers", "chain-delta-str", "chain-alpha-bool",
+        "chain-delta-inf"])
+def test_bad_json_files_are_usage(args, text, message, tmp_path, capsys):
+    from opsplit.cli import main
+
+    path = tmp_path / "in.json"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
+    assert main(args + [str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err, captured.err

@@ -16,9 +16,10 @@ from opsplit.figures import (
     composition_region_exact,
     emit_svg,
     preset_figure,
-    raster_contains,
     region_membership,
 )
+
+from conftest import marked_points, raster_contains
 
 
 def test_class_region_named_disks():
@@ -63,7 +64,7 @@ def test_raster_contained_in_certified_disk():
     p = INParams(0.5, 0.5)
     r = composition_region_exact(p, p, 256)
     disk = class_region(compose_general(p, p))
-    pts = r.marked_points()
+    pts = marked_points(r)
     assert disk.contains(pts).all()
     assert raster_contains(r, (1.0, 0.0))  # boundary contact at the marker
 
@@ -72,7 +73,7 @@ def test_identity_second_factor_reproduces_first_disk():
     p1 = INParams(0.3, 0.7)
     r = composition_region_exact(p1, INParams(1.0, 0.0), 128)
     d1 = class_region(p1)
-    assert d1.contains(r.marked_points()).all()
+    assert d1.contains(marked_points(r)).all()
     # and disk points are marked up to one pixel of dilation
     for ang in np.linspace(0, 2 * np.pi, 40):
         pt = (0.3 + 0.69 * np.cos(ang), 0.69 * np.sin(ang))
@@ -82,7 +83,7 @@ def test_identity_second_factor_reproduces_first_disk():
 def test_degenerate_first_disk_is_a_point_sweep():
     r = composition_region_exact(INParams(0.5, 0.0), INParams(0.5, 0.5), 128)
     # region = disk around (0.25, 0) with radius 0.25
-    pts = r.marked_points()
+    pts = marked_points(r)
     d = Disk(0.25, 0.25)
     assert d.contains(pts).all()
     assert raster_contains(r, (0.5, 0.0), dilate=1)
@@ -105,11 +106,11 @@ def test_failing_conic_pair_region_extends_past_marker():
     # disk anchored at the marker and extending only leftward can contain it
     p1, p2 = INParams(-0.7, 1.7), INParams(0.3, 0.7)
     r = composition_region_exact(p1, p2, 256)
-    pts = r.marked_points()
+    pts = marked_points(r)
     assert pts[:, 0].max() > 1.0 + r.pixel
     # while the certified pair (1.7, 0.45) stays weakly left of the marker
     ok = composition_region_exact(INParams(-0.7, 1.7), INParams(0.55, 0.45), 256)
-    assert ok.marked_points()[:, 0].max() <= 1.0 + 1e-12
+    assert marked_points(ok)[:, 0].max() <= 1.0 + 1e-12
 
 
 def test_relaxed_region_is_shifted_and_shrunk():

@@ -13,6 +13,7 @@ from opsplit.errors import BuildError, DomainError, GuardError
 from opsplit.operators import (
     Affine,
     HypoconvexQuadratic,
+    MonotoneSpec,
     Op,
     QuadraticGradient,
     ScaledIdentity,
@@ -21,7 +22,6 @@ from opsplit.operators import (
     build_rotation,
     compose,
     difference,
-    estimate_rho,
     identity,
     negate,
     prox,
@@ -146,13 +146,7 @@ def test_resolvent_certificates_hold(rng):
     spec = random_monotone_affine(-0.4, 2, rng)
     for op in (spec.resolvent(0.5), spec.reflected_resolvent(0.5)):
         rep = check_membership(op, op.certificate, pairs=1000, tol=1e-9)
-        assert rep.passed, (op.name, rep.worst_violation)
-
-
-def test_affine_claimed_modulus_checked():
-    with pytest.raises(DomainError):
-        Affine(np.eye(2), rho_claimed=2.0)
-    Affine(np.eye(2), rho_claimed=0.5)
+        assert rep.passed, (op, rep.worst_violation)
 
 
 @pytest.mark.parametrize("offset", [np.zeros(3), np.zeros((2, 1)), np.float64(1.0)])
@@ -161,13 +155,6 @@ def test_affine_offset_shape_checked(offset):
         Affine(np.eye(2), offset)
     with pytest.raises(DomainError, match="offset must have shape"):
         QuadraticGradient(np.eye(2), offset)
-
-
-def test_monotone_cocoercive_claim_consistency():
-    # claiming modulus mu together with c-cocoercivity requires mu <= c
-    with pytest.raises(DomainError):
-        ScaledIdentity(2.0, dim=2, coco=1.0)
-    ScaledIdentity(0.5, dim=2, coco=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +350,22 @@ def test_chain_counterexample_composition_formula(rng):
 # modulus estimation
 
 
+def estimate_rho(target, samples=1000, seed=sampling.DEFAULT_SEED):
+    """Monotonicity modulus: a spec's own ``rho``, sampled for an :class:`Op`.
+
+    For an :class:`Op`, returns the minimum over sampled pairs of
+    ``<x-y, Fx-Fy>/||x-y||^2`` (a sampling upper bound on the true modulus).
+    """
+    if isinstance(target, MonotoneSpec):
+        return target.rho
+    if samples < 2:
+        raise DomainError(f"need at least 2 samples, got {samples}")
+    xs, ys = pair_samples(samples, target.dim, seed=seed)
+    dx = xs - ys
+    df = target(xs) - target(ys)
+    return float(np.min(sampling._row_dot(dx, df) / sampling._row_dot(dx, dx)))
+
+
 def test_estimate_rho_exact_kinds():
     assert estimate_rho(Affine(np.diag([2.0, 3.0]))) == 2.0
     assert estimate_rho(ScaledIdentity(-1.0, dim=2)) == -1.0
@@ -533,7 +536,7 @@ def _build(tree, n, gamma, rng, fused):
         spec = _spec(kind, n, rng)
         op = _leaf_op(spec, which, gamma)
         if not fused:
-            op = Op(op.fn, op.dim, op.certificate, op.name)
+            op = Op(op.fn, op.dim, op.certificate)
         m, b = _dense_leaf(spec, which, gamma, n)
         return op, lambda x, mag: (x @ m.T + b, mag @ np.abs(m).T + np.abs(b))
     if tag == "compose":
@@ -626,7 +629,7 @@ def test_scalar_maps_stay_scalar():
 
 def test_custom_fn_composes_through_closures(monkeypatch):
     rot = build_rotation(0.4)
-    clip = Op(lambda x: np.clip(x, -1.0, 1.0), 2, INParams(0.0, 1.0), name="clip")
+    clip = Op(lambda x: np.clip(x, -1.0, 1.0), 2, INParams(0.0, 1.0))
     t = relax(0.5, compose(rot, compose(clip, scale(2.0, rot))))
     assert t.matrix is None and t.offset is None
     x = np.array([0.3, -0.8])
