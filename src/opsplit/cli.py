@@ -94,8 +94,12 @@ def parse_class_spec(text: str) -> ClassLabel:
 
 
 def _label_json(label: ClassLabel) -> dict:
-    out = {k: v for k, v in asdict(label).items() if v is not None}
-    return {**out, "kind": label.kind.value}
+    out = {"kind": label.kind.value}
+    if label.value is not None:
+        out["value"] = label.value
+    if label.scale is not None:
+        out["scale"] = label.scale
+    return out
 
 
 def _resolved_seed(args) -> int:

@@ -7,9 +7,9 @@ directions).  The returned arrays are read-only, and the last draw is
 memoised: consecutive checks with the same ``(pairs, dim, seed)`` share one
 sample instead of drawing it again.
 
-Every per-pair row reduction in the package (here, in ``verifier`` and in
-``operators.estimate_rho``) goes through :func:`_row_dot`.  For rows of
-length ``n <= 7`` it accumulates the column products from left to right.
+Every per-pair row reduction in the package (here and in ``verifier``) goes
+through :func:`_row_dot`.  For rows of length ``n <= 7`` it accumulates the
+column products from left to right.
 That is the order in which ``np.sum`` adds up a row: numpy's pairwise
 summation adds blocks of fewer than 8 elements one after the other.  So the
 results are bit-equal to ``np.sum`` except for the sign of a zero (a row whose

@@ -1,9 +1,6 @@
-import math
-
 import numpy as np
 import pytest
 
-from opsplit.errors import DomainError
 from opsplit.operators import Affine
 
 
@@ -31,8 +28,6 @@ def marked_points(raster) -> np.ndarray:
 def raster_contains(raster, point, dilate: int = 0) -> bool:
     """Whether ``point`` falls on a marked pixel (within ``dilate`` pixels)."""
     x, y = float(point[0]), float(point[1])
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise DomainError(f"point must be finite, got ({x}, {y})")
     h = raster.pixel
     u = (x + raster.extent) / h
     v = (y + raster.extent) / h

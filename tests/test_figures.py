@@ -325,14 +325,6 @@ def test_overflowing_descriptors_are_rejected():
         composition_region_exact(big, big, 64)
 
 
-@pytest.mark.parametrize("point", [(float("nan"), 0.0), (0.0, float("inf")),
-                                   (-float("inf"), 0.5)])
-def test_raster_contains_rejects_non_finite_points(point):
-    r = composition_region_exact(INParams(0.5, 0.5), INParams(0.5, 0.5), 64)
-    with pytest.raises(DomainError):
-        raster_contains(r, point)
-
-
 def test_raster_contains_far_points_are_outside():
     r = composition_region_exact(INParams(0.5, 0.5), INParams(0.5, 0.5), 64)
     for point in ((1e308, 0.0), (0.0, -1.7e308), (1e300, 1e300)):

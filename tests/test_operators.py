@@ -13,7 +13,6 @@ from opsplit.errors import BuildError, DomainError, GuardError
 from opsplit.operators import (
     Affine,
     HypoconvexQuadratic,
-    MonotoneSpec,
     Op,
     QuadraticGradient,
     ScaledIdentity,
@@ -350,35 +349,20 @@ def test_chain_counterexample_composition_formula(rng):
 # modulus estimation
 
 
-def estimate_rho(target, samples=1000, seed=sampling.DEFAULT_SEED):
-    """Monotonicity modulus: a spec's own ``rho``, sampled for an :class:`Op`.
-
-    For an :class:`Op`, returns the minimum over sampled pairs of
-    ``<x-y, Fx-Fy>/||x-y||^2`` (a sampling upper bound on the true modulus).
-    """
-    if isinstance(target, MonotoneSpec):
-        return target.rho
-    if samples < 2:
-        raise DomainError(f"need at least 2 samples, got {samples}")
-    xs, ys = pair_samples(samples, target.dim, seed=seed)
-    dx = xs - ys
-    df = target(xs) - target(ys)
-    return float(np.min(sampling._row_dot(dx, df) / sampling._row_dot(dx, dx)))
-
-
 def test_estimate_rho_exact_kinds():
-    assert estimate_rho(Affine(np.diag([2.0, 3.0]))) == 2.0
-    assert estimate_rho(ScaledIdentity(-1.0, dim=2)) == -1.0
+    assert Affine(np.diag([2.0, 3.0])).rho == 2.0
+    assert ScaledIdentity(-1.0, dim=2).rho == -1.0
     skew = Affine(np.array([[0.0, -1.0], [1.0, 0.0]]))
-    assert abs(estimate_rho(skew)) < 1e-12
+    assert abs(skew.rho) < 1e-12
 
 
 def test_estimate_rho_sampled_matches_exact(rng):
+    # the smallest sampled <x-y, Fx-Fy>/||x-y||^2 of a rotation by pi/2 is 0
     m = np.array([[0.0, -1.0], [1.0, 0.0]])
     op = Op(lambda x: x @ m.T, 2)
-    assert abs(estimate_rho(op, samples=500)) < 1e-12
-    with pytest.raises(DomainError):
-        estimate_rho(op, samples=1)
+    xs, ys = pair_samples(500, 2)
+    dx, df = xs - ys, op(xs) - op(ys)
+    assert abs(np.min(np.sum(dx * df, axis=1) / np.sum(dx * dx, axis=1))) < 1e-12
 
 
 def test_pair_samples_are_deterministic():

@@ -350,6 +350,33 @@ def test_fit_rejects_non_finite_images(bad, family):
         fit_tightest(Op(fn, 2), family, pairs=2000)
 
 
+def _reference_moments(T, pairs, seed):
+    xs, ys = pair_samples(pairs, T.dim, seed=seed)
+    dx = xs - ys
+    dt = T(xs) - T(ys)
+    return np.sum(dx * dx, axis=1), np.sum(dt * dt, axis=1), np.sum(dx * dt, axis=1)
+
+
+def _reference_violations(moments, family, param):
+    """The frozen membership values of ``_bisect_fit`` at ``param``.
+
+    Returned with ``8 eps * sum|terms| / ||x-y||^2`` per pair, which bounds
+    how far this formula and ``verifier._in_violations`` together can round
+    away from the exact value on the same moments.
+    """
+    if family == "lipschitz":
+        p = INParams(0.0, param)
+    elif family in ("averaged", "conic"):
+        p = INParams(1.0 - param, param)
+    else:
+        p = INParams(param / 2.0, param / 2.0)
+    a, b = p.alpha, p.beta
+    nd, ndt, ip = moments
+    v = (ndt - 2.0 * a * ip - (b * b - a * a) * nd) / nd
+    err = 8.0 * np.finfo(float).eps * (ndt + abs(2.0 * a * ip) + (b * b + a * a) * nd) / nd
+    return v, err
+
+
 def _bisect_fit(T, family, pairs=10_000, tol=1e-9, seed=DEFAULT_SEED):
     """Reference: the bisection ``fit_tightest`` used before the closed form.
 
@@ -357,23 +384,10 @@ def _bisect_fit(T, family, pairs=10_000, tol=1e-9, seed=DEFAULT_SEED):
     by squaring each term, so it does not follow later changes to
     ``verifier._in_violations``.
     """
-    xs, ys = pair_samples(pairs, T.dim, seed=seed)
-    dx = xs - ys
-    dt = T(xs) - T(ys)
-    nd = np.sum(dx * dx, axis=1)
-    ndt = np.sum(dt * dt, axis=1)
-    ip = np.sum(dx * dt, axis=1)
+    moments = _reference_moments(T, pairs, seed)
 
     def passes(param):
-        if family == "lipschitz":
-            p = INParams(0.0, param)
-        elif family in ("averaged", "conic"):
-            p = INParams(1.0 - param, param)
-        else:
-            p = INParams(param / 2.0, param / 2.0)
-        a, b = p.alpha, p.beta
-        v = (ndt - 2.0 * a * ip - (b * b - a * a) * nd) / nd
-        return float(np.max(v)) <= tol
+        return float(np.max(_reference_violations(moments, family, param)[0])) <= tol
 
     lo, hi = 1e-6, 1.0 - 1e-12 if family == "averaged" else 1e6
     if passes(lo):
@@ -420,13 +434,30 @@ def _check_against_bisection(T, family, seed):
     if abs(got.value - want.value) <= 1e-12 * want.value:
         return
     # Where the binding pair is near-tangent (c close to 1), the reference's
-    # b*b - a*a cancels: it can reject a fit that (b - a)(b + a) accepts, and
-    # its bisection then stops above the fit.  The fit must then be tighter
-    # than the bisection and sit on the boundary of the membership test.
-    tighter = got.value > want.value if family == "cocoercive" else got.value < want.value
-    assert tighter, (family, got, want)
+    # b*b - a*a cancels and can reject a fit that (b - a)(b + a) accepts; its
+    # bisection then stops above the fit.  Only there may the two differ: the
+    # fit must be tighter, on the boundary of the production test, and below
+    # the bisection by at most what rounding explains.
+    ref = _reference_moments(T, 2000, seed)
+    assert np.max(_reference_violations(ref, family, q)[0]) > 1e-9, (family, got, want)
+    q_want = 1.0 / want.value if family == "cocoercive" else want.value
+    assert q < q_want, (family, got, want)
     below = verifier._FAMILIES[family](math.nextafter(q, 0.0))
     assert np.max(_in_violations(moments, below)) > 1e-9, (family, got, want)
+    # The bisection rejected the float below its result.  A pair that does so
+    # while production accepts q lies within its two rounding errors of tol at
+    # both ends, so the gap is at most err / |dv/dq|: its conditioning.
+    v, err = _reference_violations(ref, family, math.nextafter(q_want, 0.0))
+    nd, _, ip = ref
+    c = ip / nd
+    if family == "lipschitz":
+        slope = np.full_like(c, 2.0 * q_want)
+    else:
+        slope = c if family == "cocoercive" else 2.0 * (1.0 - c)
+    holding = v > 1e-9
+    with np.errstate(divide="ignore"):
+        gap = float(np.max(err[holding] / np.abs(slope[holding]), initial=0.0))
+    assert q_want - q <= gap, (family, got, want, gap)
 
 
 FAMILIES = ("lipschitz", "averaged", "conic", "cocoercive")
