@@ -169,16 +169,21 @@ def cmd_classify(args) -> int:
 
 
 def spec_from_json(d: dict) -> MonotoneSpec:
+    if not isinstance(d, dict):
+        raise DomainError(f"an operator spec must be a JSON object, got {d!r}")
     kind = d.get("kind")
     if kind == "affine":
-        return Affine(np.asarray(d["matrix"], float), d.get("offset"))
+        return Affine(_array("matrix", d["matrix"]), _array("offset", d.get("offset")))
     if kind == "scaled_identity":
-        return ScaledIdentity(float(d["c"]), dim=int(d.get("dim", 2)))
+        dim = d.get("dim", 2)
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+            raise DomainError(f"dim must be a positive integer, got {dim!r}")
+        return ScaledIdentity(_real("c", d["c"]), dim=dim)
     if kind == "subspace_normal":
-        return SubspaceNormalPlusScale(np.asarray(d["basis"], float),
-                                       mu=float(d.get("mu", 0.0)))
+        return SubspaceNormalPlusScale(_array("basis", d["basis"]),
+                                       mu=_real("mu", d.get("mu", 0.0)))
     if kind == "quadratic":
-        return QuadraticGradient(np.asarray(d["matrix"], float), d.get("offset"))
+        return QuadraticGradient(_array("matrix", d["matrix"]), _array("offset", d.get("offset")))
     raise DomainError(f"unknown operator kind {kind!r}")
 
 
@@ -194,24 +199,45 @@ def _parse_x0(text: str, dim: int) -> np.ndarray:
     return x
 
 
-def _check_finite_real(name: str, value) -> None:
+def _real(name: str, value) -> float:
     # Instance files are JSON, so a value may arrive as a string, bool, list,
     # null or an int beyond the float range; bool is an int subclass and must
-    # not pass as 0 or 1.
+    # not pass as 0 or 1.  A nan or inf is left to the caller.
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DomainError(f"{name} must be a real number, got {value!r}")
     try:
-        finite = math.isfinite(value)
+        return float(value)
     except OverflowError:
-        finite = False
-    if not finite:
+        raise DomainError(f"{name} must be finite, got {value}") from None
+
+
+def _check_finite_real(name: str, value) -> None:
+    if not math.isfinite(_real(name, value)):
         raise DomainError(f"{name} must be finite, got {value}")
+
+
+def _array(name: str, value) -> np.ndarray | None:
+    # A JSON array of numbers (null stays None); the spec it builds checks
+    # its shape and finiteness.
+    if value is None:
+        return None
+    try:
+        return np.asarray(value, float)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{name} must be an array of real numbers") from None
 
 
 def _run_solve(args, method: str) -> int:
     if not math.isfinite(args.tol):
         raise DomainError(f"--tol must be finite, got {args.tol}")
     inst = _load_json(args.instance)
+    if not isinstance(inst, dict):
+        raise DomainError("--instance must hold a JSON object")
+    # A plan field in the file must be a number; a missing one is the
+    # planner's to report.
+    for name in ("mu", "omega", "beta", "beta_bar"):
+        if name in inst:
+            _check_finite_real(name, inst[name])
     a_spec = spec_from_json(inst["A"])
     b_spec = spec_from_json(inst["B"])
     gamma = args.gamma if args.gamma is not None else inst.get("gamma")
@@ -264,7 +290,9 @@ def _run_solve(args, method: str) -> int:
             t = splitting.fb_operator(a_spec, b_spec, gamma)
 
     x0 = _parse_x0(args.x0, t.dim)
-    x_star = np.asarray(inst["x_star"], float) if "x_star" in inst else None
+    x_star = _array("x_star", inst.get("x_star"))
+    if x_star is not None and x_star.shape != (t.dim,):
+        raise DomainError(f"x_star must have shape ({t.dim},), got {x_star.shape}")
     log = splitting.iterate(
         t,
         x0,
@@ -366,8 +394,10 @@ def build_parser() -> _Parser:
         s = sub.add_parser(name, help=f"run the {method} iteration on an instance file")
         s.add_argument("--instance", required=True)
         s.add_argument("--gamma", type=float)
-        s.add_argument("--lambda", dest="lambda_relax", type=float)
-        s.add_argument("--case", choices=splitting.FB_CASES)
+        if method == "DR":
+            s.add_argument("--lambda", dest="lambda_relax", type=float)
+        else:
+            s.add_argument("--case", choices=splitting.FB_CASES)
         s.add_argument("--x0", default="1,0")
         s.add_argument("--max-iter", type=int, default=10_000)
         s.add_argument("--tol", type=float, default=1e-10)

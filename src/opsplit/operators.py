@@ -221,7 +221,7 @@ class Affine(MonotoneSpec):
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=float)
-        n = self.matrix.shape[0]
+        n = len(self.matrix) if self.matrix.ndim else 0
         if self.matrix.shape != (n, n):
             raise DomainError(f"matrix must be square, got {self.matrix.shape}")
         self.offset = (

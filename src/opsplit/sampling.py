@@ -29,13 +29,12 @@ import numpy as np
 DEFAULT_SEED = 0xC0FFEE
 
 
-def pair_samples(pairs: int, dim: int, seed: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def pair_samples(pairs: int, dim: int, seed: int = DEFAULT_SEED) -> tuple[np.ndarray, np.ndarray]:
     """Return read-only arrays ``xs, ys`` of shape ``(m, dim)`` with ``x != y``
-    rowwise.  ``seed=None`` means :data:`DEFAULT_SEED`; the most recent
-    sample is memoised, so copy before writing."""
+    rowwise.  The most recent sample is memoised, so copy before writing."""
     if pairs < 1:
         raise ValueError(f"need at least one pair, got {pairs}")
-    return _draw(pairs, dim, DEFAULT_SEED if seed is None else seed)
+    return _draw(pairs, dim, seed)
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -46,28 +46,20 @@ FB_CASES = ("I", "Ib", "II", "IIb", "III", "IIIb")
 
 @dataclass(frozen=True)
 class GammaRange:
-    """A step-size interval; ``hi=None`` means unbounded above."""
+    """A step-size interval, open above; ``hi=None`` means unbounded above."""
 
     lo: float
     hi: float | None
     lo_closed: bool = False
-    hi_closed: bool = False
 
     def contains(self, g: float) -> bool:
-        if self.lo_closed:
-            if not g >= self.lo:
-                return False
-        elif not g > self.lo:
-            return False
-        if self.hi is None:
-            return True
-        return g <= self.hi if self.hi_closed else g < self.hi
+        above = g >= self.lo if self.lo_closed else g > self.lo
+        return above and (self.hi is None or g < self.hi)
 
     def __str__(self):
         left = "[" if self.lo_closed else "]"
-        right = "]" if self.hi_closed else "["
         hi = "+inf" if self.hi is None else repr(self.hi)
-        return f"{left}{self.lo!r}, {hi}{right}"
+        return f"{left}{self.lo!r}, {hi}["
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Empirical certification of class membership and the named case suite.
 
-Sampling refutes, never proves: a passing report means no violation was found
-on the sampled pairs at the given tolerance.  Violations are normalized by
-``||x - y||^2`` so tolerances are scale-free.
+Sampling refutes, never proves: a passing report means no violation above
+1e-9 was found on the sampled pairs.  Violations are normalized by
+``||x - y||^2`` so the tolerance is scale-free.
 
 Every per-pair row reduction (``||x-y||^2``, ``||Tx-Ty||^2``,
 ``<x-y, Tx-Ty>`` and the like) is ``sampling._row_dot``.  For rows of
@@ -28,7 +28,6 @@ from .calculus import (
     compose_conic,
     compose_general,
     compose_scaled_averaged_cocoercive,
-    from_label,
 )
 from .errors import DomainError, GuardError, StepSizeError
 from .operators import Op, build_in_operator, build_rotation, matrix_op
@@ -50,17 +49,30 @@ __all__ = [
 ]
 
 
+_TOL = 1e-9  # the largest normalized violation a passing check allows
+
+
 @dataclass
 class MembershipReport:
     """Result of a sampled inequality check; passes iff the worst normalized
-    violation does not exceed the tolerance."""
+    violation does not exceed 1e-9."""
 
-    label: object
     pairs_tested: int
     worst_violation: float
     passed: bool
     worst_pair: tuple
-    tol: float
+
+
+def _differences(T: Op, pairs: int, seed: int):
+    # The sampled pairs and their differences x - y and T(x) - T(y).
+    xs, ys = pair_samples(pairs, T.dim, seed=seed)
+    return xs, ys, xs - ys, T(xs) - T(ys)
+
+
+def _report(v: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> MembershipReport:
+    i = int(np.argmax(v))
+    worst = float(v[i])
+    return MembershipReport(len(xs), worst, worst <= _TOL, (xs[i].copy(), ys[i].copy()))
 
 
 def _moments(dx, dt) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -87,65 +99,32 @@ def _conic_violations(dx, dt, c: ScaledConic) -> np.ndarray:
 
 
 def check_membership(
-    T: Op,
-    descriptor,
-    pairs: int = 10_000,
-    tol: float = 1e-9,
-    seed: int = DEFAULT_SEED,
+    T: Op, descriptor, pairs: int = 10_000, seed: int = DEFAULT_SEED
 ) -> MembershipReport:
     """Sampled check that ``T`` belongs to the class of ``descriptor``.
 
-    ``descriptor`` may be an :class:`INParams`, a :class:`ScaledConic` (the
+    ``descriptor`` may be an :class:`INParams` or a :class:`ScaledConic` (the
     operator is rescaled by ``1/delta`` and the conic characterization is
-    used) or a :class:`ClassLabel`.
+    used).
     """
-    if isinstance(descriptor, ClassLabel):
-        descriptor = from_label(descriptor)
-    xs, ys = pair_samples(pairs, T.dim, seed=seed)
-    dx = xs - ys
-    dt = T(xs) - T(ys)
+    xs, ys, dx, dt = _differences(T, pairs, seed)
     if isinstance(descriptor, ScaledConic):
         v = _conic_violations(dx, dt, descriptor)
     else:
         v = _in_violations(_moments(dx, dt), descriptor)
-    i = int(np.argmax(v))
-    worst = float(v[i])
-    return MembershipReport(
-        label=descriptor,
-        pairs_tested=len(xs),
-        worst_violation=worst,
-        passed=worst <= tol,
-        worst_pair=(xs[i].copy(), ys[i].copy()),
-        tol=tol,
-    )
+    return _report(v, xs, ys)
 
 
 def check_monotone(
-    F: Op,
-    rho: float,
-    pairs: int = 10_000,
-    tol: float = 1e-9,
-    seed: int = DEFAULT_SEED,
+    F: Op, rho: float, pairs: int = 10_000, seed: int = DEFAULT_SEED
 ) -> MembershipReport:
     """Sampled check of ``<x-y, Fx-Fy> >= rho*||x-y||^2``.
 
     The normalized violation is ``rho - <x-y, Fx-Fy>/||x-y||^2`` (positive
     when the inequality fails); its negation is the worst monotonicity slack.
     """
-    xs, ys = pair_samples(pairs, F.dim, seed=seed)
-    dx = xs - ys
-    df = F(xs) - F(ys)
-    v = rho - _row_dot(dx, df) / _row_dot(dx, dx)
-    i = int(np.argmax(v))
-    worst = float(v[i])
-    return MembershipReport(
-        label=("monotone", rho),
-        pairs_tested=len(xs),
-        worst_violation=worst,
-        passed=worst <= tol,
-        worst_pair=(xs[i].copy(), ys[i].copy()),
-        tol=tol,
-    )
+    xs, ys, dx, df = _differences(F, pairs, seed)
+    return _report(rho - _row_dot(dx, df) / _row_dot(dx, dx), xs, ys)
 
 
 def check_composition_identity(
@@ -194,11 +173,7 @@ _FAMILIES = {
 
 
 def fit_tightest(
-    T: Op,
-    family: str,
-    pairs: int = 10_000,
-    tol: float = 1e-9,
-    seed: int = DEFAULT_SEED,
+    T: Op, family: str, pairs: int = 10_000, seed: int = DEFAULT_SEED
 ) -> ClassLabel:
     """The smallest family parameter passing membership on the sampled pairs.
 
@@ -210,26 +185,24 @@ def fit_tightest(
     pair's normalized violation is closed form in the parameter ``q``:
     ``r - q^2`` (lipschitz), ``r - 2c + 1 - 2q(1 - c)`` (averaged, conic) and
     ``r - q*c`` (cocoercive).  Pairs on which it falls as ``q`` grows bound
-    ``q`` from below at the root where it meets ``tol``; the others bound it
-    from above, beyond the bracket's upper end once that end passes.  So the
-    fit is the largest lower root, clipped to the bracket, then stepped up by
-    1, 2, 4, ... ulps until membership accepts it.
+    ``q`` from below at the root where it meets the tolerance 1e-9; the others
+    bound it from above, beyond the bracket's upper end once that end passes.
+    So the fit is the largest lower root, clipped to the bracket, then stepped
+    up by 1, 2, 4, ... ulps until membership accepts it.
     """
     if pairs < 100:
         raise DomainError(f"needs at least 100 pairs, got {pairs}")
     descriptor = _FAMILIES.get(family)
     if descriptor is None:
         raise DomainError(f"unknown family {family!r}; known: {sorted(_FAMILIES)}")
-    xs, ys = pair_samples(pairs, T.dim, seed=seed)
-    dx = xs - ys
-    dt = T(xs) - T(ys)
+    _, _, dx, dt = _differences(T, pairs, seed)
     if not np.isfinite(dt).all():
         raise DomainError(f"non-finite T(x) - T(y) at sampled pairs, family {family!r}")
 
     moments = _moments(dx, dt)
 
     def passes(q: float) -> bool:
-        return float(np.max(_in_violations(moments, descriptor(q)))) <= tol
+        return float(np.max(_in_violations(moments, descriptor(q)))) <= _TOL
 
     lo, hi = 1e-6, 1.0 - 1e-12 if family == "averaged" else 1e6
     if passes(lo):
@@ -240,9 +213,9 @@ def fit_tightest(
     r = ndt / nd
     c = ip / nd
     if family == "lipschitz":
-        root = math.sqrt(max(float(np.max(r)) - tol, 0.0))
+        root = math.sqrt(max(float(np.max(r)) - _TOL, 0.0))
     else:
-        num, den = (r - tol, c) if family == "cocoercive" else (r - 2 * c + 1 - tol, 2 * (1 - c))
+        num, den = (r - _TOL, c) if family == "cocoercive" else (r - 2 * c + 1 - _TOL, 2 * (1 - c))
         roots = np.divide(num, den, out=np.full_like(num, -np.inf), where=den > 0.0)
         root = float(np.max(roots))
     q, step = min(max(root, lo), hi), 1.0
@@ -314,16 +287,14 @@ def random_certified_composition(kind: str, rng: np.random.Generator):
 COMPOSITION_KINDS = ("averaged-averaged", "conic-conic", "scaled-averaged-cocoercive")
 
 
-def run_random_suite(
-    count: int = 60, seed: int = DEFAULT_SEED, pairs: int = 2000, tol: float = 1e-9
-) -> list[dict]:
+def run_random_suite(count: int = 60, seed: int = DEFAULT_SEED, pairs: int = 2000) -> list[dict]:
     """Membership reports for ``count`` random certified compositions."""
     rng = np.random.default_rng(seed)
     out = []
     for i in range(count):
         kind = COMPOSITION_KINDS[i % len(COMPOSITION_KINDS)]
         op, cert, params = random_certified_composition(kind, rng)
-        rep = check_membership(op, cert, pairs=pairs, tol=tol)
+        rep = check_membership(op, cert, pairs=pairs)
         out.append(
             {
                 "kind": kind,
@@ -357,6 +328,43 @@ class CaseReport:
         return asdict(self)
 
 
+def _guard(call, *args, errors=GuardError):
+    # (result, rejected, message) of call(*args): a raised ``errors`` is the
+    # guard rejecting the case.
+    try:
+        return call(*args), False, ""
+    except errors as exc:
+        return None, True, str(exc)
+
+
+def _displacement_check(r: Op) -> MembershipReport:
+    # Sampled monotonicity of Id - R, which holds for every conically
+    # nonexpansive R.
+    return check_monotone(ops.shift(1.0, ops.negate(r)), 0.0, pairs=2000)
+
+
+def _rate_case(
+    name: str, params: dict, plan, t: Op, x0, expected: float, details: dict
+) -> CaseReport:
+    # Iterate from x0 and compare the empirical rate with the expected one.
+    report = splitting.rate_report(splitting.iterate(t, np.array(x0)), plan)
+    err = abs(report.empirical_rate - expected)
+    return CaseReport(
+        name=name,
+        params=params,
+        guard_rejected=False,
+        guard_message="",
+        empirical_failed=not report.satisfied,
+        agree=report.satisfied and err <= 1e-12,
+        details={
+            **details,
+            "empirical_rate": report.empirical_rate,
+            "certified_rate": report.certified_rate,
+            "rate_error": err,
+        },
+    )
+
+
 def _rotation_counterexample(theta: float, alpha1: float, alpha2: float, name: str) -> CaseReport:
     """Two conic factors built on a rotation, second one sign-flipped."""
     kappa = (
@@ -365,19 +373,13 @@ def _rotation_counterexample(theta: float, alpha1: float, alpha2: float, name: s
         - 2.0 * alpha1 * alpha2 * math.sin(theta) ** 2
         - (alpha1 - alpha2) * math.cos(theta)
     )
-    guard_rejected, guard_message = False, ""
-    try:
-        compose_conic(ScaledConic(1.0, alpha1), ScaledConic(1.0, alpha2))
-    except GuardError as exc:
-        guard_rejected, guard_message = True, str(exc)
-
+    _, guard_rejected, guard_message = _guard(
+        compose_conic, ScaledConic(1.0, alpha1), ScaledConic(1.0, alpha2)
+    )
     rot = build_rotation(theta)
     r1 = build_in_operator(1.0 - alpha1, alpha1, rot)
     r2 = build_in_operator(1.0 - alpha2, alpha2, ops.negate(rot))
-    r = ops.compose(r2, r1)
-    disp = ops.shift(1.0, ops.negate(r))  # Id - R
-    rep = check_monotone(disp, 0.0, pairs=2000)
-    slack = -rep.worst_violation
+    rep = _displacement_check(ops.compose(r2, r1))
     empirical_failed = not rep.passed
     return CaseReport(
         name=name,
@@ -386,7 +388,7 @@ def _rotation_counterexample(theta: float, alpha1: float, alpha2: float, name: s
         guard_message=guard_message,
         empirical_failed=empirical_failed,
         agree=guard_rejected == empirical_failed == (kappa < 0.0),
-        details={"kappa": kappa, "monotonicity_slack": slack},
+        details={"kappa": kappa, "monotonicity_slack": -rep.worst_violation},
     )
 
 
@@ -404,23 +406,16 @@ def _case_ex_cases_i(eps=1.0, delta=1.0, theta=math.pi / 2) -> CaseReport:
 def _case_chain_reject(eps=1.0, delta=2.0, alpha1=0.25) -> CaseReport:
     alpha2 = alpha1 + delta + eps
     alpha3 = (1.0 + delta) / (2.0 * delta)
-    guard_rejected, guard_message = False, ""
-    try:
-        compose_chain(
-            [ScaledConic(1.0, alpha1), ScaledConic(1.0, alpha2), ScaledConic(1.0, alpha3)],
-            r=1,
-        )
-    except GuardError as exc:
-        guard_rejected, guard_message = True, str(exc)
-
+    _, guard_rejected, guard_message = _guard(
+        compose_chain,
+        [ScaledConic(1.0, alpha1), ScaledConic(1.0, alpha2), ScaledConic(1.0, alpha3)],
+        1,
+    )
     s = build_rotation(math.pi / 2)
     r1 = build_in_operator(1.0 - alpha1, alpha1, ops.negate(s))
     r2 = build_in_operator(1.0 - alpha2, alpha2, s)
     r3 = ops.compose(s, ops.scale(-1.0 / delta, ops.identity(2)))
-    r = ops.compose(r3, ops.compose(r2, r1))
-    disp = ops.shift(1.0, ops.negate(r))
-    rep = check_monotone(disp, 0.0, pairs=2000)
-    slack = -rep.worst_violation
+    rep = _displacement_check(ops.compose(r3, ops.compose(r2, r1)))
     return CaseReport(
         name="chain-reject",
         params={"eps": eps, "delta": delta, "alpha1": alpha1},
@@ -431,25 +426,18 @@ def _case_chain_reject(eps=1.0, delta=2.0, alpha1=0.25) -> CaseReport:
         details={
             "alpha2": alpha2,
             "alpha3": alpha3,
-            "monotonicity_slack": slack,
+            "monotonicity_slack": -rep.worst_violation,
             "expected_slack": -eps / delta,
         },
     )
 
 
-def _scaling_demo_specs(mu: float, omega: float):
+def _case_dr_divergence(mu=2.0, omega=1.0, gamma=0.6) -> CaseReport:
+    _, guard_rejected, guard_message = _guard(
+        splitting.plan_dr, mu, omega, gamma, errors=(StepSizeError, DomainError)
+    )
     a = ops.SubspaceNormalPlusScale(basis=np.array([[1.0, 0.0]]), mu=mu)
     b = ops.ScaledIdentity(-omega, dim=2)
-    return a, b
-
-
-def _case_dr_divergence(mu=2.0, omega=1.0, gamma=0.6) -> CaseReport:
-    guard_rejected, guard_message = False, ""
-    try:
-        splitting.plan_dr(mu, omega, gamma)
-    except (StepSizeError, DomainError) as exc:
-        guard_rejected, guard_message = True, str(exc)
-    a, b = _scaling_demo_specs(mu, omega)
     t = splitting.dr_operator(a, b, gamma)
     log = splitting.iterate(t, np.array([0.0, 1.0]), max_iter=500)
     factor = -gamma * omega / (1.0 - gamma * omega)
@@ -471,13 +459,9 @@ def _case_dr_divergence(mu=2.0, omega=1.0, gamma=0.6) -> CaseReport:
 
 
 def _case_averaged_pair(a1: float, a2: float, name: str, samples: int = 20) -> CaseReport:
-    p1, p2 = INParams(1.0 - a1, a1), INParams(1.0 - a2, a2)
-    guard_rejected, guard_message = False, ""
-    cert = None
-    try:
-        cert = compose_general(p1, p2)
-    except GuardError as exc:
-        guard_rejected, guard_message = True, str(exc)
+    cert, guard_rejected, guard_message = _guard(
+        compose_general, INParams(1.0 - a1, a1), INParams(1.0 - a2, a2)
+    )
     empirical_failed = None
     worst = -math.inf
     if cert is not None:
@@ -508,24 +492,9 @@ def _case_fb_tight(case="I", gamma=0.2, expected=0.75, name="fb-tight-contractio
     plan = splitting.plan_fb(case, mu=mu, omega=omega, beta=beta, gamma=gamma)
     a = ops.ScaledIdentity(mu if case == "I" else mu + beta, dim=2)
     b = ops.ScaledIdentity(-omega, dim=2)
+    params = {"case": case, "mu": mu, "omega": omega, "beta": beta, "gamma": gamma}
     t = splitting.build_fb(plan, a, b)
-    log = splitting.iterate(t, np.array([1.0, 0.0]))
-    report = splitting.rate_report(log, plan)
-    err = abs(report.empirical_rate - expected)
-    return CaseReport(
-        name=name,
-        params={"case": case, "mu": mu, "omega": omega, "beta": beta, "gamma": gamma},
-        guard_rejected=False,
-        guard_message="",
-        empirical_failed=not report.satisfied,
-        agree=report.satisfied and err <= 1e-12,
-        details={
-            "empirical_rate": report.empirical_rate,
-            "certified_rate": report.certified_rate,
-            "expected": expected,
-            "rate_error": err,
-        },
-    )
+    return _rate_case(name, params, plan, t, [1.0, 0.0], expected, {"expected": expected})
 
 
 def _case_dr_scalar_rate(mu=2.0, omega=1.0, gamma=0.1) -> CaseReport:
@@ -538,23 +507,9 @@ def _case_dr_scalar_rate(mu=2.0, omega=1.0, gamma=0.1) -> CaseReport:
         + (1.0 + gamma * omega) * (1.0 - gamma * mu)
         / ((1.0 - gamma * omega) * (1.0 + gamma * mu))
     )
-    log = splitting.iterate(t, np.array([1.0, 1.0]))
-    report = splitting.rate_report(log, plan)
-    err = abs(report.empirical_rate - abs(factor))
-    return CaseReport(
-        name="dr-scalar-rate",
-        params={"mu": mu, "omega": omega, "gamma": gamma},
-        guard_rejected=False,
-        guard_message="",
-        empirical_failed=not report.satisfied,
-        agree=report.satisfied and err <= 1e-12,
-        details={
-            "scalar_factor": factor,
-            "empirical_rate": report.empirical_rate,
-            "certified_rate": report.certified_rate,
-            "rate_error": err,
-        },
-    )
+    params = {"mu": mu, "omega": omega, "gamma": gamma}
+    return _rate_case("dr-scalar-rate", params, plan, t, [1.0, 1.0], abs(factor),
+                      {"scalar_factor": factor})
 
 
 NAMED_CASES = {

@@ -92,7 +92,7 @@ def test_criterion_3_empirical_certification():
     worst = -math.inf
     for i in range(200):
         op, cert, params = random_certified_composition(kinds[i % 3], rng)
-        rep = check_membership(op, cert, pairs=10_000, tol=1e-9)
+        rep = check_membership(op, cert, pairs=10_000)
         worst = max(worst, rep.worst_violation)
         assert rep.passed, (kinds[i % 3], params, rep.worst_violation)
     elapsed = time.perf_counter() - t0
@@ -138,7 +138,7 @@ def test_criterion_5_dr_averagedness():
         t = build_dr(plan, a, b)
         alpha = (mu - omega) / (2.0 * (mu - omega - gamma * mu * omega))
         assert math.isclose(alpha, plan.averaged_alpha, rel_tol=1e-12)
-        rep = check_membership(t, INParams(1.0 - alpha, alpha), pairs=10_000, tol=1e-9)
+        rep = check_membership(t, INParams(1.0 - alpha, alpha), pairs=10_000)
         worst = max(worst, rep.worst_violation)
         assert rep.passed, (mu, omega, gamma, rep.worst_violation)
     _report(5, worst <= 1e-9, f"20 random DR instances, worst violation {worst:.2e}")

@@ -395,6 +395,22 @@ _BAD_OFFSET = {"kind": "affine", "matrix": [[2.0, 0.0], [0.0, 2.0]], "offset": [
     (["solve-dr"], _SI_A, _SI_B, {"lambda": False}, "lambda must be a real number"),
     (["solve-dr"], _SI_A, _SI_B, {"lambda": [0.5]}, "lambda must be a real number"),
     (["solve-dr"], _SI_A, _SI_B, {"lambda": None}, "lambda must be a real number"),
+    (["solve-dr"], {"kind": "scaled_identity", "c": "abc"}, _SI_B, {},
+     "c must be a real number, got 'abc'"),
+    (["solve-dr"], {"kind": "scaled_identity", "c": 2.0, "dim": "x"}, _SI_B, {},
+     "dim must be a positive integer, got 'x'"),
+    (["solve-fb"], {"kind": "affine", "matrix": [[2.0, "x"], [0.0, 2.0]]}, _SI_B, {},
+     "matrix must be an array of real numbers"),
+    (["solve-fb"], {"kind": "affine", "matrix": [[2.0, 0.0], [0.0, 2.0]], "offset": ["x", 0.0]},
+     _SI_B, {}, "offset must be an array of real numbers"),
+    (["solve-fb"], {"kind": "affine", "matrix": 2.0}, _SI_B, {}, "matrix must be square"),
+    (["solve-dr"], ["x"], _SI_B, {}, "an operator spec must be a JSON object"),
+    (["solve-dr"], _SI_A, _SI_B, {"mu": "2"}, "mu must be a real number, got '2'"),
+    (["solve-fb"], _SI_A, _SI_B, {"beta": "1"}, "beta must be a real number, got '1'"),
+    (["solve-dr"], _SI_A, _SI_B, {"omega": _NAN}, "omega must be finite"),
+    (["solve-dr"], _SI_A, _SI_B, {"x_star": ["x", 0.0]},
+     "x_star must be an array of real numbers"),
+    (["solve-fb"], _SI_A, _SI_B, {"x_star": [1.0, 2.0, 3.0]}, "x_star must have shape (2,)"),
     (["verify", "--suite", "random", "--count", "-3"], None, None, {},
      "--count must be at least 1"),
     (["verify", "--suite", "random", "--count", "0"], None, None, {},
@@ -405,8 +421,10 @@ _BAD_OFFSET = {"kind": "affine", "matrix": [[2.0, 0.0], [0.0, 2.0]], "offset": [
         "quadratic-asymmetric", "gamma-flag-nan",
         "gamma-flag-inf", "gamma-file-nan", "gamma-file-inf", "lambda-nan", "gamma-file-str",
         "gamma-file-bool", "gamma-file-list", "gamma-file-huge-int", "lambda-file-str",
-        "lambda-file-bool", "lambda-file-list", "lambda-file-null", "count-negative",
-        "count-zero"])
+        "lambda-file-bool", "lambda-file-list", "lambda-file-null", "scaled-identity-c-str",
+        "scaled-identity-dim-str", "affine-matrix-str", "affine-offset-str",
+        "affine-matrix-scalar", "spec-list", "mu-file-str", "beta-file-str", "omega-file-nan",
+        "x-star-str", "x-star-shape", "count-negative", "count-zero"])
 def test_non_finite_and_degenerate_input_is_usage(args, A, B, inst, message, tmp_path, capsys):
     from opsplit.cli import main
 
@@ -434,6 +452,7 @@ _DR_TEXT = json.dumps({"A": _SI_A, "B": _SI_B, "mu": 2.0, "omega": 1.0, "gamma":
                      not hasattr(sys, "get_int_max_str_digits"),
                      reason="no int/str conversion limit before Python 3.10.7")),
     (["solve-fb", "--instance"], b"\xff\xfe", "codec can't decode"),
+    (["solve-dr", "--instance"], "[" + _DR_TEXT + "]", "--instance must hold a JSON object"),
     (["compose", "--chain"], "[{\"delta\": 1.0, \"alpha\": 0.5},", "Expecting"),
     (["compose", "--chain"], '{"a": 1}', "--chain must hold a JSON list"),
     (["compose", "--chain"], "[1.0, 0.5]", "--chain must hold a JSON list"),
@@ -443,7 +462,8 @@ _DR_TEXT = json.dumps({"A": _SI_A, "B": _SI_B, "mu": 2.0, "omega": 1.0, "gamma":
      "chain[1].alpha must be a real number"),
     (["compose", "--chain"], '[{"delta": 1.0, "alpha": 0.5}, {"delta": 1e999, "alpha": 0.5}]',
      "chain[1].delta must be finite"),
-], ids=["instance-truncated", "instance-huge-int", "instance-not-utf8", "chain-truncated",
+], ids=["instance-truncated", "instance-huge-int", "instance-not-utf8", "instance-list",
+        "chain-truncated",
         "chain-object", "chain-numbers", "chain-delta-str", "chain-alpha-bool",
         "chain-delta-inf"])
 def test_bad_json_files_are_usage(args, text, message, tmp_path, capsys):
@@ -458,3 +478,21 @@ def test_bad_json_files_are_usage(args, text, message, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err, captured.err
+
+
+# --lambda belongs to solve-dr and --case to solve-fb; the other solver
+# rejects the flag instead of ignoring it.
+@pytest.mark.parametrize("args", [["solve-fb", "--lambda", "0.9"], ["solve-dr", "--case", "IIIb"]],
+                         ids=["fb-lambda", "dr-case"])
+def test_solve_rejects_the_other_solvers_flag(args, tmp_path, capsys):
+    from opsplit.cli import main
+
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"A": _SI_A, "B": _SI_B, "mu": 2.0, "omega": 1.0, "beta": 1.0,
+                                "case": "I", "gamma": 0.1}))
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--instance", str(path)])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: " + " ".join(args[1:]) in captured.err, captured.err

@@ -137,14 +137,14 @@ def test_resolvent_firm_nonexpansiveness(rng):
         ScaledIdentity(2.0, dim=2),
     ):
         j = spec.resolvent(0.8)
-        rep = check_membership(j, INParams(0.5, 0.5), pairs=10_000, tol=1e-9)
+        rep = check_membership(j, INParams(0.5, 0.5), pairs=10_000)
         assert rep.passed, rep.worst_violation
 
 
 def test_resolvent_certificates_hold(rng):
     spec = random_monotone_affine(-0.4, 2, rng)
     for op in (spec.resolvent(0.5), spec.reflected_resolvent(0.5)):
-        rep = check_membership(op, op.certificate, pairs=1000, tol=1e-9)
+        rep = check_membership(op, op.certificate, pairs=1000)
         assert rep.passed, (op, rep.worst_violation)
 
 

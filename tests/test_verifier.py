@@ -43,13 +43,6 @@ def test_identity_is_strictly_identity_class():
     assert rep.passed and rep.worst_violation <= 0.0
 
 
-def test_membership_accepts_class_labels():
-    from opsplit.calculus import ClassLabel
-
-    rep = check_membership(identity(2), ClassLabel.nonexpansive(), pairs=200)
-    assert rep.passed and rep.label == INParams(0.0, 1.0)
-
-
 def test_rotation_is_exactly_nonexpansive():
     rep = check_membership(build_rotation(1.3), INParams(0.0, 1.0), pairs=500)
     assert rep.passed
@@ -61,7 +54,7 @@ def test_composed_firmly_nonexpansive_pair(rng):
         build_in_operator(0.5, 0.5, random_orthogonal(rng)),
         build_in_operator(0.5, 0.5, random_orthogonal(rng)),
     )
-    rep = check_membership(r1, INParams(1.0 / 3.0, 2.0 / 3.0), pairs=10_000, tol=1e-9)
+    rep = check_membership(r1, INParams(1.0 / 3.0, 2.0 / 3.0), pairs=10_000)
     assert rep.passed
 
 
@@ -602,5 +595,5 @@ def test_guard_soundness_thousand_draws(rng):
     for i in range(1000):
         kind = ("averaged-averaged", "conic-conic", "scaled-averaged-cocoercive")[i % 3]
         op, cert, _ = random_certified_composition(kind, rng)
-        rep = check_membership(op, cert, pairs=1000, tol=1e-9)
+        rep = check_membership(op, cert, pairs=1000)
         assert rep.passed, (kind, cert, rep.worst_violation)
