@@ -230,6 +230,8 @@ def _array(name: str, value) -> np.ndarray | None:
 def _run_solve(args, method: str) -> int:
     if not math.isfinite(args.tol):
         raise DomainError(f"--tol must be finite, got {args.tol}")
+    if args.max_iter < 0:
+        raise DomainError(f"--max-iter must be >= 0, got {args.max_iter}")
     inst = _load_json(args.instance)
     if not isinstance(inst, dict):
         raise DomainError("--instance must hold a JSON object")
@@ -240,6 +242,8 @@ def _run_solve(args, method: str) -> int:
             _check_finite_real(name, inst[name])
     a_spec = spec_from_json(inst["A"])
     b_spec = spec_from_json(inst["B"])
+    if a_spec.dim != b_spec.dim:
+        raise DomainError(f"dimension mismatch: A has dim {a_spec.dim}, B has dim {b_spec.dim}")
     gamma = args.gamma if args.gamma is not None else inst.get("gamma")
     if gamma is None:
         raise DomainError("gamma required (flag or instance file)")

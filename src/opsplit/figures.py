@@ -13,10 +13,17 @@ first disk is closed-form and the raster is exact at pixel centers.
 
 The raster evaluates that test once per distinct ``|y|`` row (it depends on
 ``y`` only through norms) and scatters each row to the grid rows that share
-it.  Each pixel is first screened with ``sqrt(u*u + v*v)`` in place of
-``hypot``.  A pixel whose screened margin is no larger in magnitude than
-``1e-12`` times its scale, plus a floor for underflowing squares, goes to
-the exact closed-form test, so every pixel gets the value that test gives.
+it.  The distinct rows are cut into ``_TILE`` x ``_TILE`` pixel tiles, and
+the margin the test signs is evaluated once at each tile's centre.  The
+margin is Lipschitz and every pixel of a tile lies within the tile's
+half-diagonal of its centre, so a tile whose centre margin clears that
+distance times the Lipschitz constant, plus twice the screen's tolerance,
+takes the centre's sign at every pixel; only tiles near the region's
+boundary go on to the screen.  There each pixel is first screened with
+``sqrt(u*u + v*v)`` in place of ``hypot``.  A pixel whose screened margin is
+no larger in magnitude than ``1e-12`` times its scale, plus a floor for
+underflowing squares, goes to the exact closed-form test, so every pixel
+gets the value that test gives.
 """
 
 from __future__ import annotations
@@ -115,10 +122,10 @@ def region_membership(points: np.ndarray, p1: INParams, p2: INParams) -> np.ndar
     return _membership(pts[:, 0], pts[:, 1], p1, p2)
 
 
-# Rows per membership pass of a raster.  At resolution 2048 one float
-# temporary of a pass is 0.5 MiB, so a pass works in cache instead of
-# streaming full-grid temporaries through memory.
-_BLOCK_ROWS = 32
+# Pixels per side of a raster tile.  At resolution 2048 one float temporary
+# of a tile-row pass is at most 0.25 MiB, so a pass works in cache instead
+# of streaming full-grid temporaries through memory.
+_TILE = 16
 
 # Relative tolerance and underflow floor of the screen in _screened_rows.
 _SCREEN_REL = 1e-12
@@ -186,6 +193,87 @@ def _screened_rows(x: np.ndarray, y: np.ndarray, p1: INParams, p2: INParams) -> 
     return inside
 
 
+def _tile_sizes(n: int) -> np.ndarray:
+    """Lengths of the ``_TILE``-long runs that cut ``range(n)``; the last may
+    be shorter."""
+    return np.minimum(_TILE, n - np.arange(0, n, _TILE))
+
+
+def _signed_tiles(x: np.ndarray, y: np.ndarray, p1: INParams, p2: INParams):
+    """Sign whole tiles of the grid ``_screened_rows(x, y, p1, p2)`` at once.
+
+    ``x`` and ``y`` are sorted.  The grid is cut into tiles of ``_TILE`` rows
+    by ``_TILE`` columns, and ``(decided, inside)`` is returned, one entry per
+    tile: where ``decided`` holds, ``_membership`` is ``inside`` at every
+    pixel of the tile.
+
+    ``_membership`` signs a margin ``f`` of ``(u, v) = (x/a2, y/a2)``
+    (``(x, y)`` when ``a2 == 0``).  Correctly rounded division is monotone,
+    so the float ``(u, v)`` of every pixel of a tile lies in the rectangle
+    spanned by the float coordinates of the tile's end rows and columns.
+    ``f`` is evaluated at the float centre of that rectangle, and ``rad``,
+    its distance to the farthest corner, is inflated by a relative 1e-9 to
+    cover the rounding of the centre and of ``rad`` itself.  On the disk of
+    radius ``rad`` about the centre, ``f`` is ``L``-Lipschitz: each term of
+    the ``s != 0`` margin is a norm, so ``L = 1 + k`` (``L = 1`` when
+    ``a2 == 0``); the gradient of the ``s == 0`` margin
+    ``b1*nw + u*a1 - nw*nw/2`` is at most ``|a1| + b1 + nw`` in norm, so
+    ``L = |a1| + b1 + nw(centre) + rad``.  The ``scale`` of the margin (see
+    :func:`_screened_rows`) is a sum of terms with the same bounds, so it
+    grows by at most ``L*rad`` across the disk.  ``f`` at the centre is
+    within a few dozen ulps of ``scale(centre)`` of its exact value, and
+    ``_membership`` signs the exact margin of a pixel correctly unless it is
+    within a few dozen ulps of ``scale(pixel)`` of zero; where products
+    underflow, both errors grow by a few multiples of 2**-1074, far below
+    the screen's underflow floor.  So a tile whose centre margin exceeds
+    ``L*rad + 2e-12*(scale(centre) + L*rad)`` plus that floor in magnitude
+    has the centre's sign at every pixel.  NaN and inf margins, scales or
+    radii, from overflow, leave their tile undecided.
+    """
+    a1, b1 = p1.alpha, p1.beta
+    a2, b2 = p2.alpha, p2.beta
+    div = a2 if a2 != 0.0 else 1.0
+
+    def spans(t):
+        # Centres and half-widths of each run's float interval of t/div.
+        first = np.arange(0, len(t), _TILE)
+        last = first + _tile_sizes(len(t)) - 1
+        ends = t[first] / div, t[last] / div
+        lo, hi = np.minimum(*ends), np.maximum(*ends)
+        mid = 0.5 * (lo + hi)
+        return mid, np.maximum(hi - mid, mid - lo)
+
+    (u, hu), (v, hv) = spans(x), spans(y)
+    u, v = u[None, :], v[:, None]
+    rad = np.hypot(hu[None, :], hv[:, None]) * (1.0 + 1e-9)
+    nw = np.hypot(u, v)
+    if a2 == 0.0:
+        k = 0.0
+        r = b2 * (abs(a1) + b1)
+        f = nw - r
+        scale = nw + abs(r)
+        lip = 1.0
+        inside = f < 0.0
+    else:
+        k = b2 / abs(a2)
+        s = 1.0 - k * k
+        if s == 0.0:
+            half = 0.5 * nw * nw
+            f = b1 * nw + u * a1 - half
+            scale = b1 * nw + half + np.abs(u * a1)
+            lip = abs(a1) + b1 + nw + rad
+            inside = f > 0.0
+        else:
+            lhs = np.hypot(u - s * a1, v)
+            f = lhs - k * nw - s * b1
+            scale = lhs + k * nw + abs(s * b1)
+            lip = 1.0 + k
+            inside = f < 0.0 if s > 0.0 else f > 0.0
+    drift = lip * rad
+    bound = drift + 2.0 * _SCREEN_REL * (scale + drift) + _TINY * (1.0 + k + b1)
+    return np.abs(f) > bound, inside
+
+
 def composition_region_exact(
     p1: INParams,
     p2: INParams,
@@ -215,15 +303,20 @@ def composition_region_exact(
     # (p - (1-w)*e)/w; columns sample x and rows sample y.  _membership sees
     # y only through hypot(., y/a2), and (-y)/a2 is exactly -(y/a2), so rows
     # with equal |y| are equal: each distinct |y| row is evaluated once and
-    # scattered to every grid row that has it.
+    # scattered to every grid row that has it.  Tiles whose centre margin
+    # signs every pixel are filled whole; the rest go, a tile-row at a time,
+    # to the screen.
     xs = (ax - (1.0 - w)) / w
     ys, row_of = np.unique(np.abs(ax / w), return_inverse=True)
-    marked = np.empty((resolution + 1, resolution + 1), dtype=bool)
-    for r in range(0, len(ys), _BLOCK_ROWS):
-        rows = _screened_rows(xs, ys[r : r + _BLOCK_ROWS], p1, p2)
-        js = np.flatnonzero((row_of >= r) & (row_of < r + _BLOCK_ROWS))
-        marked[js] = rows[row_of[js] - r]
-    return Raster(marked, extent, resolution)
+    widths = _tile_sizes(len(xs))
+    with np.errstate(all="ignore"):
+        decided, inside = _signed_tiles(xs, ys, p1, p2)
+        distinct = np.repeat(np.repeat(inside, _tile_sizes(len(ys)), axis=0), widths, axis=1)
+        for t in np.flatnonzero(~decided.all(axis=1)):
+            rows = slice(t * _TILE, (t + 1) * _TILE)
+            cols = np.flatnonzero(np.repeat(~decided[t], widths))
+            distinct[rows, cols] = _screened_rows(xs[cols], ys[rows], p1, p2)
+    return Raster(distinct[row_of], extent, resolution)
 
 
 # ---------------------------------------------------------------------------

@@ -238,6 +238,17 @@ def test_solve_dr_in_range_converges(dr_instance):
     assert out["plan"]["averaged_alpha"] == pytest.approx(0.625)
 
 
+def test_solve_max_iter_zero_takes_no_step(dr_instance, capsys):
+    # a negative --max-iter is a usage error; 0 runs and stops at x0
+    from opsplit.cli import main
+
+    assert main(["solve-dr", "--instance", str(dr_instance), "--gamma", "0.1",
+                 "--max-iter", "0"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["iterations"] == 0 and result["final"] == [1.0, 0.0]
+    assert result["reason"] == "no convergence within 0 iterations"
+
+
 def test_verify_named_suite(tmp_path):
     report = tmp_path / "named.json"
     r = run_cli("verify", "--suite", "named", "--json", str(report))
@@ -411,6 +422,12 @@ _BAD_OFFSET = {"kind": "affine", "matrix": [[2.0, 0.0], [0.0, 2.0]], "offset": [
     (["solve-dr"], _SI_A, _SI_B, {"x_star": ["x", 0.0]},
      "x_star must be an array of real numbers"),
     (["solve-fb"], _SI_A, _SI_B, {"x_star": [1.0, 2.0, 3.0]}, "x_star must have shape (2,)"),
+    (["solve-dr"], _SI_A, dict(_SI_B, dim=3), {}, "dimension mismatch: A has dim 2, B has dim 3"),
+    (["solve-dr", "--force"], _SI_A, dict(_SI_B, dim=3), {}, "dimension mismatch"),
+    (["solve-fb"], dict(_SI_A, dim=3), _SI_B, {}, "dimension mismatch: A has dim 3, B has dim 2"),
+    (["solve-fb", "--force"], dict(_SI_A, dim=3), _SI_B, {}, "dimension mismatch"),
+    (["solve-dr", "--max-iter", "-5"], _SI_A, _SI_B, {}, "--max-iter must be >= 0, got -5"),
+    (["solve-fb", "--max-iter", "-1"], _SI_A, _SI_B, {}, "--max-iter must be >= 0, got -1"),
     (["verify", "--suite", "random", "--count", "-3"], None, None, {},
      "--count must be at least 1"),
     (["verify", "--suite", "random", "--count", "0"], None, None, {},
@@ -424,7 +441,9 @@ _BAD_OFFSET = {"kind": "affine", "matrix": [[2.0, 0.0], [0.0, 2.0]], "offset": [
         "lambda-file-bool", "lambda-file-list", "lambda-file-null", "scaled-identity-c-str",
         "scaled-identity-dim-str", "affine-matrix-str", "affine-offset-str",
         "affine-matrix-scalar", "spec-list", "mu-file-str", "beta-file-str", "omega-file-nan",
-        "x-star-str", "x-star-shape", "count-negative", "count-zero"])
+        "x-star-str", "x-star-shape", "dr-dim-mismatch", "dr-dim-mismatch-force",
+        "fb-dim-mismatch", "fb-dim-mismatch-force", "dr-max-iter-negative",
+        "fb-max-iter-negative", "count-negative", "count-zero"])
 def test_non_finite_and_degenerate_input_is_usage(args, A, B, inst, message, tmp_path, capsys):
     from opsplit.cli import main
 

@@ -427,3 +427,43 @@ def test_preset_grid_and_svg_match_reference_at_benchmark_resolutions(name, reso
     for got, ref in rasters:
         assert got.grid.dtype == ref.grid.dtype and np.array_equal(got.grid, ref.grid)
     assert text.encode() == emit_svg(ref_regions, ref_markers).encode()
+
+
+# ---------------------------------------------------------------------------
+# The tile pass: whole tiles signed from one Lipschitz-bounded centre margin.
+
+
+def _tile_inputs(p1, p2, resolution, w):
+    ax = composition_region_exact(p1, p2, resolution, relax_weight=w).axis()
+    return (ax - (1.0 - w)) / w, np.unique(np.abs(ax / w))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scaled_descriptor_pairs(), st.one_of(st.just(1.0), st.floats(1e-3, 1e3)),
+       st.sampled_from([257, 300]))
+def test_signed_tiles_agree_with_membership_at_every_pixel(pair, w, resolution):
+    p1, p2, _ = pair
+    xs, ys = _tile_inputs(p1, p2, resolution, w)
+    with np.errstate(all="ignore"):
+        decided, inside = figures._signed_tiles(xs, ys, p1, p2)
+        exact = figures._membership(xs[None, :], ys[:, None], p1, p2)
+    heights, widths = figures._tile_sizes(len(ys)), figures._tile_sizes(len(xs))
+    assert decided.shape == inside.shape == (len(heights), len(widths))
+    signed = np.repeat(np.repeat(decided, heights, axis=0), widths, axis=1)
+    sign = np.repeat(np.repeat(inside, heights, axis=0), widths, axis=1)
+    assert np.array_equal(exact[signed], sign[signed])
+
+
+def test_tiles_keep_most_pixels_from_the_screen(monkeypatch):
+    # The boundary of the region crosses O(n) of the n^2 pixels, so at the
+    # benchmark's top resolution most tiles are signed whole.
+    screened, pixels = figures._screened_rows, []
+
+    def counting(x, y, p1, p2):
+        pixels.append(len(x) * len(y))
+        return screened(x, y, p1, p2)
+
+    monkeypatch.setattr(figures, "_screened_rows", counting)
+    regions, _ = preset_figure("conic-conic-1.7-0.45", 2048)
+    ax = regions[0][0].axis()
+    assert 0 < sum(pixels) <= 0.25 * len(ax) * len(np.unique(np.abs(ax)))
