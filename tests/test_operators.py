@@ -458,11 +458,8 @@ def _spec(kind, n, rng):
 
 
 def _dense_leaf(spec, which, gamma, n):
-    """``(M, b, |M|, |b|)`` of a spec's forward map, resolvent or reflected
-    resolvent, computed with plain numpy from the spec's defining data.  The
-    last two bound the terms summed to form ``M`` and ``b``: a reflection
-    ``2K - I`` can cancel to far below ``2|K| + I``, and its rounding is
-    measured against the terms, not the result."""
+    """``(M, b)`` of a spec's forward map, resolvent or reflected resolvent,
+    computed with plain numpy from the spec's defining data."""
     eye = np.eye(n)
     if isinstance(spec, SubspaceNormalPlusScale):
         u, s, _ = np.linalg.svd(np.atleast_2d(spec.basis).T, full_matrices=False)
@@ -474,12 +471,12 @@ def _dense_leaf(spec, which, gamma, n):
         else:
             m, b = spec.matrix, spec.offset
         if which == "forward":
-            return m, b, np.abs(m), np.abs(b)
+            return m, b
         k = np.linalg.inv(eye + gamma * m)
         kb = -k @ (gamma * b)
     if which == "resolvent":
-        return k, kb, np.abs(k), np.abs(kb)
-    return 2.0 * k - eye, 2.0 * kb, 2.0 * np.abs(k) + eye, 2.0 * np.abs(kb)
+        return k, kb
+    return 2.0 * k - eye, 2.0 * kb
 
 
 def _leaf_op(spec, which, gamma):
@@ -524,8 +521,8 @@ def _build(tree, n, gamma, rng, fused):
         op = _leaf_op(spec, which, gamma)
         if not fused:
             op = Op(op.fn, op.dim, op.certificate)
-        m, b, am, ab = _dense_leaf(spec, which, gamma, n)
-        return op, lambda x, mag: (x @ m.T + b, mag @ am.T + ab)
+        m, b = _dense_leaf(spec, which, gamma, n)
+        return op, lambda x, mag: (x @ m.T + b, mag @ np.abs(m).T + np.abs(b))
     if tag == "compose":
         (o, ro), (i, ri) = (_build(t, n, gamma, rng, fused) for t in tree[1:])
         return compose(o, i), lambda x, mag: ro(*ri(x, mag))
