@@ -368,8 +368,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_figure(args) -> int:
-    regions, markers = figures.preset_figure(args.preset, args.resolution)
-    figures.emit_svg(regions, markers, args.out)
+    try:
+        regions, markers = figures.preset_figure(args.preset, args.resolution)
+        figures.emit_svg(regions, markers, args.out)
+    except MemoryError:
+        raise DomainError(f"--resolution {args.resolution} needs more memory than is "
+                          f"available") from None
     print(_dump({"config": {"preset": args.preset, "resolution": args.resolution,
                             "out": args.out}}))
     return EXIT_OK

@@ -14,16 +14,19 @@ first disk is closed-form and the raster is exact at pixel centers.
 The raster evaluates that test once per distinct ``|y|`` row (it depends on
 ``y`` only through norms) and scatters each row to the grid rows that share
 it.  The distinct rows are cut into ``_TILE`` x ``_TILE`` pixel tiles, and
-the margin the test signs is evaluated once at each tile's centre.  The
-margin is Lipschitz and every pixel of a tile lies within the tile's
-half-diagonal of its centre, so a tile whose centre margin clears that
-distance times the Lipschitz constant, plus twice the screen's tolerance,
-takes the centre's sign at every pixel; only tiles near the region's
-boundary go on to the screen.  There each pixel is first screened with
-``sqrt(u*u + v*v)`` in place of ``hypot``.  A pixel whose screened margin is
-no larger in magnitude than ``1e-12`` times its scale, plus a floor for
-underflowing squares, goes to the exact closed-form test, so every pixel
-gets the value that test gives.
+the margin the test signs is evaluated once at each tile's centre.  Every
+pixel of a tile lies within the tile's half-diagonal ``rad`` of its centre,
+and across that disk the margin moves by at most the smaller of ``L*rad``,
+with ``L`` its Lipschitz constant, and the second-order Taylor bound
+``|grad f(centre)|*rad + H*rad**2/2``, with ``H`` a bound on its Hessian
+there.  A tile whose centre margin clears that drift, plus twice the
+screen's tolerance, takes the centre's sign at every pixel; only tiles near
+the region's boundary go on to the screen.  There each pixel is first
+screened with ``sqrt(u*u + v*v)`` in place of ``hypot``.  A pixel whose
+screened margin is no larger in magnitude than ``1e-12`` times its scale,
+plus a floor for underflowing squares, goes to the exact closed-form test,
+so every pixel gets the value that test gives.  The tile pass and the
+screen form the margin with one helper, :func:`_margin`.
 """
 
 from __future__ import annotations
@@ -132,16 +135,56 @@ _SCREEN_REL = 1e-12
 _TINY = 2.0**-530
 
 
+def _margin(u, norm, p1, p2):
+    """The margin that :func:`_membership` signs, as ``(f, scale, inside, k)``.
+
+    ``u`` is ``x/a2`` (``x`` when ``a2 == 0``) and ``norm(t)`` returns a
+    fresh array of ``|(t, v)|`` over the pixels, with ``v`` the matching
+    ``y/a2`` (or ``y``); the arrays it returns are overwritten.  ``f`` is
+    ``nw - b2*(|a1| + b1)`` when ``a2 == 0``, ``b1*nw + u*a1 - nw*nw/2``
+    when ``s == 0`` and ``lhs - k*nw - s*b1`` otherwise, with ``nw = |(u, v)|``
+    and ``lhs = |(u - s*a1, v)|``; ``scale`` is the sum of the absolute
+    values of its terms, and ``inside`` is the sign of ``f`` that puts a
+    pixel in the region.
+    """
+    a1, b1 = p1.alpha, p1.beta
+    a2, b2 = p2.alpha, p2.beta
+    if a2 == 0.0:
+        r = b2 * (abs(a1) + b1)
+        nw = norm(u)
+        f = nw - r
+        return f, np.add(nw, abs(r), out=nw), f < 0.0, 0.0
+    k = b2 / abs(a2)
+    s = 1.0 - k * k
+    nw = norm(u)
+    if s == 0.0:
+        ua1 = u * a1
+        half = 0.5 * nw * nw
+        nw *= b1
+        f = nw + ua1
+        f -= half
+        scale = np.add(nw, half, out=nw)
+        scale += np.abs(ua1)
+        return f, scale, f > 0.0, k
+    lhs = norm(u - s * a1)
+    nw *= k
+    f = lhs - nw
+    f -= s * b1
+    scale = np.add(lhs, nw, out=lhs)
+    scale += abs(s * b1)
+    return f, scale, f < 0.0 if s > 0.0 else f > 0.0, k
+
+
 def _screened_rows(x: np.ndarray, y: np.ndarray, p1: INParams, p2: INParams) -> np.ndarray:
     """``_membership(x[None, :], y[:, None], p1, p2)`` for 1-D ``x`` and ``y``.
 
     A screen decides almost every pixel: each 2-D ``hypot`` of
-    :func:`_membership` becomes ``sqrt(u*u + v*v)``, and from those the
-    margin that ``_membership`` signs is formed, with ``scale``, the sum of
-    the absolute values of the margin's terms.  IEEE ``sqrt`` is correctly
-    rounded and ``hypot`` is within about 1 ulp, so away from underflow the
-    two norms differ by a few ulps and the two margins by a few dozen ulps of
-    ``scale`` at most, against ~4500 ulps in ``1e-12*scale``.  Where the two
+    :func:`_membership` becomes ``sqrt(u*u + v*v)``, and from those
+    :func:`_margin` forms the margin that ``_membership`` signs, with its
+    ``scale``.  IEEE ``sqrt`` is correctly rounded and ``hypot`` is within
+    about 1 ulp, so away from underflow the two norms differ by a few ulps
+    and the two margins by a few dozen ulps of ``scale`` at most, against
+    ~4500 ulps in ``1e-12*scale``.  Where the two
     squares underflow they lose up to 2**-1075 each, which moves a norm by
     up to sqrt(2**-1074) = 2**-537 and the margin by up to that times
     ``1 + k`` (``s != 0``) or ``1 + b1`` (``s == 0``); the floor
@@ -150,42 +193,18 @@ def _screened_rows(x: np.ndarray, y: np.ndarray, p1: INParams, p2: INParams) -> 
     pixel, NaN and inf margins from overflow included, is decided by
     ``_membership`` on its own coordinates.
     """
-    a1, b1 = p1.alpha, p1.beta
-    a2, b2 = p2.alpha, p2.beta
+    div = p2.alpha if p2.alpha != 0.0 else 1.0
+
+    def norm(t):
+        q = t * t + vv
+        return np.sqrt(q, out=q)
+
     with np.errstate(all="ignore"):
-        if a2 == 0.0:
-            k = 0.0
-            r = b2 * (abs(a1) + b1)
-            nw = np.sqrt(x * x + (y * y)[:, None])
-            f = nw - r
-            scale = np.add(nw, abs(r), out=nw)
-            inside = f < 0.0
-        else:
-            u, v = x / a2, y / a2
-            k = b2 / abs(a2)
-            s = 1.0 - k * k
-            vv = (v * v)[:, None]
-            nw = np.sqrt(u * u + vv)
-            if s == 0.0:
-                ua1 = u * a1
-                half = 0.5 * nw * nw
-                nw *= b1
-                f = nw + ua1
-                f -= half
-                scale = np.add(nw, half, out=nw)
-                scale += np.abs(ua1)
-                inside = f > 0.0
-            else:
-                du = u - s * a1
-                lhs = np.sqrt(du * du + vv)
-                nw *= k
-                f = lhs - nw
-                f -= s * b1
-                scale = np.add(lhs, nw, out=lhs)
-                scale += abs(s * b1)
-                inside = f < 0.0 if s > 0.0 else f > 0.0
+        u, v = x / div, y / div
+        vv = (v * v)[:, None]
+        f, scale, inside, k = _margin(u, norm, p1, p2)
         scale *= _SCREEN_REL
-        scale += _TINY * (1.0 + k + b1)
+        scale += _TINY * (1.0 + k + p1.beta)
         unsure = ~(np.abs(f, out=f) > scale)
     if unsure.any():
         j, i = np.nonzero(unsure)
@@ -207,31 +226,55 @@ def _signed_tiles(x: np.ndarray, y: np.ndarray, p1: INParams, p2: INParams):
     tile: where ``decided`` holds, ``_membership`` is ``inside`` at every
     pixel of the tile.
 
-    ``_membership`` signs a margin ``f`` of ``(u, v) = (x/a2, y/a2)``
-    (``(x, y)`` when ``a2 == 0``).  Correctly rounded division is monotone,
-    so the float ``(u, v)`` of every pixel of a tile lies in the rectangle
-    spanned by the float coordinates of the tile's end rows and columns.
-    ``f`` is evaluated at the float centre of that rectangle, and ``rad``,
-    its distance to the farthest corner, is inflated by a relative 1e-9 to
-    cover the rounding of the centre and of ``rad`` itself.  On the disk of
-    radius ``rad`` about the centre, ``f`` is ``L``-Lipschitz: each term of
-    the ``s != 0`` margin is a norm, so ``L = 1 + k`` (``L = 1`` when
-    ``a2 == 0``); the gradient of the ``s == 0`` margin
-    ``b1*nw + u*a1 - nw*nw/2`` is at most ``|a1| + b1 + nw`` in norm, so
-    ``L = |a1| + b1 + nw(centre) + rad``.  The ``scale`` of the margin (see
-    :func:`_screened_rows`) is a sum of terms with the same bounds, so it
-    grows by at most ``L*rad`` across the disk.  ``f`` at the centre is
-    within a few dozen ulps of ``scale(centre)`` of its exact value, and
-    ``_membership`` signs the exact margin of a pixel correctly unless it is
-    within a few dozen ulps of ``scale(pixel)`` of zero; where products
-    underflow, both errors grow by a few multiples of 2**-1074, far below
-    the screen's underflow floor.  So a tile whose centre margin exceeds
-    ``L*rad + 2e-12*(scale(centre) + L*rad)`` plus that floor in magnitude
-    has the centre's sign at every pixel.  NaN and inf margins, scales or
-    radii, from overflow, leave their tile undecided.
+    ``_membership`` signs the margin ``f`` of :func:`_margin`, a function of
+    ``w = (u, v) = (x/a2, y/a2)`` (``(x, y)`` when ``a2 == 0``) whose
+    constants ``k``, ``s*a1`` and ``s*b1`` are the floats both functions use.
+    Correctly rounded division is monotone, so the float ``w`` of every pixel
+    of a tile lies in the rectangle spanned by the float coordinates of the
+    tile's end rows and columns.  ``f`` is evaluated at the float centre
+    ``c`` of that rectangle, and ``rad``, its distance to the farthest
+    corner, is inflated by a relative 1e-9 to cover the rounding of the
+    centre and of ``rad`` itself.  Every pixel lies in the disk ``D`` of
+    radius ``rad`` about ``c``, and ``|f(p) - f(c)|`` is at most the drift
+    ``min(L*rad, |grad f(c)|*rad + H*rad**2/2)``:
+
+    * ``L`` bounds ``|grad f|`` on ``D``.  Each term of the ``s != 0``
+      margin is a norm, so ``L = 1 + k`` (``L = 1`` when ``a2 == 0``); the
+      gradient ``b1*w/|w| + (a1, 0) - w`` of the ``s == 0`` margin is at
+      most ``|a1| + b1 + nw`` in norm, so ``L = |a1| + b1 + nw(c) + rad``.
+    * The second bound is Taylor's theorem with the Lagrange remainder along
+      the segment from ``c`` to ``p``, where ``H`` bounds the norm of the
+      Hessian of ``f`` on ``D``.  The Hessian of ``|w - q|`` has norm
+      ``1/|w - q|``, so ``H = 1/(lhs - rad) + k/(nw - rad)`` for ``s != 0``
+      and ``H = 1 + b1/(nw - rad)`` for ``s == 0``, with ``lhs`` and ``nw``
+      taken at ``c``.  It is used only where ``lhs`` and ``nw`` (``nw``
+      alone when ``s == 0``) exceed ``2*rad``, so ``D`` stays clear of the
+      points where ``f`` is not smooth and each denominator is at least half
+      its norm.  When ``a2 == 0``, ``|grad f| = L`` everywhere and the
+      drift is ``L*rad``.
+
+    Rounding: the differences ``u - s*a1`` are correctly rounded, the norms
+    are within a few ulps, and each term of the computed gradient is at most
+    ``L`` in magnitude, so ``|grad f(c)|`` is off by a few ulps of ``L`` and
+    ``H`` (whose denominators are at least half their norms) by a few ulps
+    relative.  Inflating both by a relative 1e-9 and adding ``1e-12*L`` to
+    ``|grad f(c)|`` covers that.  ``np.fmin`` takes ``L*rad`` where the
+    second bound is NaN or inf, or where the guard fails.
+
+    The ``scale`` of the margin (see :func:`_screened_rows`) is a sum of
+    terms with the same Lipschitz bounds, so it grows by at most ``L*rad``
+    across ``D``.  ``f`` at the centre is within a few dozen ulps of
+    ``scale(c)`` of its exact value, and ``_membership`` signs the exact
+    margin of a pixel correctly unless it is within a few dozen ulps of
+    ``scale(pixel)`` of zero; where products underflow, both errors grow by
+    a few multiples of 2**-1074, far below the screen's underflow floor.  So
+    a tile whose centre margin exceeds ``drift + 2e-12*(scale(c) + L*rad)``
+    plus that floor in magnitude has the centre's sign at every pixel.  NaN
+    and inf margins, scales or radii, from overflow, leave their tile
+    undecided.
     """
     a1, b1 = p1.alpha, p1.beta
-    a2, b2 = p2.alpha, p2.beta
+    a2 = p2.alpha
     div = a2 if a2 != 0.0 else 1.0
 
     def spans(t):
@@ -246,31 +289,36 @@ def _signed_tiles(x: np.ndarray, y: np.ndarray, p1: INParams, p2: INParams):
     (u, hu), (v, hv) = spans(x), spans(y)
     u, v = u[None, :], v[:, None]
     rad = np.hypot(hu[None, :], hv[:, None]) * (1.0 + 1e-9)
-    nw = np.hypot(u, v)
+    centre = []
+
+    def norm(t):
+        # Keeps nw, then lhs, at the tile centres for the Taylor bound.
+        centre.append(np.hypot(t, v))
+        return centre[-1].copy()
+
+    f, scale, inside, k = _margin(u, norm, p1, p2)
     if a2 == 0.0:
-        k = 0.0
-        r = b2 * (abs(a1) + b1)
-        f = nw - r
-        scale = nw + abs(r)
         lip = 1.0
-        inside = f < 0.0
+        drift = rad
     else:
-        k = b2 / abs(a2)
         s = 1.0 - k * k
+        nw = centre[0]
         if s == 0.0:
-            half = 0.5 * nw * nw
-            f = b1 * nw + u * a1 - half
-            scale = b1 * nw + half + np.abs(u * a1)
             lip = abs(a1) + b1 + nw + rad
-            inside = f > 0.0
+            gx, gy = b1 * u / nw + a1 - u, (b1 / nw - 1.0) * v
+            curv = 1.0 + b1 / (nw - rad)
+            clear = nw > 2.0 * rad
         else:
-            lhs = np.hypot(u - s * a1, v)
-            f = lhs - k * nw - s * b1
-            scale = lhs + k * nw + abs(s * b1)
             lip = 1.0 + k
-            inside = f < 0.0 if s > 0.0 else f > 0.0
-    drift = lip * rad
-    bound = drift + 2.0 * _SCREEN_REL * (scale + drift) + _TINY * (1.0 + k + b1)
+            du = u - s * a1
+            lhs = centre[1]
+            gx, gy = du / lhs - k * u / nw, (1.0 / lhs - k / nw) * v
+            curv = 1.0 / (lhs - rad) + k / (nw - rad)
+            clear = (lhs > 2.0 * rad) & (nw > 2.0 * rad)
+        grad = np.hypot(gx, gy) * (1.0 + 1e-9) + 1e-12 * lip
+        taylor = grad * rad + 0.5 * (1.0 + 1e-9) * curv * rad * rad
+        drift = np.fmin(lip * rad, np.where(clear, taylor, np.inf))
+    bound = drift + 2.0 * _SCREEN_REL * (scale + lip * rad) + _TINY * (1.0 + k + b1)
     return np.abs(f) > bound, inside
 
 
@@ -483,6 +531,10 @@ def preset_figure(name: str, resolution: int = 512):
     raise DomainError(f"unknown preset {name!r}; known: {PRESET_NAMES}")
 
 
+# One rect run of a raster path; ``%.4f`` formats as ``_fmt`` does.
+_RUN = "M %.4f %.4f H %.4f V %.4f H %.4f Z"
+
+
 def _raster_path(raster: Raster, tx, ty, attr_text: str) -> str:
     """One path element: a rect run per maximal horizontal run of pixels."""
     half = raster.pixel / 2.0
@@ -491,10 +543,8 @@ def _raster_path(raster: Raster, tx, ty, attr_text: str) -> str:
     padded = np.pad(raster.grid.astype(bool, copy=False), ((0, 0), (1, 1)))
     rows, cols = np.divmod(np.flatnonzero(np.diff(padded, axis=1)), padded.shape[1] - 1)
     j, i0, i1 = rows[::2], cols[::2], cols[1::2] - 1
-    x0, x1 = tx(ax[i0] - half).tolist(), tx(ax[i1] + half).tolist()
-    y0, y1 = ty(ax[j] + half).tolist(), ty(ax[j] - half).tolist()
-    parts = [
-        f"M {_fmt(a)} {_fmt(b)} H {_fmt(c)} V {_fmt(d)} H {_fmt(a)} Z"
-        for a, b, c, d in zip(x0, y0, x1, y1)
-    ]
-    return f'<path d="{" ".join(parts)}" {attr_text}/>'
+    x0, x1 = tx(ax[i0] - half), tx(ax[i1] + half)
+    y0, y1 = ty(ax[j] + half), ty(ax[j] - half)
+    values = np.column_stack((x0, y0, x1, y1, x0)).ravel().tolist()
+    d = " ".join([_RUN] * len(j)) % tuple(values)
+    return f'<path d="{d}" {attr_text}/>'

@@ -388,7 +388,9 @@ def iterate(
     a few batched numpy calls and scans them for the first stopping step,
     where the log is cut.  So ``T`` may run up to ``_BLOCK - 1`` times past
     that step.  Blocks run under ``np.errstate(all="ignore")``, and an
-    exception ``T`` raises after the stopping step is dropped.
+    exception ``T`` raises after the stopping step is dropped.  The loop
+    calls ``T.fn`` on the vectors it returns, so the shape of each block's
+    iterates is checked once, when they are stacked.
     """
     x = np.asarray(x0, dtype=float)
     if x.shape != (T.dim,):
@@ -406,6 +408,7 @@ def iterate(
     norm_cap = divergence_factor * (1.0 + _norm(x))
     growth = 0
     last_step = math.inf
+    fn = T.fn
     k = 0
     while k < max_iter:
         pts = [x]
@@ -413,13 +416,18 @@ def iterate(
         with np.errstate(all="ignore"):
             try:
                 for _ in range(min(_BLOCK, max_iter - k)):
-                    x = T(x)
+                    x = fn(x)
                     pts.append(x)
             except Exception as exc:  # raised below unless an earlier step stops
                 failure = exc
             # Row i of P is x_{k+i}; norms[i] is ||x_{k+i}|| and steps[i-1]
             # is ||x_{k+i} - x_{k+i-1}||, both bit-equal to _norm of the row.
-            P = np.array(pts)
+            try:
+                P = np.array(pts)
+            except ValueError:  # iterates of different shapes
+                P = None
+            if P is None or P.shape != (len(pts), T.dim):
+                raise DomainError(f"T must map ({T.dim},) vectors to ({T.dim},) vectors")
             norms = _row_norms(P).tolist()
             steps = _row_norms(P[1:] - P[:-1]).tolist()
             errs = None if target is None else _row_norms(P[1:] - target).tolist()

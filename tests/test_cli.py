@@ -311,6 +311,25 @@ def test_figure_unknown_preset_is_usage():
     assert r.returncode == 1
 
 
+def test_figure_resolution_out_of_memory_is_usage(monkeypatch, capsys, tmp_path):
+    # numpy raises MemoryError when it cannot allocate a raster; the failed
+    # allocation is simulated, so nothing large is allocated.
+    from opsplit import cli, figures
+
+    def out_of_memory(name, resolution):
+        raise MemoryError(f"Unable to allocate a raster at resolution {resolution}")
+
+    monkeypatch.setattr(figures, "preset_figure", out_of_memory)
+    out = tmp_path / "x.svg"
+    argv = ["figure", "--preset", "fb-relaxed", "--resolution", "3000000000", "--out", str(out)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --resolution 3000000000 needs more memory than is "
+                            "available\n")
+    assert not out.exists()
+
+
 def test_affine_and_quadratic_instance_kinds(tmp_path):
     inst = tmp_path / "mixed.json"
     inst.write_text(

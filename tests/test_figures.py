@@ -1,8 +1,10 @@
 """Region rasters: exactness, containment, SVG determinism."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opsplit import figures
@@ -438,9 +440,15 @@ def _tile_inputs(p1, p2, resolution, w):
     return (ax - (1.0 - w)) / w, np.unique(np.abs(ax / w))
 
 
-@settings(max_examples=60, deadline=None)
-@given(_scaled_descriptor_pairs(), st.one_of(st.just(1.0), st.floats(1e-3, 1e3)),
-       st.sampled_from([257, 300]))
+# At resolution 65 a tile spans a quarter of the grid, so the curvature
+# term of the tile bound is large against the gradient term.  The two
+# explicit examples sign a pixel wrongly if that term is dropped, halved
+# (s == 0) or used without its 2*rad guard (s > 0).
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_descriptor_pairs(), _scaled_descriptor_pairs()),
+       st.one_of(st.just(1.0), st.floats(1e-3, 1e3)), st.sampled_from([65, 257, 300]))
+@example((INParams(1.6, 1.9), INParams(1.2, 1.2), "s==0"), 1.0, 65)
+@example((INParams(-0.5, 0.5), INParams(0.5, 0.4), "s>0"), 1.0, 65)
 def test_signed_tiles_agree_with_membership_at_every_pixel(pair, w, resolution):
     p1, p2, _ = pair
     xs, ys = _tile_inputs(p1, p2, resolution, w)
@@ -467,3 +475,42 @@ def test_tiles_keep_most_pixels_from_the_screen(monkeypatch):
     regions, _ = preset_figure("conic-conic-1.7-0.45", 2048)
     ax = regions[0][0].axis()
     assert 0 < sum(pixels) <= 0.25 * len(ax) * len(np.unique(np.abs(ax)))
+
+
+@pytest.mark.parametrize("resolution, share", [(512, 0.25), (2048, 0.05)])
+def test_curvature_keeps_the_conic_pair_from_the_screen(resolution, share, monkeypatch):
+    # The margin of conic-conic-1.7-0.45 has gradient 1 + k = 1.82 at most
+    # but near 1 - k = 0.18 along much of its boundary; the Taylor bound at
+    # each tile centre keeps the undecided band a few tiles wide.
+    screened, pixels = figures._screened_rows, []
+
+    def counting(x, y, p1, p2):
+        pixels.append(len(x) * len(y))
+        return screened(x, y, p1, p2)
+
+    monkeypatch.setattr(figures, "_screened_rows", counting)
+    regions, _ = preset_figure("conic-conic-1.7-0.45", resolution)
+    ax = regions[0][0].axis()
+    assert 0 < sum(pixels) <= share * len(ax) * len(np.unique(np.abs(ax)))
+
+
+# ---------------------------------------------------------------------------
+# Raster paths: every run formatted in one % call, byte-equal to the loop.
+
+
+@st.composite
+def _bool_rasters(draw):
+    m = draw(st.integers(65, 300))
+    density = draw(st.floats(0.0, 1.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    grid = np.random.default_rng(seed).random((m, m)) < density
+    return Raster(grid, 10.0 ** draw(st.floats(-300.0, 300.0)), m - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_bool_rasters())
+def test_raster_path_is_byte_equal_to_the_run_loop(raster):
+    regions = [(raster, {"fill": "#b8b8b8", "stroke": "none"})]
+    text = emit_svg(regions)
+    with mock.patch.object(figures, "_raster_path", _reference_raster_path):
+        assert text.encode() == emit_svg(regions).encode()

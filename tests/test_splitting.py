@@ -241,6 +241,14 @@ def test_build_fb_membership(rng):
 # iteration
 
 
+@pytest.mark.parametrize("step", [lambda x: np.append(x, 0.0), lambda x: x[None, :],
+                                  lambda x: float(x[0])])
+def test_iterate_rejects_a_map_that_changes_the_shape(step):
+    # iterate calls T.fn on T's own output and checks each block's shape once
+    with pytest.raises(DomainError, match=r"^T must map \(2,\) vectors to \(2,\) vectors$"):
+        iterate(Op(step, 2), np.array([1.0, 2.0]), max_iter=5)
+
+
 def test_iterate_identity_stops_immediately():
     from opsplit.operators import identity
 
