@@ -194,14 +194,14 @@ def _screened_rows(x: np.ndarray, y: np.ndarray, p1: INParams, p2: INParams) -> 
     ``_membership`` on its own coordinates.
     """
     div = p2.alpha if p2.alpha != 0.0 else 1.0
-
-    def norm(t):
-        q = t * t + vv
-        return np.sqrt(q, out=q)
-
     with np.errstate(all="ignore"):
         u, v = x / div, y / div
         vv = (v * v)[:, None]
+
+        def norm(t):
+            q = t * t + vv
+            return np.sqrt(q, out=q)
+
         f, scale, inside, k = _margin(u, norm, p1, p2)
         scale *= _SCREEN_REL
         scale += _TINY * (1.0 + k + p1.beta)

@@ -440,7 +440,7 @@ def _tile_inputs(p1, p2, resolution, w):
     return (ax - (1.0 - w)) / w, np.unique(np.abs(ax / w))
 
 
-# At resolution 65 a tile spans a quarter of the grid, so the curvature
+# At resolution 65 a tile spans a quarter of each axis, so the curvature
 # term of the tile bound is large against the gradient term.  The two
 # explicit examples sign a pixel wrongly if that term is dropped, halved
 # (s == 0) or used without its 2*rad guard (s > 0).
