@@ -12,16 +12,19 @@ first disk satisfies ``||p - a2*q|| <= b2*||q||``; for fixed ``p`` that set of
 first disk is closed-form and the raster is exact at pixel centers.
 
 The raster evaluates that test once per distinct ``|y|`` row (it depends on
-``y`` only through norms) and scatters each row to the grid rows that share
-it.  The distinct rows are cut into ``_TILE`` x ``_TILE`` pixel tiles, and
-the margin the test signs is evaluated once at each tile's centre.  Every
-pixel of a tile lies within the tile's half-diagonal ``rad`` of its centre,
+``y`` only through norms) and keeps only those rows, with the distinct row
+of each grid row; the SVG path is built from them too, and the full grid is
+built only when it is read.  The distinct rows are cut into ``_TILE`` x
+``_TILE`` pixel tiles, and the margin the test signs is evaluated once at
+each tile's centre.  Every pixel of a tile lies within the tile's
+half-diagonal ``rad`` of its centre,
 and across that disk the margin moves by at most the smaller of ``L*rad``,
 with ``L`` its Lipschitz constant, and the second-order Taylor bound
 ``|grad f(centre)|*rad + H*rad**2/2``, with ``H`` a bound on its Hessian
 there.  A tile whose centre margin clears that drift, plus twice the
 screen's tolerance, takes the centre's sign at every pixel; only tiles near
-the region's boundary go on to the screen.  There each pixel is first
+the region's boundary go on to the screen, all of them in one call as a
+stack of ``_TILE`` x ``_TILE`` blocks.  There each pixel is first
 screened with ``sqrt(u*u + v*v)`` in place of ``hypot``.  A pixel whose
 screened margin is no larger in magnitude than ``1e-12`` times its scale,
 plus a floor for underflowing squares, goes to the exact closed-form test,
@@ -32,7 +35,9 @@ screen form the margin with one helper, :func:`_margin`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,18 +69,26 @@ class Disk:
         return d <= self.radius * (1.0 + 1e-12)
 
 
-@dataclass
 class Raster:
     """Boolean grid of pixel-center samples over ``[-extent, extent]^2``.
 
     ``grid[j, i]`` samples the point ``(-extent + i*h, -extent + j*h)`` with
     ``h = 2*extent/resolution``; the grid has ``resolution + 1`` samples per
     axis so the boundary and the origin are sampled exactly.
+
+    The grid is stored as its distinct rows: ``grid[j]`` is
+    ``rows[row_of[j]]``.  ``Raster(grid, extent, resolution)`` stores every
+    row of ``grid`` (``row_of`` is the identity); :func:`composition_region_exact`
+    stores each distinct ``|y|`` row once.  ``grid`` is built on first use.
     """
 
-    grid: np.ndarray
-    extent: float
-    resolution: int
+    def __init__(self, grid: np.ndarray, extent: float, resolution: int):
+        self.rows, self.row_of = grid, np.arange(len(grid))
+        self.extent, self.resolution = extent, resolution
+
+    @cached_property
+    def grid(self) -> np.ndarray:
+        return self.rows[self.row_of]
 
     @property
     def pixel(self) -> float:
@@ -125,14 +138,17 @@ def region_membership(points: np.ndarray, p1: INParams, p2: INParams) -> np.ndar
     return _membership(pts[:, 0], pts[:, 1], p1, p2)
 
 
-# Pixels per side of a raster tile.  At resolution 2048 one float temporary
-# of a tile-row pass is at most 0.25 MiB, so a pass works in cache instead
-# of streaming full-grid temporaries through memory.
+# Pixels per side of a raster tile.  The tile pass signs whole tiles, and
+# the screen takes the rest as one stack of _TILE x _TILE blocks.
 _TILE = 16
 
-# Relative tolerance and underflow floor of the screen in _screened_rows.
+# Relative tolerance and underflow floor of the screen in _screened.
 _SCREEN_REL = 1e-12
 _TINY = 2.0**-530
+
+# The grid has (resolution + 1)**2 samples, and no array holds more than
+# sys.maxsize bytes.
+_MAX_RESOLUTION = math.isqrt(sys.maxsize) - 1
 
 
 def _margin(u, norm, p1, p2):
@@ -175,10 +191,11 @@ def _margin(u, norm, p1, p2):
     return f, scale, f < 0.0 if s > 0.0 else f > 0.0, k
 
 
-def _screened_rows(x: np.ndarray, y: np.ndarray, p1: INParams, p2: INParams) -> np.ndarray:
-    """``_membership(x[None, :], y[:, None], p1, p2)`` for 1-D ``x`` and ``y``.
+def _screened(x: np.ndarray, y: np.ndarray, p1: INParams, p2: INParams) -> np.ndarray:
+    """``_membership(x, y, p1, p2)`` for broadcastable ``x`` and ``y``.
 
-    A screen decides almost every pixel: each 2-D ``hypot`` of
+    ``y`` has length 1 on the last axis, so each ``v*v`` below is formed
+    once per row.  A screen decides almost every pixel: each 2-D ``hypot`` of
     :func:`_membership` becomes ``sqrt(u*u + v*v)``, and from those
     :func:`_margin` forms the margin that ``_membership`` signs, with its
     ``scale``.  IEEE ``sqrt`` is correctly rounded and ``hypot`` is within
@@ -196,7 +213,7 @@ def _screened_rows(x: np.ndarray, y: np.ndarray, p1: INParams, p2: INParams) -> 
     div = p2.alpha if p2.alpha != 0.0 else 1.0
     with np.errstate(all="ignore"):
         u, v = x / div, y / div
-        vv = (v * v)[:, None]
+        vv = v * v
 
         def norm(t):
             q = t * t + vv
@@ -207,8 +224,8 @@ def _screened_rows(x: np.ndarray, y: np.ndarray, p1: INParams, p2: INParams) -> 
         scale += _TINY * (1.0 + k + p1.beta)
         unsure = ~(np.abs(f, out=f) > scale)
     if unsure.any():
-        j, i = np.nonzero(unsure)
-        inside[j, i] = _membership(x[i], y[j], p1, p2)
+        inside[unsure] = _membership(np.broadcast_to(x, unsure.shape)[unsure],
+                                     np.broadcast_to(y, unsure.shape)[unsure], p1, p2)
     return inside
 
 
@@ -219,7 +236,7 @@ def _tile_sizes(n: int) -> np.ndarray:
 
 
 def _signed_tiles(x: np.ndarray, y: np.ndarray, p1: INParams, p2: INParams):
-    """Sign whole tiles of the grid ``_screened_rows(x, y, p1, p2)`` at once.
+    """Sign whole tiles of the grid ``_membership(x[None, :], y[:, None], p1, p2)``.
 
     ``x`` and ``y`` are sorted.  The grid is cut into tiles of ``_TILE`` rows
     by ``_TILE`` columns, and ``(decided, inside)`` is returned, one entry per
@@ -261,7 +278,7 @@ def _signed_tiles(x: np.ndarray, y: np.ndarray, p1: INParams, p2: INParams):
     ``|grad f(c)|`` covers that.  ``np.fmin`` takes ``L*rad`` where the
     second bound is NaN or inf, or where the guard fails.
 
-    The ``scale`` of the margin (see :func:`_screened_rows`) is a sum of
+    The ``scale`` of the margin (see :func:`_screened`) is a sum of
     terms with the same Lipschitz bounds, so it grows by at most ``L*rad``
     across ``D``.  ``f`` at the centre is within a few dozen ulps of
     ``scale(c)`` of its exact value, and ``_membership`` signs the exact
@@ -297,29 +314,35 @@ def _signed_tiles(x: np.ndarray, y: np.ndarray, p1: INParams, p2: INParams):
         return centre[-1].copy()
 
     f, scale, inside, k = _margin(u, norm, p1, p2)
+    s = 1.0 - k * k
+    nw = centre[0]
+    lip = abs(a1) + b1 + nw + rad if s == 0.0 else 1.0 + k
+    margin, drift = np.abs(f), lip * rad
+    rounding = 2.0 * _SCREEN_REL * (scale + drift)
+    floor = _TINY * (1.0 + k + b1)
+    decided = margin > drift + rounding + floor
     if a2 == 0.0:
-        lip = 1.0
-        drift = rad
+        return decided, inside
+    # The Taylor drift is no larger than L*rad, so it can only decide more
+    # tiles: it is formed at the tiles that L*rad leaves undecided.
+    j, i = np.nonzero(~decided)
+    u, v, nw, rad, drift = u[0, i], v[j, 0], nw[j, i], rad[j, i], drift[j, i]
+    if s == 0.0:
+        lip = lip[j, i]
+        gx, gy = b1 * u / nw + a1 - u, (b1 / nw - 1.0) * v
+        curv = 1.0 + b1 / (nw - rad)
+        clear = nw > 2.0 * rad
     else:
-        s = 1.0 - k * k
-        nw = centre[0]
-        if s == 0.0:
-            lip = abs(a1) + b1 + nw + rad
-            gx, gy = b1 * u / nw + a1 - u, (b1 / nw - 1.0) * v
-            curv = 1.0 + b1 / (nw - rad)
-            clear = nw > 2.0 * rad
-        else:
-            lip = 1.0 + k
-            du = u - s * a1
-            lhs = centre[1]
-            gx, gy = du / lhs - k * u / nw, (1.0 / lhs - k / nw) * v
-            curv = 1.0 / (lhs - rad) + k / (nw - rad)
-            clear = (lhs > 2.0 * rad) & (nw > 2.0 * rad)
-        grad = np.hypot(gx, gy) * (1.0 + 1e-9) + 1e-12 * lip
-        taylor = grad * rad + 0.5 * (1.0 + 1e-9) * curv * rad * rad
-        drift = np.fmin(lip * rad, np.where(clear, taylor, np.inf))
-    bound = drift + 2.0 * _SCREEN_REL * (scale + lip * rad) + _TINY * (1.0 + k + b1)
-    return np.abs(f) > bound, inside
+        du = u - s * a1
+        lhs = centre[1][j, i]
+        gx, gy = du / lhs - k * u / nw, (1.0 / lhs - k / nw) * v
+        curv = 1.0 / (lhs - rad) + k / (nw - rad)
+        clear = (lhs > 2.0 * rad) & (nw > 2.0 * rad)
+    grad = np.hypot(gx, gy) * (1.0 + 1e-9) + 1e-12 * lip
+    taylor = grad * rad + 0.5 * (1.0 + 1e-9) * curv * rad * rad
+    drift = np.fmin(drift, np.where(clear, taylor, np.inf))
+    decided[j, i] = margin[j, i] > drift + rounding[j, i] + floor
+    return decided, inside
 
 
 def composition_region_exact(
@@ -337,6 +360,8 @@ def composition_region_exact(
     """
     if resolution < 64:
         raise DomainError(f"resolution must be >= 64, got {resolution}")
+    if resolution > _MAX_RESOLUTION:
+        raise DomainError(f"resolution must be <= {_MAX_RESOLUTION}, got {resolution}")
     if not (relax_weight > 0.0 and math.isfinite(relax_weight)):
         raise DomainError(f"relax weight must be finite and > 0, got {relax_weight}")
     w = relax_weight
@@ -346,25 +371,32 @@ def composition_region_exact(
         extent = 1.0
     if not math.isfinite(2.0 * extent):
         raise DomainError(f"region extent overflows: relax weight {w}, base radius {base}")
-    ax = -extent + (2.0 * extent / resolution) * np.arange(resolution + 1)
+    # The n samples of the grid's axis, then _TILE more past its far end.
+    n = resolution + 1
+    ax = -extent + (2.0 * extent / resolution) * np.arange(n + _TILE)
     # Membership of the relaxed map at p is membership of the base map at
     # (p - (1-w)*e)/w; columns sample x and rows sample y.  _membership sees
     # y only through hypot(., y/a2), and (-y)/a2 is exactly -(y/a2), so rows
-    # with equal |y| are equal: each distinct |y| row is evaluated once and
-    # scattered to every grid row that has it.  Tiles whose centre margin
-    # signs every pixel are filled whole; the rest go, a tile-row at a time,
-    # to the screen.
+    # with equal |y| are equal: each distinct |y| row is evaluated once, and
+    # the raster keeps those rows and the distinct row of each grid row.
+    # Tiles whose centre margin signs every pixel are filled whole; the rest
+    # go to the screen in one call, as whole _TILE x _TILE blocks.  A block
+    # of a short edge tile is filled out with the points past the grid's far
+    # edge, so no pixel is screened twice, and the fill is cut off after.
     xs = (ax - (1.0 - w)) / w
-    ys, row_of = np.unique(np.abs(ax / w), return_inverse=True)
-    widths = _tile_sizes(len(xs))
+    ys, row_of = np.unique(np.abs(ax[:n] / w), return_inverse=True)
     with np.errstate(all="ignore"):
-        decided, inside = _signed_tiles(xs, ys, p1, p2)
-        distinct = np.repeat(np.repeat(inside, _tile_sizes(len(ys)), axis=0), widths, axis=1)
-        for t in np.flatnonzero(~decided.all(axis=1)):
-            rows = slice(t * _TILE, (t + 1) * _TILE)
-            cols = np.flatnonzero(np.repeat(~decided[t], widths))
-            distinct[rows, cols] = _screened_rows(xs[cols], ys[rows], p1, p2)
-    return Raster(distinct[row_of], extent, resolution)
+        decided, inside = _signed_tiles(xs[:n], ys, p1, p2)
+        nr, nc = decided.shape
+        xb = xs[:nc * _TILE].reshape(nc, _TILE)
+        yb = np.concatenate((ys, np.abs(ax[n:] / w)))[:nr * _TILE].reshape(nr, _TILE)
+        rows = np.repeat(np.repeat(inside, _TILE, axis=1), _TILE, axis=0)
+        tr, tc = np.nonzero(~decided)
+        rows.reshape(nr, _TILE, nc, _TILE)[tr, :, tc] = _screened(xb[tc, None], yb[tr, :, None],
+                                                                  p1, p2)
+    raster = Raster(rows[:len(ys), :n], extent, resolution)
+    raster.row_of = row_of
+    return raster
 
 
 # ---------------------------------------------------------------------------
@@ -536,15 +568,28 @@ _RUN = "M %.4f %.4f H %.4f V %.4f H %.4f Z"
 
 
 def _raster_path(raster: Raster, tx, ty, attr_text: str) -> str:
-    """One path element: a rect run per maximal horizontal run of pixels."""
+    """One path element: a rect run per maximal horizontal run of pixels,
+    grid row by grid row, left to right."""
     half = raster.pixel / 2.0
     ax = raster.axis()
-    # Rows are zero-padded at both ends, so their edges alternate start, end.
-    padded = np.pad(raster.grid.astype(bool, copy=False), ((0, 0), (1, 1)))
-    rows, cols = np.divmod(np.flatnonzero(np.diff(padded, axis=1)), padded.shape[1] - 1)
-    j, i0, i1 = rows[::2], cols[::2], cols[1::2] - 1
-    x0, x1 = tx(ax[i0] - half), tx(ax[i1] + half)
-    y0, y1 = ty(ax[j] + half), ty(ax[j] - half)
+    # Runs of the distinct rows: edges[r, c] marks a change between columns
+    # c - 1 and c of row r zero-padded at both ends, so a row's edges
+    # alternate start, end.
+    distinct = raster.rows.astype(bool, copy=False)
+    m, n = distinct.shape
+    edges = np.empty((m, n + 1), bool)
+    edges[:, 0], edges[:, n] = distinct[:, 0], distinct[:, -1]
+    np.not_equal(distinct[:, 1:], distinct[:, :-1], out=edges[:, 1:n])
+    rows, cols = np.divmod(np.flatnonzero(edges), n + 1)
+    rows, i0, i1 = rows[::2], cols[::2], cols[1::2] - 1
+    # Each grid row repeats the runs of its distinct row, in grid row order.
+    counts = np.bincount(rows, minlength=m)[raster.row_of]
+    starts = np.cumsum(counts) - counts
+    first = np.searchsorted(rows, raster.row_of)
+    j = np.repeat(np.arange(len(counts)), counts)
+    run = np.repeat(first - starts, counts) + np.arange(len(j))
+    x0, x1 = tx(ax[i0] - half)[run], tx(ax[i1] + half)[run]
+    y0, y1 = ty(ax + half)[j], ty(ax - half)[j]
     values = np.column_stack((x0, y0, x1, y1, x0)).ravel().tolist()
     d = " ".join([_RUN] * len(j)) % tuple(values)
     return f'<path d="{d}" {attr_text}/>'

@@ -330,6 +330,24 @@ def test_figure_resolution_out_of_memory_is_usage(monkeypatch, capsys, tmp_path)
     assert not out.exists()
 
 
+def test_figure_resolution_beyond_any_array_is_usage(capsys, tmp_path):
+    # (resolution + 1)**2 samples exceed sys.maxsize, so no array could hold
+    # the grid; the resolution is rejected before anything is allocated.
+    from opsplit.cli import main
+    from opsplit.figures import _MAX_RESOLUTION
+
+    out = tmp_path / "x.svg"
+    for resolution in (10**19, _MAX_RESOLUTION + 1):
+        argv = ["figure", "--preset", "fb-relaxed", "--resolution", str(resolution),
+                "--out", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: resolution must be <= {_MAX_RESOLUTION}, "
+                                f"got {resolution}\n")
+    assert not out.exists()
+
+
 def test_affine_and_quadratic_instance_kinds(tmp_path):
     inst = tmp_path / "mixed.json"
     inst.write_text(

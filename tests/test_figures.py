@@ -465,13 +465,13 @@ def test_signed_tiles_agree_with_membership_at_every_pixel(pair, w, resolution):
 def test_tiles_keep_most_pixels_from_the_screen(monkeypatch):
     # The boundary of the region crosses O(n) of the n^2 pixels, so at the
     # benchmark's top resolution most tiles are signed whole.
-    screened, pixels = figures._screened_rows, []
+    screened, pixels = figures._screened, []
 
     def counting(x, y, p1, p2):
-        pixels.append(len(x) * len(y))
+        pixels.append(np.broadcast(x, y).size)
         return screened(x, y, p1, p2)
 
-    monkeypatch.setattr(figures, "_screened_rows", counting)
+    monkeypatch.setattr(figures, "_screened", counting)
     regions, _ = preset_figure("conic-conic-1.7-0.45", 2048)
     ax = regions[0][0].axis()
     assert 0 < sum(pixels) <= 0.25 * len(ax) * len(np.unique(np.abs(ax)))
@@ -482,13 +482,13 @@ def test_curvature_keeps_the_conic_pair_from_the_screen(resolution, share, monke
     # The margin of conic-conic-1.7-0.45 has gradient 1 + k = 1.82 at most
     # but near 1 - k = 0.18 along much of its boundary; the Taylor bound at
     # each tile centre keeps the undecided band a few tiles wide.
-    screened, pixels = figures._screened_rows, []
+    screened, pixels = figures._screened, []
 
     def counting(x, y, p1, p2):
-        pixels.append(len(x) * len(y))
+        pixels.append(np.broadcast(x, y).size)
         return screened(x, y, p1, p2)
 
-    monkeypatch.setattr(figures, "_screened_rows", counting)
+    monkeypatch.setattr(figures, "_screened", counting)
     regions, _ = preset_figure("conic-conic-1.7-0.45", resolution)
     ax = regions[0][0].axis()
     assert 0 < sum(pixels) <= share * len(ax) * len(np.unique(np.abs(ax)))
@@ -500,17 +500,75 @@ def test_curvature_keeps_the_conic_pair_from_the_screen(resolution, share, monke
 
 @st.composite
 def _bool_rasters(draw):
+    """A raster of random rows: either a whole grid, or distinct rows with a
+    random, unsorted and repeating ``row_of``."""
     m = draw(st.integers(65, 300))
     density = draw(st.floats(0.0, 1.0))
-    seed = draw(st.integers(0, 2**32 - 1))
-    grid = np.random.default_rng(seed).random((m, m)) < density
-    return Raster(grid, 10.0 ** draw(st.floats(-300.0, 300.0)), m - 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    extent = 10.0 ** draw(st.floats(-300.0, 300.0))
+    if not draw(st.booleans()):
+        return Raster(rng.random((m, m)) < density, extent, m - 1)
+    rows = rng.random((draw(st.integers(1, m)), m)) < density
+    raster = Raster(rows, extent, m - 1)
+    raster.row_of = rng.integers(0, len(rows), m)
+    return raster
 
 
 @settings(max_examples=100, deadline=None)
 @given(_bool_rasters())
 def test_raster_path_is_byte_equal_to_the_run_loop(raster):
-    regions = [(raster, {"fill": "#b8b8b8", "stroke": "none"})]
-    text = emit_svg(regions)
+    grid = raster.rows[raster.row_of]
+    assert np.array_equal(raster.grid, grid)
+    style = {"fill": "#b8b8b8", "stroke": "none"}
+    text = emit_svg([(raster, style)])
+    # The reference loop reads the materialised grid of a whole-grid raster.
+    whole = Raster(grid, raster.extent, raster.resolution)
+    assert whole.rows is grid and np.array_equal(whole.row_of, np.arange(len(grid)))
     with mock.patch.object(figures, "_raster_path", _reference_raster_path):
-        assert text.encode() == emit_svg(regions).encode()
+        assert text.encode() == emit_svg([(whole, style)]).encode()
+
+
+# ---------------------------------------------------------------------------
+# The blocked screen: every undecided tile in one call, edge tiles filled out
+# with points past the grid, so each pixel is screened at most once.
+
+
+@pytest.mark.parametrize("resolution", [65, 300, 2048])
+@pytest.mark.parametrize("p1, p2, w", [
+    (INParams(0.5, 0.5), INParams(0.5, 0.5), 1.0),
+    (INParams(-0.7, 1.7), INParams(0.55, 0.45), 1.0),
+    (INParams(-0.95, 1.95), INParams(0.5, 0.5), 0.04),
+])
+def test_each_pixel_is_screened_once(p1, p2, w, resolution, monkeypatch):
+    screened, exact = figures._screened, figures._membership
+    at_screen, at_membership = [], []
+
+    def counting_screen(x, y, p1, p2):
+        at_screen.append(np.broadcast_arrays(x, y))
+        return screened(x, y, p1, p2)
+
+    def counting_membership(x, y, p1, p2):
+        at_membership.extend(zip(*(a.ravel().tolist() for a in np.broadcast_arrays(x, y))))
+        return exact(x, y, p1, p2)
+
+    monkeypatch.setattr(figures, "_screened", counting_screen)
+    monkeypatch.setattr(figures, "_membership", counting_membership)
+    r = composition_region_exact(p1, p2, resolution, relax_weight=w)
+    monkeypatch.undo()
+    assert np.array_equal(r.grid, _reference_region(p1, p2, resolution, w).grid)
+
+    xs, ys = _tile_inputs(p1, p2, resolution, w)
+    with np.errstate(all="ignore"):
+        decided, _ = figures._signed_tiles(xs, ys, p1, p2)
+    heights, widths = figures._tile_sizes(len(ys)), figures._tile_sizes(len(xs))
+    undecided = np.repeat(np.repeat(~decided, heights, axis=0), widths, axis=1)
+
+    assert len(at_screen) == 1
+    x, y = (a.ravel() for a in at_screen[0])
+    on_grid = (x <= xs[-1]) & (y <= ys[-1])
+    i, j = np.searchsorted(xs, x[on_grid]), np.searchsorted(ys, y[on_grid])
+    assert np.array_equal(xs[i], x[on_grid]) and np.array_equal(ys[j], y[on_grid])
+    times = np.zeros(undecided.shape, int)
+    np.add.at(times, (j, i), 1)
+    assert np.array_equal(times, undecided)
+    assert len(set(at_membership)) == len(at_membership)
