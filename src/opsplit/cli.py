@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
@@ -257,76 +256,29 @@ def _run_solve(args, method: str) -> int:
         "tol": args.tol,
         "force": args.force,
     }
+    # A bad case, order, --x0 or x_star exits 1 before any plan, also under --force.
     if method == "DR":
         lam = args.lambda_relax if args.lambda_relax is not None else inst.get("lambda", 0.5)
         _check_finite_real("lambda", lam)
-        config["lambda"] = lam
-        config["order"] = inst.get("order", "A_strong")
+        config.update({"lambda": lam, "order": inst.get("order", "A_strong")})
+        if config["order"] not in splitting.DR_ORDERS:
+            raise DomainError(f"unknown order {config['order']!r}")
     else:
         config["case"] = args.case or inst.get("case", "I")
-
-    try:
-        if method == "DR":
-            plan = splitting.plan_dr(inst["mu"], inst["omega"], gamma, lam, config["order"])
-            t = splitting.build_dr(plan, a_spec, b_spec)
-        else:
-            plan = splitting.plan_fb(
-                config["case"],
-                mu=inst["mu"],
-                omega=inst.get("omega", 0.0),
-                beta=inst.get("beta"),
-                beta_bar=inst.get("beta_bar"),
-                gamma=gamma,
-            )
-            t = splitting.build_fb(plan, a_spec, b_spec)
-    except (StepSizeError, DomainError) as exc:
-        if not args.force:
-            interval = getattr(exc, "interval", None)
-            msg = {"config": config, "error": str(exc)}
-            if interval is not None:
-                msg["valid_interval"] = str(interval)
-            print(_dump(msg))
-            return EXIT_GUARD
-        plan = None
-        if method == "DR":
-            t = splitting.dr_operator(a_spec, b_spec, gamma, lam)
-        else:
-            t = splitting.fb_operator(a_spec, b_spec, gamma)
-
-    x0 = _parse_x0(args.x0, t.dim)
+        if config["case"] not in splitting.FB_CASES:
+            raise DomainError(f"unknown forward-backward case {config['case']!r}")
+    x0 = _parse_x0(args.x0, a_spec.dim)
     x_star = _array("x_star", inst.get("x_star"))
-    if x_star is not None and x_star.shape != (t.dim,):
-        raise DomainError(f"x_star must have shape ({t.dim},), got {x_star.shape}")
-    log = splitting.iterate(
-        t,
-        x0,
-        max_iter=args.max_iter,
-        tol_fix=args.tol,
-        x_star=x_star,
-        track_shadow=(method == "DR"),
-        A=a_spec if method == "DR" else None,
-        B=b_spec if method == "DR" else None,
-        gamma=gamma if method == "DR" else None,
-    )
-    rate = None
-    if plan is not None and len(log.step_norms) >= 10 and (log.converged or log.diverged
-                                                           or x_star is not None):
-        rate = asdict(splitting.rate_report(log, plan))
-    summary = {
-        "config": config,
-        "plan": plan.to_json() if plan is not None else None,
-        "result": {
-            "iterations": log.n_iter,
-            "converged": log.converged,
-            "diverged": log.diverged,
-            "reason": log.reason,
-            "final": [float(v) for v in log.final],
-        },
-        "rate": rate,
-    }
+    if x_star is not None and x_star.shape != (a_spec.dim,):
+        raise DomainError(f"x_star must have shape ({a_spec.dim},), got {x_star.shape}")
+
+    summary, log = splitting.solve(a_spec, b_spec, config, x0, x_star)
+    text = _dump(summary)
+    if log is None:
+        print(text)
+        return EXIT_GUARD
     if args.log:
         splitting.write_csv(log, args.log)
-    text = _dump(summary)
     if args.summary:
         with open(args.summary, "w") as fh:
             fh.write(text + "\n")

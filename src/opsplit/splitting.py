@@ -5,7 +5,8 @@ interval and derive the constants (averagedness, contraction factor, inner
 conic parameter); ``build_dr`` / ``build_fb`` assemble the operator from
 monotone specifications and attach the plan's certificate.  ``iterate`` runs
 the fixed-point iteration with shadow tracking and divergence heuristics, and
-``rate_report`` compares the measured linear rate against the certified one.
+``rate_report`` compares the measured linear rate against the certified one;
+``solve`` runs all of these for the ``solve-*`` commands.
 
 The raw constructors ``dr_operator`` / ``fb_operator`` skip plan validation;
 they exist for divergence demonstrations outside the certified range.
@@ -16,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -38,10 +40,12 @@ __all__ = [
     "iterate",
     "RateReport",
     "rate_report",
+    "solve",
     "write_csv",
 ]
 
 FB_CASES = ("I", "Ib", "II", "IIb", "III", "IIIb")
+DR_ORDERS = ("A_strong", "B_strong")
 
 
 @dataclass(frozen=True)
@@ -112,7 +116,7 @@ def plan_dr(
     _require(omega >= 0.0, f"requires omega >= 0, got {omega}")
     _require(mu > omega, f"requires mu > omega, got mu={mu}, omega={omega}")
     _require(0.0 < lambda_relax < 1.0, f"relaxation must lie in ]0,1[, got {lambda_relax}")
-    _require(order in ("A_strong", "B_strong"), f"unknown order {order!r}")
+    _require(order in DR_ORDERS, f"unknown order {order!r}")
     hi = None if omega == 0.0 else (1.0 - lambda_relax) * (mu - omega) / (mu * omega)
     rng = GammaRange(0.0, hi)
     if not rng.contains(gamma):
@@ -509,6 +513,50 @@ def rate_report(log: IterLog, plan: SplitPlan) -> RateReport:
     m = len(s) // 2
     empirical = (s[-1] / s[m]) ** (1.0 / (len(s) - 1 - m)) if len(s) - 1 > m else s[-1] / s[m - 1]
     return RateReport(empirical, certified, empirical <= certified + 1e-8, "")
+
+
+def solve(A: MonotoneSpec, B: MonotoneSpec, config: dict, x0,
+          x_star) -> tuple[dict, IterLog | None]:
+    """Plan, build, iterate and rate one run; return ``(summary, log)``.
+
+    ``config`` is the resolved configuration the summary embeds: ``method``,
+    ``instance`` (with the plan's moduli), ``gamma``, ``max_iter``, ``tol``,
+    ``force``, and ``lambda``/``order`` (DR) or ``case`` (FB).  A rejected plan
+    returns ``({config, error[, valid_interval]}, None)``; under ``force`` the
+    unplanned operator runs, and ``plan`` and ``rate`` are ``None``.
+    """
+    inst, gamma = config["instance"], config["gamma"]
+    if config["method"] == "DR":
+        planned = partial(plan_dr, inst["mu"], inst["omega"], gamma, config["lambda"],
+                          config["order"])
+        build, unplanned = build_dr, partial(dr_operator, A, B, gamma, config["lambda"])
+        shadow = {"track_shadow": True, "A": A, "B": B, "gamma": gamma}
+    else:
+        planned = partial(plan_fb, config["case"], mu=inst["mu"], omega=inst.get("omega", 0.0),
+                          beta=inst.get("beta"), beta_bar=inst.get("beta_bar"), gamma=gamma)
+        build, unplanned, shadow = build_fb, partial(fb_operator, A, B, gamma), {}
+    try:
+        plan = planned()
+        t = build(plan, A, B)
+    except (StepSizeError, DomainError) as exc:
+        if not config["force"]:
+            record = {"config": config, "error": str(exc)}
+            if getattr(exc, "interval", None) is not None:
+                record["valid_interval"] = str(exc.interval)
+            return record, None
+        plan, t = None, unplanned()
+    log = iterate(t, x0, max_iter=config["max_iter"], tol_fix=config["tol"], x_star=x_star,
+                  **shadow)
+    rated = plan is not None and len(log.step_norms) >= 10 and (
+        log.converged or log.diverged or x_star is not None)
+    return {
+        "config": config,
+        "plan": None if plan is None else plan.to_json(),
+        "result": {"iterations": log.n_iter, "converged": log.converged,
+                   "diverged": log.diverged, "reason": log.reason,
+                   "final": [float(v) for v in log.final]},
+        "rate": asdict(rate_report(log, plan)) if rated else None,
+    }, log
 
 
 # Rows per write of ``write_csv``: one string for the whole log would add

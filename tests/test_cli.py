@@ -465,6 +465,16 @@ _BAD_OFFSET = {"kind": "affine", "matrix": [[2.0, 0.0], [0.0, 2.0]], "offset": [
     (["solve-fb", "--force"], dict(_SI_A, dim=3), _SI_B, {}, "dimension mismatch"),
     (["solve-dr", "--max-iter", "-5"], _SI_A, _SI_B, {}, "--max-iter must be >= 0, got -5"),
     (["solve-fb", "--max-iter", "-1"], _SI_A, _SI_B, {}, "--max-iter must be >= 0, got -1"),
+    (["solve-fb"], _SI_A, _SI_B, {"case": "V"}, "unknown forward-backward case 'V'"),
+    (["solve-fb", "--force"], _SI_A, _SI_B, {"case": "V"}, "unknown forward-backward case 'V'"),
+    (["solve-dr"], _SI_A, _SI_B, {"order": "sideways"}, "unknown order 'sideways'"),
+    (["solve-dr", "--force"], _SI_A, _SI_B, {"order": "sideways"}, "unknown order 'sideways'"),
+    # gamma = 0.6 lies outside the DR interval ]0, 0.25[, so these inputs
+    # would reach a rejected plan if they were not checked first
+    (["solve-dr", "--x0", "1,2,3"], _SI_A, _SI_B, {"gamma": 0.6},
+     "--x0 must have 2 components, got 3"),
+    (["solve-dr"], _SI_A, _SI_B, {"gamma": 0.6, "x_star": [0.0, 0.0, 0.0]},
+     "x_star must have shape (2,)"),
     (["verify", "--suite", "random", "--count", "-3"], None, None, {},
      "--count must be at least 1"),
     (["verify", "--suite", "random", "--count", "0"], None, None, {},
@@ -480,7 +490,9 @@ _BAD_OFFSET = {"kind": "affine", "matrix": [[2.0, 0.0], [0.0, 2.0]], "offset": [
         "affine-matrix-scalar", "spec-list", "mu-file-str", "beta-file-str", "omega-file-nan",
         "x-star-str", "x-star-shape", "dr-dim-mismatch", "dr-dim-mismatch-force",
         "fb-dim-mismatch", "fb-dim-mismatch-force", "dr-max-iter-negative",
-        "fb-max-iter-negative", "count-negative", "count-zero"])
+        "fb-max-iter-negative", "fb-case-unknown", "fb-case-unknown-force",
+        "dr-order-unknown", "dr-order-unknown-force", "x0-arity-before-plan",
+        "x-star-shape-before-plan", "count-negative", "count-zero"])
 def test_non_finite_and_degenerate_input_is_usage(args, A, B, inst, message, tmp_path, capsys):
     from opsplit.cli import main
 

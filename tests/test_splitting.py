@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from opsplit.splitting import (
     plan_dr,
     plan_fb,
     rate_report,
+    solve,
     write_csv,
 )
 from opsplit.verifier import check_membership
@@ -679,6 +681,82 @@ def test_rate_report_dr_averaged(rng):
     log = iterate(t, rng.standard_normal(2))
     rep = rate_report(log, plan)
     assert rep.satisfied and rep.empirical_rate <= 1.0 + 1e-8
+
+
+# ---------------------------------------------------------------------------
+# solve: the pipeline the solve-* commands run
+
+
+def _solve_config(method, gamma, force=False, max_iter=10_000, **fields):
+    """The resolved configuration ``cli`` builds for ``_solve_specs``: the
+    scaling demo for DR, ``2*Id`` forward against ``-Id`` for FB."""
+    a = ({"kind": "subspace_normal", "basis": [[1.0, 0.0]], "mu": 2.0} if method == "DR"
+         else {"kind": "scaled_identity", "c": 2.0, "dim": 2})
+    inst = {"A": a, "B": {"kind": "scaled_identity", "c": -1.0, "dim": 2},
+            "mu": 2.0, "omega": 1.0, "beta": 1.0, **fields}
+    config = {"instance": inst, "method": method, "gamma": gamma, "x0": "0,1",
+              "max_iter": max_iter, "tol": 1e-10, "force": force}
+    config.update({"lambda": 0.5, "order": "A_strong"} if method == "DR" else {"case": "I"})
+    return config
+
+
+def _solve_specs(config):
+    from opsplit.cli import spec_from_json
+
+    return spec_from_json(config["instance"]["A"]), spec_from_json(config["instance"]["B"])
+
+
+def test_solve_rejected_plan_returns_the_record_and_no_log():
+    config = _solve_config("DR", 0.6)
+    record, log = solve(*_solve_specs(config), config, np.array([0.0, 1.0]), None)
+    assert log is None
+    assert record == {"config": config, "valid_interval": "]0.0, 0.25[",
+                      "error": "step size 0.6 outside certified interval ]0.0, 0.25["}
+    # a rejection without a step-size interval (case I needs mu >= omega)
+    config = _solve_config("FB", 0.2, mu=0.5)
+    record, log = solve(*_solve_specs(config), config, np.array([0.0, 1.0]), None)
+    assert log is None and sorted(record) == ["config", "error"]
+
+
+@pytest.mark.parametrize("method,gamma", [("DR", 0.6), ("FB", 0.6)])
+def test_solve_forced_run_has_no_plan_and_no_rate(method, gamma):
+    config = _solve_config(method, gamma, force=True, max_iter=300)
+    summary, log = solve(*_solve_specs(config), config, np.array([0.0, 1.0]), np.zeros(2))
+    assert summary["config"] is config
+    assert summary["plan"] is None and summary["rate"] is None
+    assert summary["result"]["iterations"] == log.n_iter > 10
+    assert summary["result"]["final"] == log.final.tolist()
+
+
+def test_solve_rates_a_cut_off_run_from_its_known_fixed_point():
+    # Stopped by max_iter before it converges, so only x_star (which gives
+    # the log its err_norms) lets the run be rated.
+    config = _solve_config("DR", 0.1, max_iter=12)
+    a, b = _solve_specs(config)
+    x0 = np.array([1.0, 2.0])
+    summary, log = solve(a, b, config, x0, np.zeros(2))
+    assert not (log.converged or log.diverged) and log.n_iter == 12
+    assert len(log.err_norms) == len(log.shadow_gaps) == 13
+    assert summary["rate"] == asdict(rate_report(log, plan_dr(2.0, 1.0, 0.1)))
+    assert summary["plan"] == plan_dr(2.0, 1.0, 0.1).to_json()
+    unrated, log = solve(a, b, config, x0, None)
+    assert log.err_norms is None and unrated["rate"] is None
+
+
+@pytest.mark.parametrize("method,gamma,force,code", [
+    ("DR", 0.1, False, 0), ("FB", 0.2, False, 0), ("DR", 0.6, True, 0), ("DR", 0.6, False, 2),
+])
+def test_solve_summary_is_the_cli_stdout(method, gamma, force, code, tmp_path, capsys):
+    from opsplit.cli import _dump, main
+
+    config = _solve_config(method, gamma, force=force, max_iter=300)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(config["instance"]))
+    args = [f"solve-{method.lower()}", "--instance", str(path), "--gamma", repr(gamma),
+            "--x0", "0,1", "--max-iter", "300"] + ["--force"] * force
+    assert main(args) == code
+    summary, _ = solve(*_solve_specs(config), config, np.array([0.0, 1.0]), None)
+    assert capsys.readouterr().out == _dump(summary) + "\n"
 
 
 def _tight_fb_specs(kind_a, kind_b, d, mu, omega, beta, s, rng):
