@@ -256,17 +256,13 @@ def _run_solve(args, method: str) -> int:
         "tol": args.tol,
         "force": args.force,
     }
-    # A bad case, order, --x0 or x_star exits 1 before any plan, also under --force.
     if method == "DR":
         lam = args.lambda_relax if args.lambda_relax is not None else inst.get("lambda", 0.5)
         _check_finite_real("lambda", lam)
         config.update({"lambda": lam, "order": inst.get("order", "A_strong")})
-        if config["order"] not in splitting.DR_ORDERS:
-            raise DomainError(f"unknown order {config['order']!r}")
     else:
         config["case"] = args.case or inst.get("case", "I")
-        if config["case"] not in splitting.FB_CASES:
-            raise DomainError(f"unknown forward-backward case {config['case']!r}")
+    # A bad --x0 or x_star (or case or order, in solve) exits 1 before any plan.
     x0 = _parse_x0(args.x0, a_spec.dim)
     x_star = _array("x_star", inst.get("x_star"))
     if x_star is not None and x_star.shape != (a_spec.dim,):

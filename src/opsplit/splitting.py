@@ -523,15 +523,18 @@ def solve(A: MonotoneSpec, B: MonotoneSpec, config: dict, x0,
     ``instance`` (with the plan's moduli), ``gamma``, ``max_iter``, ``tol``,
     ``force``, and ``lambda``/``order`` (DR) or ``case`` (FB).  A rejected plan
     returns ``({config, error[, valid_interval]}, None)``; under ``force`` the
-    unplanned operator runs, and ``plan`` and ``rate`` are ``None``.
+    unplanned operator runs, and ``plan`` and ``rate`` are ``None``.  An unknown
+    ``order`` or ``case`` raises :class:`DomainError` before any plan.
     """
     inst, gamma = config["instance"], config["gamma"]
     if config["method"] == "DR":
+        _require(config["order"] in DR_ORDERS, f"unknown order {config['order']!r}")
         planned = partial(plan_dr, inst["mu"], inst["omega"], gamma, config["lambda"],
                           config["order"])
         build, unplanned = build_dr, partial(dr_operator, A, B, gamma, config["lambda"])
         shadow = {"track_shadow": True, "A": A, "B": B, "gamma": gamma}
     else:
+        _require(config["case"] in FB_CASES, f"unknown forward-backward case {config['case']!r}")
         planned = partial(plan_fb, config["case"], mu=inst["mu"], omega=inst.get("omega", 0.0),
                           beta=inst.get("beta"), beta_bar=inst.get("beta_bar"), gamma=gamma)
         build, unplanned, shadow = build_fb, partial(fb_operator, A, B, gamma), {}

@@ -718,6 +718,19 @@ def test_solve_rejected_plan_returns_the_record_and_no_log():
     assert log is None and sorted(record) == ["config", "error"]
 
 
+@pytest.mark.parametrize("force", [False, True])
+@pytest.mark.parametrize("method,field,message", [
+    ("DR", {"order": "sideways"}, "unknown order 'sideways'"),
+    ("FB", {"case": "V"}, "unknown forward-backward case 'V'"),
+])
+def test_solve_rejects_an_unknown_order_or_case_before_planning(method, field, message, force):
+    # gamma = 0.6 is outside both intervals: the check must come before the
+    # plan's rejection record and before the unplanned operator under force
+    config = {**_solve_config(method, 0.6, force=force), **field}
+    with pytest.raises(DomainError, match=message):
+        solve(*_solve_specs(config), config, np.array([0.0, 1.0]), None)
+
+
 @pytest.mark.parametrize("method,gamma", [("DR", 0.6), ("FB", 0.6)])
 def test_solve_forced_run_has_no_plan_and_no_rate(method, gamma):
     config = _solve_config(method, gamma, force=True, max_iter=300)
