@@ -488,11 +488,11 @@ def certify(inner: Descriptor, outer: Descriptor) -> tuple[Descriptor, str]:
     if isinstance(inner, ScaledConic) and isinstance(outer, ScaledConic):
         try:
             return compose_conic(inner, outer), "conic"
-        except (GuardError, DomainError):
+        except DomainError:
             pass
     try:
         return compose_general(p1, p2), "two-factor-bound"
-    except (GuardError, DomainError):
+    except DomainError:
         pass
     return compose_kappa_theta(p1, p2), "scale-normalized-bound"
 

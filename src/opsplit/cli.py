@@ -142,7 +142,7 @@ def cmd_compose(args) -> int:
     config = {"class1": args.class1, "class2": args.class2}
     try:
         result, theorem = certify(p1, p2)
-    except (GuardError, DomainError) as exc:
+    except DomainError as exc:
         print(_dump({"config": config, "error": str(exc),
                      "fallback_lipschitz": naive_lipschitz(p1, p2)}))
         return EXIT_GUARD

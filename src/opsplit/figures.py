@@ -77,13 +77,12 @@ class Raster:
     axis so the boundary and the origin are sampled exactly.
 
     The grid is stored as its distinct rows: ``grid[j]`` is
-    ``rows[row_of[j]]``.  ``Raster(grid, extent, resolution)`` stores every
-    row of ``grid`` (``row_of`` is the identity); :func:`composition_region_exact`
-    stores each distinct ``|y|`` row once.  ``grid`` is built on first use.
+    ``rows[row_of[j]]``; :func:`composition_region_exact` stores each
+    distinct ``|y|`` row once.  ``grid`` is built on first use.
     """
 
-    def __init__(self, grid: np.ndarray, extent: float, resolution: int):
-        self.rows, self.row_of = grid, np.arange(len(grid))
+    def __init__(self, rows: np.ndarray, row_of: np.ndarray, extent: float, resolution: int):
+        self.rows, self.row_of = rows, row_of
         self.extent, self.resolution = extent, resolution
 
     @cached_property
@@ -394,9 +393,7 @@ def composition_region_exact(
         tr, tc = np.nonzero(~decided)
         rows.reshape(nr, _TILE, nc, _TILE)[tr, :, tc] = _screened(xb[tc, None], yb[tr, :, None],
                                                                   p1, p2)
-    raster = Raster(rows[:len(ys), :n], extent, resolution)
-    raster.row_of = row_of
-    return raster
+    return Raster(rows[:len(ys), :n], row_of, extent, resolution)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import calculus
 from .calculus import INParams, ScaledConic, resolvent_class
-from .errors import BuildError, DomainError, GuardError, NumericError
+from .errors import BuildError, DomainError, NumericError
 
 __all__ = [
     "Op",
@@ -199,14 +199,12 @@ class MonotoneSpec:
         """The operator itself as an evaluatable map; absent for set-valued kinds."""
         raise BuildError(f"{type(self).__name__} is not single-valued")
 
-    def reflected_resolvent(self, gamma: float, j: Op | None = None) -> Op:
-        """``2*J - Id``; ``j`` is the resolvent at ``gamma`` when already built."""
-        if j is None:
-            j = self.resolvent(gamma)
+    def reflected_resolvent(self, gamma: float) -> Op:
+        """``2*J - Id`` with ``J = self.resolvent(gamma)``."""
         # ScaledConic(-1, a) keeps the sign structure: the *negated* reflection
         # is a-conic, which is what the sharp composition rules need.
         cert = ScaledConic(-1.0, 1.0 / (1.0 + gamma * self.rho))
-        return _lincomb(-1.0, 2.0, j, cert)
+        return _lincomb(-1.0, 2.0, self.resolvent(gamma), cert)
 
     def _resolvent_cert(self, gamma: float) -> INParams:
         return calculus.from_label(resolvent_class(gamma * self.rho).resolvent)
@@ -233,18 +231,24 @@ class Affine(MonotoneSpec):
             raise DomainError("matrix and offset must be finite")
         self.dim = n
         self.rho = float(np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.T))[0])
+        self._last_resolvent = (None, None)
 
     def forward(self) -> Op:
         return matrix_op(self.matrix, self.offset)
 
     def resolvent(self, gamma: float) -> Op:
+        """Inverts ``I + gamma*M`` once per ``gamma``: a repeat call at the last
+        ``gamma`` returns the same :class:`Op`, which callers must not mutate."""
         self._check_gamma(gamma)
-        n = self.dim
-        try:
-            inv = np.linalg.inv(np.eye(n) + gamma * self.matrix)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"singular resolvent solve: {exc}") from exc
-        return _affine(n, inv, -(inv @ (gamma * self.offset)), self._resolvent_cert(gamma))
+        if self._last_resolvent[0] != gamma:
+            n = self.dim
+            try:
+                inv = np.linalg.inv(np.eye(n) + gamma * self.matrix)
+            except np.linalg.LinAlgError as exc:
+                raise NumericError(f"singular resolvent solve: {exc}") from exc
+            j = _affine(n, inv, -(inv @ (gamma * self.offset)), self._resolvent_cert(gamma))
+            self._last_resolvent = (gamma, j)
+        return self._last_resolvent[1]
 
 
 @dataclass(eq=False)
@@ -371,7 +375,7 @@ def compose(outer: Op, inner: Op) -> Op:
     if c_in is not None and c_out is not None:
         try:
             cert, _ = calculus.certify(c_in, c_out)
-        except (GuardError, DomainError):
+        except DomainError:
             cert = INParams(0.0, calculus.naive_lipschitz(c_in, c_out))
     mo, mi = outer.matrix, inner.matrix
     if mo is None or mi is None:

@@ -285,10 +285,9 @@ def dr_operator(
     return ops.relax(lambda_relax, ops.compose(rb, ra))
 
 
-def fb_operator(A: MonotoneSpec | Op, B: MonotoneSpec, gamma: float) -> Op:
+def fb_operator(A: MonotoneSpec, B: MonotoneSpec, gamma: float) -> Op:
     """``J_{gB}(Id - gamma*A)`` without plan validation."""
-    fa = A.forward() if isinstance(A, MonotoneSpec) else A
-    step = ops.shift(1.0, ops.scale(-gamma, fa))
+    step = ops.shift(1.0, ops.scale(-gamma, A.forward()))
     return ops.compose(B.resolvent(gamma), step)
 
 
@@ -320,7 +319,7 @@ def build_dr(plan: SplitPlan, A: MonotoneSpec, B: MonotoneSpec) -> Op:
     return t
 
 
-def build_fb(plan: SplitPlan, A: MonotoneSpec | Op, B: MonotoneSpec) -> Op:
+def build_fb(plan: SplitPlan, A: MonotoneSpec, B: MonotoneSpec) -> Op:
     """Assemble the planned forward-backward operator; its fixed points are
     the zeros of ``A + B``."""
     _require(plan.method == "FB", "plan is not an FB plan")
@@ -331,8 +330,7 @@ def build_fb(plan: SplitPlan, A: MonotoneSpec | Op, B: MonotoneSpec) -> Op:
 
 def dr_shadow_ops(A: MonotoneSpec, B: MonotoneSpec, gamma: float) -> tuple[Op, Op]:
     """The two shadow maps ``x -> J_{gA} x`` and ``x -> J_{gB} R_{gA} x``."""
-    ja = A.resolvent(gamma)
-    return ja, ops.compose(B.resolvent(gamma), A.reflected_resolvent(gamma, ja))
+    return A.resolvent(gamma), ops.compose(B.resolvent(gamma), A.reflected_resolvent(gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +539,7 @@ def solve(A: MonotoneSpec, B: MonotoneSpec, config: dict, x0,
     try:
         plan = planned()
         t = build(plan, A, B)
-    except (StepSizeError, DomainError) as exc:
+    except DomainError as exc:
         if not config["force"]:
             record = {"config": config, "error": str(exc)}
             if getattr(exc, "interval", None) is not None:

@@ -29,7 +29,7 @@ from .calculus import (
     compose_general,
     compose_scaled_averaged_cocoercive,
 )
-from .errors import DomainError, GuardError, StepSizeError
+from .errors import DomainError, GuardError
 from .operators import Op, build_in_operator, build_rotation, matrix_op
 from .sampling import DEFAULT_SEED, _row_dot, pair_samples
 
@@ -434,7 +434,7 @@ def _case_chain_reject(eps=1.0, delta=2.0, alpha1=0.25) -> CaseReport:
 
 def _case_dr_divergence(mu=2.0, omega=1.0, gamma=0.6) -> CaseReport:
     _, guard_rejected, guard_message = _guard(
-        splitting.plan_dr, mu, omega, gamma, errors=(StepSizeError, DomainError)
+        splitting.plan_dr, mu, omega, gamma, errors=DomainError
     )
     a = ops.SubspaceNormalPlusScale(basis=np.array([[1.0, 0.0]]), mu=mu)
     b = ops.ScaledIdentity(-omega, dim=2)

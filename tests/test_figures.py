@@ -207,7 +207,8 @@ def _reference_region(p1, p2, resolution=512, relax_weight=1.0):
     if extent == 0.0:
         extent = 1.0
     pts, shape = _meshgrid_points(extent, resolution, w)
-    return Raster(_reference_membership(pts, p1, p2).reshape(shape), extent, resolution)
+    grid = _reference_membership(pts, p1, p2).reshape(shape)
+    return Raster(grid, np.arange(len(grid)), extent, resolution)
 
 
 def _reference_raster_path(raster, tx, ty, attr_text):
@@ -274,7 +275,8 @@ def _hand_grids(n=64):
 
 @pytest.mark.parametrize("kind", sorted(_hand_grids()))
 def test_hand_made_grid_svg_matches_reference(kind, monkeypatch):
-    regions = [(Raster(_hand_grids()[kind], 1.3, 64), {"fill": "#b8b8b8"})]
+    grid = _hand_grids()[kind]
+    regions = [(Raster(grid, np.arange(len(grid)), 1.3, 64), {"fill": "#b8b8b8"})]
     text = emit_svg(regions)
     monkeypatch.setattr(figures, "_raster_path", _reference_raster_path)
     assert text.encode() == emit_svg(regions).encode()
@@ -345,7 +347,7 @@ def test_region_membership_rejects_non_finite_points():
     [
         ([(Disk(float("inf"), 0.5), {})], ()),
         ([(Disk(0.0, float("nan")), {})], ()),
-        ([(Raster(np.zeros((65, 65), bool), float("inf"), 64), {})], ()),
+        ([(Raster(np.zeros((65, 65), bool), np.arange(65), float("inf"), 64), {})], ()),
         ([], [(float("inf"), 0.0)]),
         ([], [(0.0, float("nan"))]),
         ([], [(1.75e308, 0.0)]),
@@ -507,11 +509,9 @@ def _bool_rasters(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     extent = 10.0 ** draw(st.floats(-300.0, 300.0))
     if not draw(st.booleans()):
-        return Raster(rng.random((m, m)) < density, extent, m - 1)
+        return Raster(rng.random((m, m)) < density, np.arange(m), extent, m - 1)
     rows = rng.random((draw(st.integers(1, m)), m)) < density
-    raster = Raster(rows, extent, m - 1)
-    raster.row_of = rng.integers(0, len(rows), m)
-    return raster
+    return Raster(rows, rng.integers(0, len(rows), m), extent, m - 1)
 
 
 @settings(max_examples=100, deadline=None)
@@ -522,7 +522,7 @@ def test_raster_path_is_byte_equal_to_the_run_loop(raster):
     style = {"fill": "#b8b8b8", "stroke": "none"}
     text = emit_svg([(raster, style)])
     # The reference loop reads the materialised grid of a whole-grid raster.
-    whole = Raster(grid, raster.extent, raster.resolution)
+    whole = Raster(grid, np.arange(len(grid)), raster.extent, raster.resolution)
     assert whole.rows is grid and np.array_equal(whole.row_of, np.arange(len(grid)))
     with mock.patch.object(figures, "_raster_path", _reference_raster_path):
         assert text.encode() == emit_svg([(whole, style)]).encode()

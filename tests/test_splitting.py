@@ -386,6 +386,38 @@ def test_iterate_shadow_gaps_match_shadow_ops(order, rng):
         assert abs(gap - want) <= 1e-12 * scale_
 
 
+@pytest.mark.parametrize("order", ["A_strong", "B_strong"])
+def test_tracked_dr_solve_inverts_each_dense_spec_once(order, rng, monkeypatch):
+    # build_dr and the shadow maps share each spec's resolvent at gamma.
+    d, gamma = 6, 0.1
+    a = random_monotone_affine(2.0, d, rng)
+    c = rng.standard_normal((d, d))
+    b = ops.QuadraticGradient(-np.eye(d) + c.T @ c / (4 * d), rng.standard_normal(d))
+    if order == "B_strong":
+        a, b = b, a
+    x0 = rng.standard_normal(d)
+
+    def fresh(spec):
+        return type(spec)(spec.matrix.copy(), spec.offset.copy())
+
+    calls = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda m: calls.append(m) or inv(m))
+    t = build_dr(plan_dr(2.0, 1.0, gamma, order=order), a, b)
+    log = iterate(t, x0, track_shadow=True, A=a, B=b, gamma=gamma)
+    assert len(calls) == 2
+    assert a.resolvent(gamma).certificate == fresh(a).resolvent(gamma).certificate
+    assert b.resolvent(gamma).certificate == fresh(b).resolvent(gamma).certificate
+    # Separate specs for the operator and the shadow maps (4 inversions) give
+    # the same bits.
+    fa, fb = fresh(a), fresh(b)
+    want = iterate(build_dr(plan_dr(2.0, 1.0, gamma, order=order), fa, fb), x0,
+                   track_shadow=True, A=fresh(fa), B=fresh(fb), gamma=gamma)
+    assert log.converged and log.n_iter == want.n_iter
+    assert log.shadow_gaps == want.shadow_gaps
+    assert log.step_norms == want.step_norms
+
+
 # ---------------------------------------------------------------------------
 # blocked iteration against the unblocked loop
 
