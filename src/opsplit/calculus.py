@@ -355,15 +355,14 @@ def compose_general(p1: INParams, p2: INParams) -> INParams:
 def compose_kappa_theta(p1: INParams, p2: INParams) -> ScaledConic:
     """Scaled-conic descriptor of ``R2 R1`` for positive-``beta`` factors.
 
-    With ``s_i = a_i + b_i > 0`` and ratios ``t_i = b_i/s_i``, the product is
-    ``kappa``-scaled ``theta``-conic where ``kappa = s1*s2`` and::
-
-        theta = (t1 + t2 - 2 t1 t2)/(1 - t1 t2)    if t1*t2 < 1
-        theta = 1                                  if max(t1, t2) = 1
+    With ``s_i = a_i + b_i > 0`` each factor is ``s_i``-scaled ``t_i``-conic,
+    ``t_i = b_i/s_i``, so this is :func:`compose_conic` on those forms: the
+    product is ``s1*s2``-scaled, with conic parameter
+    ``(t1 + t2 - 2 t1 t2)/(1 - t1 t2)`` if ``t1*t2 < 1`` and 1 if
+    ``max(t1, t2) = 1``.
 
     Requires ``b1 > 0``, ``b2 > 0``, ``s1 > 0``, ``s2 > 0`` and one of the two
-    branch conditions (they agree where both hold; the ``max = 1`` branch is
-    tested first, so a unit ratio gives exactly 1, not the rounded quotient).
+    branch conditions; the guard failure is re-raised in ``t1, t2`` terms.
     """
     a1, b1 = p1.alpha, p1.beta
     a2, b2 = p2.alpha, p2.beta
@@ -375,18 +374,14 @@ def compose_kappa_theta(p1: INParams, p2: INParams) -> ScaledConic:
             f"requires alpha+beta > 0 for both factors, got {s1}, {s2}"
         )
     t1, t2 = b1 / s1, b2 / s2
-    kappa = s1 * s2
-    if max(t1, t2) == 1.0:
-        theta = 1.0
-    elif t1 * t2 < 1.0:
-        theta = (t1 + t2 - 2.0 * t1 * t2) / (1.0 - t1 * t2)
-    else:
+    try:
+        return compose_conic(ScaledConic(s1, t1), ScaledConic(s2, t2))
+    except GuardError:
         raise GuardError(
             "no kappa-theta form certified: requires b1*b2/((a1+b1)(a2+b2)) < 1 "
             f"or max ratio = 1, got product {t1 * t2} and max {max(t1, t2)}",
             hypothesis="t1*t2 < 1 or max(t1,t2) = 1",
-        )
-    return ScaledConic(kappa, theta)
+        ) from None
 
 
 def compose_conic(c1: ScaledConic, c2: ScaledConic) -> ScaledConic:

@@ -41,7 +41,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .calculus import INParams
+from .calculus import (
+    INParams,
+    ScaledConic,
+    compose_conic,
+    compose_general,
+    compose_scaled_averaged_cocoercive,
+)
 from .errors import DomainError
 
 __all__ = [
@@ -483,25 +489,23 @@ _PALETTE = ("#1f6fb4", "#d9541e", "#2d8f2d", "#8332a8", "#8a6d1f", "#17808a", "#
 
 def _single_class_regions():
     named = [
-        ("lipschitz 0.8", INParams(0.0, 0.8)),
-        ("cocoercive 1.4", INParams(0.7, 0.7)),
-        ("cocoercive 0.7", INParams(0.35, 0.35)),
-        ("averaged 0.25", INParams(0.75, 0.25)),
-        ("averaged 0.5", INParams(0.5, 0.5)),
-        ("averaged 0.75", INParams(0.25, 0.75)),
-        ("conic 1.2", INParams(-0.2, 1.2)),
-        ("conic 1.5", INParams(-0.5, 1.5)),
+        INParams(0.0, 0.8),  # lipschitz 0.8
+        INParams(0.7, 0.7),  # cocoercive 1.4
+        INParams(0.35, 0.35),  # cocoercive 0.7
+        INParams(0.75, 0.25),  # averaged 0.25
+        INParams(0.5, 0.5),  # averaged 0.5
+        INParams(0.25, 0.75),  # averaged 0.75
+        INParams(-0.2, 1.2),  # conic 1.2
+        INParams(-0.5, 1.5),  # conic 1.5
     ]
     return [
         (class_region(p), {"fill": "none", "stroke": _PALETTE[i % len(_PALETTE)],
                            "stroke-width": "1.5"})
-        for i, (_, p) in enumerate(named)
+        for i, p in enumerate(named)
     ]
 
 
 def _composition_preset(p1, p2, resolution, certified=True):
-    from .calculus import compose_general
-
     regions = [(composition_region_exact(p1, p2, resolution), dict(_RASTER_STYLE))]
     if certified:
         regions.append((class_region(compose_general(p1, p2)), dict(_CERT_STYLE)))
@@ -521,8 +525,6 @@ PRESET_NAMES = (
 
 def preset_figure(name: str, resolution: int = 512):
     """Return ``(regions, markers)`` for one of the named presets."""
-    from .calculus import ScaledConic, compose_conic, compose_scaled_averaged_cocoercive
-
     if name == "single-class":
         return _single_class_regions(), []
     if name == "averaged-averaged-0.5-0.5":

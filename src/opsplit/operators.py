@@ -201,10 +201,11 @@ class MonotoneSpec:
 
     def reflected_resolvent(self, gamma: float) -> Op:
         """``2*J - Id`` with ``J = self.resolvent(gamma)``."""
+        j = self.resolvent(gamma)
         # ScaledConic(-1, a) keeps the sign structure: the *negated* reflection
         # is a-conic, which is what the sharp composition rules need.
-        cert = ScaledConic(-1.0, 1.0 / (1.0 + gamma * self.rho))
-        return _lincomb(-1.0, 2.0, self.resolvent(gamma), cert)
+        cert = ScaledConic(-1.0, resolvent_class(gamma * self.rho).reflected.value)
+        return _lincomb(-1.0, 2.0, j, cert)
 
     def _resolvent_cert(self, gamma: float) -> INParams:
         return calculus.from_label(resolvent_class(gamma * self.rho).resolvent)

@@ -89,29 +89,20 @@ def _in_violations(moments, p: INParams) -> np.ndarray:
     return (ndt - 2.0 * a * ip - (b - a) * (b + a) * nd) / nd
 
 
-def _conic_violations(dx, dt, c: ScaledConic) -> np.ndarray:
-    # (1-a)||(Id-T')x - (Id-T')y||^2 + a||T'x-T'y||^2 - a||x-y||^2 for T' = T/delta.
-    a = c.alpha
-    dts = dt / c.delta
-    dd = dx - dts
-    nd = _row_dot(dx, dx)
-    return ((1.0 - a) * _row_dot(dd, dd) + a * _row_dot(dts, dts) - a * nd) / nd
-
-
 def check_membership(
     T: Op, descriptor, pairs: int = 10_000, seed: int = DEFAULT_SEED
 ) -> MembershipReport:
     """Sampled check that ``T`` belongs to the class of ``descriptor``.
 
-    ``descriptor`` may be an :class:`INParams` or a :class:`ScaledConic` (the
-    operator is rescaled by ``1/delta`` and the conic characterization is
-    used).
+    ``descriptor`` may be an :class:`INParams` or a :class:`ScaledConic`; one
+    inequality checks both, on ``descriptor.to_in()``.  For a
+    :class:`ScaledConic` the violation is divided by ``delta^2``, so it is
+    that of ``T/delta`` against its conic class.
     """
     xs, ys, dx, dt = _differences(T, pairs, seed)
+    v = _in_violations(_moments(dx, dt), descriptor.to_in())
     if isinstance(descriptor, ScaledConic):
-        v = _conic_violations(dx, dt, descriptor)
-    else:
-        v = _in_violations(_moments(dx, dt), descriptor)
+        v /= descriptor.delta**2
     return _report(v, xs, ys)
 
 

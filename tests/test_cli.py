@@ -129,8 +129,8 @@ def _compose_rejected(class1, class2, error, fallback):
 
 
 # Recorded stdout and exit code of `compose --class1 --class2`, one pair per
-# ladder outcome: two-factor bound, scale-normalised bound, GuardError and
-# DomainError rejection.
+# ladder outcome: two-factor bound, scale-normalised bound (on its unit-ratio
+# and its quotient branch), GuardError and DomainError rejection.
 COMPOSE_TABLE = [
     ("averaged:0.5", "averaged:0.5", 0, _compose_ok(
         "averaged:0.5", "averaged:0.5", "two-factor-bound",
@@ -150,6 +150,10 @@ COMPOSE_TABLE = [
     ("nonexpansive", "lipschitz:0.8", 0, _compose_ok(
         "nonexpansive", "lipschitz:0.8", "scale-normalized-bound",
         {"alpha": 1.0, "delta": 0.8, "type": "scaled-conic"}, 0.0, 0.8)),
+    ("averaged:0.3", "scaled-conic:3:0.4", 0, _compose_ok(
+        "averaged:0.3", "scaled-conic:3:0.4", "scale-normalized-bound",
+        {"alpha": 0.5227272727272727, "delta": 3.0, "type": "scaled-conic"},
+        1.4318181818181819, 1.5681818181818181)),
     ("conic:1.7", "conic:0.7", 2, _compose_rejected(
         "conic:1.7", "conic:0.7",
         "no kappa-theta form certified: requires b1*b2/((a1+b1)(a2+b2)) < 1 "
@@ -394,6 +398,7 @@ def test_replay_from_echoed_config(tmp_path, fb_instance):
 
 _SI_A = {"kind": "scaled_identity", "c": 2.0}
 _SI_B = {"kind": "scaled_identity", "c": -1.0}
+_SN_A = {"kind": "subspace_normal", "basis": [[1.0, 0.0]], "mu": 2.0}
 _NAN = float("nan")
 
 
@@ -469,6 +474,12 @@ _BAD_OFFSET = {"kind": "affine", "matrix": [[2.0, 0.0], [0.0, 2.0]], "offset": [
     (["solve-fb", "--force"], _SI_A, _SI_B, {"case": "V"}, "unknown forward-backward case 'V'"),
     (["solve-dr"], _SI_A, _SI_B, {"order": "sideways"}, "unknown order 'sideways'"),
     (["solve-dr", "--force"], _SI_A, _SI_B, {"order": "sideways"}, "unknown order 'sideways'"),
+    # --force skips the plan, so each resolvent checks its own step size:
+    # B has rho = -1 and A has rho = 2
+    (["solve-dr", "--force", "--gamma", "1.0"], _SN_A, _SI_B, {}, "gamma*rho = -1.0 <= -1"),
+    (["solve-dr", "--force", "--gamma", "-0.5"], _SN_A, _SI_B, {},
+     "step size must be > 0, got -0.5"),
+    (["solve-dr", "--force", "--gamma", "2.0"], _SN_A, _SI_B, {}, "gamma*rho = -2.0 <= -1"),
     # gamma = 0.6 lies outside the DR interval ]0, 0.25[, so these inputs
     # would reach a rejected plan if they were not checked first
     (["solve-dr", "--x0", "1,2,3"], _SI_A, _SI_B, {"gamma": 0.6},
@@ -491,7 +502,8 @@ _BAD_OFFSET = {"kind": "affine", "matrix": [[2.0, 0.0], [0.0, 2.0]], "offset": [
         "x-star-str", "x-star-shape", "dr-dim-mismatch", "dr-dim-mismatch-force",
         "fb-dim-mismatch", "fb-dim-mismatch-force", "dr-max-iter-negative",
         "fb-max-iter-negative", "fb-case-unknown", "fb-case-unknown-force",
-        "dr-order-unknown", "dr-order-unknown-force", "x0-arity-before-plan",
+        "dr-order-unknown", "dr-order-unknown-force", "dr-force-gamma-rho-minus-one",
+        "dr-force-gamma-negative", "dr-force-gamma-rho-below-minus-one", "x0-arity-before-plan",
         "x-star-shape-before-plan", "count-negative", "count-zero"])
 def test_non_finite_and_degenerate_input_is_usage(args, A, B, inst, message, tmp_path, capsys):
     from opsplit.cli import main

@@ -16,7 +16,6 @@ from opsplit.operators import Op, build_in_operator, build_rotation, identity, m
 from opsplit.sampling import DEFAULT_SEED, _row_dot, pair_samples
 from opsplit.verifier import (
     COMPOSITION_KINDS,
-    _conic_violations,
     _family_label,
     _in_violations,
     _moments,
@@ -126,19 +125,25 @@ def test_membership_does_not_cancel_at_large_parameters():
     st.floats(1e-3, 10.0),
 )
 def test_conic_violations_reduce_to_in_violations(seed, dim, log_m, sign, log_delta, a):
-    # (1/delta) T is a-conic iff T is in to_in(): per pair the two normalized
-    # violations differ by the factor delta^2, up to rounding relative to the
-    # size of their terms
+    # (1/delta) T is a-conic iff T is in to_in(): per pair the in-violation
+    # that check_membership reports for a ScaledConic, divided by delta^2,
+    # is the conic characterization's violation of T' = T/delta, up to
+    # rounding relative to the size of their terms
     rng = np.random.default_rng(seed)
     T = matrix_op(10.0**log_m * rng.standard_normal((dim, dim)), rng.standard_normal(dim))
     c = ScaledConic(sign * 10.0**log_delta, a)
     xs, ys = pair_samples(100, dim, seed=seed)
     dx, dt = xs - ys, T(xs) - T(ys)
-    got = _conic_violations(dx, dt, c)
-    want = _in_violations(_moments(dx, dt), c.to_in()) / c.delta**2
+    # (1-a)||(Id-T')x - (Id-T')y||^2 + a||T'x-T'y||^2 - a||x-y||^2, normalized
+    dts = dt / c.delta
+    nd = _row_dot(dx, dx)
+    conic = ((1.0 - a) * _row_dot(dx - dts, dx - dts) + a * _row_dot(dts, dts) - a * nd) / nd
+    got = _in_violations(_moments(dx, dt), c.to_in()) / c.delta**2
     r = np.sum(dt * dt, axis=1) / np.sum(dx * dx, axis=1)
-    scale = (a + abs(1.0 - a)) * (1.0 + r / c.delta**2)
-    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+    bound = 1e-12 * (a + abs(1.0 - a)) * (1.0 + r / c.delta**2)
+    assert np.all(np.abs(got - conic) <= bound)
+    rep = check_membership(T, c, pairs=100, seed=seed)
+    assert abs(rep.worst_violation - np.max(conic)) <= np.max(bound)
 
 
 def test_membership_scaled_conic_descriptor(rng):
