@@ -105,10 +105,17 @@ def _resolved_seed(args) -> int:
     env = os.environ.get("OPSPLIT_SEED")
     if env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise DomainError(f"OPSPLIT_SEED must be an integer, got {env!r}") from None
-    return args.seed if args.seed is not None else DEFAULT_SEED
+        if seed < 0:
+            raise DomainError(f"OPSPLIT_SEED must be non-negative, got {env!r}")
+        return seed
+    if args.seed is None:
+        return DEFAULT_SEED
+    if args.seed < 0:
+        raise DomainError(f"--seed must be non-negative, got {args.seed}")
+    return args.seed
 
 
 # ---------------------------------------------------------------------------

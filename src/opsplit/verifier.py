@@ -9,12 +9,18 @@ Every per-pair row reduction (``||x-y||^2``, ``||Tx-Ty||^2``,
 length ``n <= 7`` it adds the column products from left to right, the order
 in which ``np.sum`` adds up such a row, so each reduction is bit-equal to
 ``np.sum`` (up to the sign of a zero); from ``n = 8`` it calls ``np.sum``.
+
+Checks and fits of one ``(T, pairs, seed)`` share one reduction: the sample,
+``T`` on it and its three per-pair moments are memoised for the last key, as
+``sampling`` memoises the last draw, so a membership check followed by the
+four fits evaluates ``T`` and reduces once.  The cached moments are read-only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -63,12 +69,6 @@ class MembershipReport:
     worst_pair: tuple
 
 
-def _differences(T: Op, pairs: int, seed: int):
-    # The sampled pairs and their differences x - y and T(x) - T(y).
-    xs, ys = pair_samples(pairs, T.dim, seed=seed)
-    return xs, ys, xs - ys, T(xs) - T(ys)
-
-
 def _report(v: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> MembershipReport:
     i = int(np.argmax(v))
     worst = float(v[i])
@@ -79,6 +79,23 @@ def _moments(dx, dt) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # The row reductions ||x-y||^2, ||Tx-Ty||^2 and <x-y, Tx-Ty>, which no
     # class parameter enters.
     return _row_dot(dx, dx), _row_dot(dt, dt), _row_dot(dx, dt)
+
+
+@lru_cache(maxsize=1)
+def _sample(T: Op, pairs: int, seed: int):
+    # The sampled pairs, the moments of x - y and T(x) - T(y), and whether
+    # T(x) - T(y) is finite.  The cache holds T, so no other Op can take its
+    # id while the entry lives.
+    xs, ys = pair_samples(pairs, T.dim, seed=seed)
+    dx, dt = xs - ys, T(xs) - T(ys)
+    finite = bool(np.isfinite(dt).all())
+    # fit_tightest rejects a non-finite sample before it reads the moments, so
+    # reducing one must not warn where the fit raises its DomainError.
+    with np.errstate(all=None if finite else "ignore"):
+        moments = _moments(dx, dt)
+    for m in moments:
+        m.flags.writeable = False
+    return xs, ys, moments, finite
 
 
 def _in_violations(moments, p: INParams) -> np.ndarray:
@@ -99,8 +116,8 @@ def check_membership(
     :class:`ScaledConic` the violation is divided by ``delta^2``, so it is
     that of ``T/delta`` against its conic class.
     """
-    xs, ys, dx, dt = _differences(T, pairs, seed)
-    v = _in_violations(_moments(dx, dt), descriptor.to_in())
+    xs, ys, moments, _ = _sample(T, pairs, seed)
+    v = _in_violations(moments, descriptor.to_in())
     if isinstance(descriptor, ScaledConic):
         v /= descriptor.delta**2
     return _report(v, xs, ys)
@@ -114,8 +131,8 @@ def check_monotone(
     The normalized violation is ``rho - <x-y, Fx-Fy>/||x-y||^2`` (positive
     when the inequality fails); its negation is the worst monotonicity slack.
     """
-    xs, ys, dx, df = _differences(F, pairs, seed)
-    return _report(rho - _row_dot(dx, df) / _row_dot(dx, dx), xs, ys)
+    xs, ys, (nd, _, ip), _ = _sample(F, pairs, seed)
+    return _report(rho - ip / nd, xs, ys)
 
 
 def check_composition_identity(
@@ -186,11 +203,9 @@ def fit_tightest(
     descriptor = _FAMILIES.get(family)
     if descriptor is None:
         raise DomainError(f"unknown family {family!r}; known: {sorted(_FAMILIES)}")
-    _, _, dx, dt = _differences(T, pairs, seed)
-    if not np.isfinite(dt).all():
+    _, _, moments, finite = _sample(T, pairs, seed)
+    if not finite:
         raise DomainError(f"non-finite T(x) - T(y) at sampled pairs, family {family!r}")
-
-    moments = _moments(dx, dt)
 
     def passes(q: float) -> bool:
         return float(np.max(_in_violations(moments, descriptor(q)))) <= _TOL

@@ -300,6 +300,18 @@ def test_non_integer_seed_env_is_usage(monkeypatch, capsys):
     assert captured.err == "error: OPSPLIT_SEED must be an integer, got 'abc'\n"
 
 
+@pytest.mark.parametrize("args,env,message", [
+    (["--seed", "-1", "--count", "1"], {}, "error: --seed must be non-negative, got -1\n"),
+    (["--count", "1"], {"OPSPLIT_SEED": "-3"},
+     "error: OPSPLIT_SEED must be non-negative, got '-3'\n"),
+])
+def test_negative_seed_is_usage(args, env, message):
+    r = run_cli("verify", "--suite", "random", *args, env=env)
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr == message
+
+
 def test_figure_hash_stable(tmp_path):
     a, b = tmp_path / "a.svg", tmp_path / "b.svg"
     r1 = run_cli("figure", "--preset", "averaged-averaged-0.5-0.5", "--out", str(a),

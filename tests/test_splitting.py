@@ -296,6 +296,55 @@ def test_iterate_shadow_gap_tracks_step_norm():
     assert log.shadow_gaps[-1] < 1e-6
 
 
+def _dr_instances(rng):
+    # (A, B, order): a dense strongly monotone A against each kind of
+    # weakly monotone B, at d = 2, 5 and 16, and the same pairs swapped
+    mu, omega = 2.0, 1.0
+    for d in (2, 5, 16):
+        c = rng.standard_normal((d, d))
+        weak = [
+            ops.QuadraticGradient(-omega * np.eye(d) + c.T @ c / (4 * d), rng.standard_normal(d)),
+            ScaledIdentity(-omega, dim=d),
+            SubspaceNormalPlusScale(rng.standard_normal((max(1, d // 2), d)), mu=-omega),
+            ops.Affine(-omega * np.eye(d) + (c - c.T), rng.standard_normal(d)),
+        ]
+        for b in weak:
+            a = random_monotone_affine(mu, d, rng)
+            yield a, b, "A_strong"
+            yield b, a, "B_strong"
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.5, 0.7])
+def test_dr_shadow_gap_is_the_step_over_two_lambda(lam):
+    # With T = (1 - lam) Id + lam R_B R_A and R = 2J - Id,
+    #   x - T x = lam (x - R_B R_A x) = 2 lam (J_A x - J_B R_A x),
+    # so shadow_gaps[k] = step_norms[k] / (2 lam) in exact arithmetic.  The
+    # two sides are computed along different routes (dr_operator against
+    # dr_shadow_ops), each a fixed chain of affine maps (resolvents,
+    # reflections, the relaxation) applied to x_k.  An affine map in floats
+    # errs by at most about d eps (|M| |x| + |b|) per entry, and each map
+    # here has norm and offset O(1), so both sides err by C d eps (1 + |x_k|)
+    # with C a product of these norms, of order one; dividing the step by
+    # 2 lam >= 0.6 scales its part by at most 5/3.  On these 72 runs the
+    # largest ratio to d eps (1 + |x_k|) is 0.76 (at lam = 0.3); the test
+    # allows 4.  A transcription error in either route (J_A for R_A, swapped
+    # factors or relaxation weights) leaves a difference of the order of the
+    # step.
+    rng = np.random.default_rng(20)
+    eps = np.finfo(float).eps
+    mu, omega = 2.0, 1.0
+    for a, b, order in _dr_instances(rng):
+        d = a.dim
+        gamma = rng.uniform(0.05, 0.95) * (1.0 - lam) * (mu - omega) / (mu * omega)
+        t = build_dr(plan_dr(mu, omega, gamma, lam, order=order), a, b)
+        log = iterate(t, 10.0 * rng.standard_normal(d), max_iter=2000, track_shadow=True,
+                      A=a, B=b, gamma=gamma)
+        assert len(log.shadow_gaps) == len(log.step_norms) + 1
+        for k, step in enumerate(log.step_norms):
+            bound = 4.0 * eps * d * (1.0 + np.linalg.norm(log.points[k]))
+            assert abs(log.shadow_gaps[k] - step / (2.0 * lam)) <= bound, (d, order, k)
+
+
 def _nan_on_call(n):
     calls = [0]
 

@@ -1,6 +1,7 @@
 """Sampled membership checks, the composition identity oracle, named cases."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,8 @@ from opsplit.verifier import (
 )
 
 mp.dps = 40
+
+FAMILIES = ("lipschitz", "averaged", "conic", "cocoercive")
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +90,7 @@ def test_worst_pair_is_a_copy_of_the_cached_sample(check):
     assert np.array_equal(second.worst_pair[1], y_saved)
 
 
-def test_fit_reduces_the_sample_once_per_fit(monkeypatch):
+def test_checks_and_fits_share_one_reduction(monkeypatch):
     calls = [0]
 
     def counted(dx, dt):
@@ -97,14 +100,84 @@ def test_fit_reduces_the_sample_once_per_fit(monkeypatch):
     monkeypatch.setattr(verifier, "_moments", counted)
     rng = np.random.default_rng(3)
     for kind in COMPOSITION_KINDS:
-        T = random_certified_composition(kind, rng)[0]
-        for family in FAMILIES:
-            calls[0] = 0
-            try:
-                fit_tightest(T, family, pairs=1000)
-            except DomainError:
-                pass
-            assert calls[0] == 1, (kind, family, calls[0])
+        T, cert, _ = random_certified_composition(kind, rng)
+        other = random_certified_composition(kind, rng)[0]
+        calls[0] = 0
+        # keywords or positions: one cache key
+        for t, pairs, seed in [(T, 1000, 5), (other, 1000, 5), (other, 1001, 5), (other, 1001, 6)]:
+            check_membership(t, cert, pairs=pairs, seed=seed)
+            for family in FAMILIES:
+                try:
+                    fit_tightest(t, family, pairs, seed)
+                except DomainError:
+                    pass
+            check_monotone(t, 0.0, pairs, seed=seed)
+        # one reduction per (T, pairs, seed), each change of one of them reducing again
+        assert calls[0] == 4, (kind, calls[0])
+
+
+def test_cached_moments_are_read_only():
+    T = build_rotation(1.3, scale=1.5)
+    check_membership(T, INParams(0.0, 1.0), pairs=300)
+    hits = verifier._sample.cache_info().hits
+    moments = verifier._sample(T, 300, DEFAULT_SEED)[2]
+    assert verifier._sample.cache_info().hits == hits + 1
+    for m in moments:
+        with pytest.raises(ValueError, match="read-only"):
+            m[0] = 0.0
+
+
+def _unmemoised_call(call, T, cert, pairs, seed):
+    # The result of one check or fit, as a tuple of exact values, with the
+    # sample evaluated and reduced afresh for this call.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verifier, "_sample", verifier._sample.__wrapped__)
+        return _call_key(call, T, cert, pairs, seed)
+
+
+def _call_key(call, T, cert, pairs, seed):
+    if call == "membership":
+        rep = check_membership(T, cert, pairs, seed)
+    elif call == "monotone":
+        rep = check_monotone(T, 0.25, pairs, seed)
+    else:
+        try:
+            return ("fit", float(fit_tightest(T, call, pairs, seed).value).hex())
+        except DomainError as exc:
+            return ("raised", str(exc))
+    x, y = rep.worst_pair
+    return (rep.pairs_tested, float(rep.worst_violation).hex(), rep.passed,
+            x.tobytes(), y.tobytes())
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(COMPOSITION_KINDS),
+    st.sampled_from([100, 700, 2000]),
+    st.lists(st.sampled_from(("membership", "monotone") + FAMILIES), min_size=1, max_size=8),
+)
+def test_memoised_checks_and_fits_equal_unmemoised_ones(seed, kind, pairs, calls):
+    # Any order of checks and fits on one (T, pairs, seed) gives, bit for bit,
+    # what each gives on a sample evaluated and reduced for it alone; and
+    # membership and monotonicity equal the formulas they document.
+    T, cert, _ = random_certified_composition(kind, np.random.default_rng(seed))
+    got = [_call_key(call, T, cert, pairs, seed) for call in calls]
+    assert got == [_unmemoised_call(call, T, cert, pairs, seed) for call in calls]
+    xs, ys = pair_samples(pairs, T.dim, seed=seed)
+    dx, dt = xs - ys, T(xs) - T(ys)
+    nd, ndt, ip = np.sum(dx * dx, axis=1), np.sum(dt * dt, axis=1), np.sum(dx * dt, axis=1)
+    p = cert.to_in()
+    a, b = p.alpha, p.beta
+    v = (ndt - 2.0 * a * ip - (b - a) * (b + a) * nd) / nd
+    if isinstance(cert, ScaledConic):
+        v /= cert.delta**2
+    for call, key in zip(calls, got):
+        if call in ("membership", "monotone"):
+            w = v if call == "membership" else 0.25 - ip / nd
+            i = int(np.argmax(w))
+            assert float.fromhex(key[1]) == w[i] and key[2] == (w[i] <= 1e-9)
+            assert key[3] == xs[i].tobytes()
 
 
 def test_membership_does_not_cancel_at_large_parameters():
@@ -339,13 +412,17 @@ def test_fit_rejects_unknown_family_before_evaluating_T(monkeypatch):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("family", ["lipschitz", "averaged", "conic", "cocoercive"])
 def test_fit_rejects_non_finite_images(bad, family):
+    # a few rows only; at (inf, -inf) the reduction forms inf - inf, which
+    # must not surface as a floating-point warning before the DomainError
     def fn(x):
         y = 0.5 * x
-        y[..., 0] = np.where(x[..., 0] > 2.0, bad, y[..., 0])  # a few rows only
+        y[x[..., 0] > 2.0] = [bad, -bad]
         return y
 
-    with pytest.raises(DomainError, match="non-finite"):
-        fit_tightest(Op(fn, 2), family, pairs=2000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="non-finite"):
+            fit_tightest(Op(fn, 2), family, pairs=2000)
 
 
 def _reference_moments(T, pairs, seed):
@@ -456,9 +533,6 @@ def _check_against_bisection(T, family, seed):
     with np.errstate(divide="ignore"):
         gap = float(np.max(err[holding] / np.abs(slope[holding]), initial=0.0))
     assert q_want - q <= gap, (family, got, want, gap)
-
-
-FAMILIES = ("lipschitz", "averaged", "conic", "cocoercive")
 
 
 @settings(max_examples=25, deadline=None)
