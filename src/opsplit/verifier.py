@@ -89,10 +89,13 @@ def _sample(T: Op, pairs: int, seed: int):
     xs, ys = pair_samples(pairs, T.dim, seed=seed)
     dx, dt = xs - ys, T(xs) - T(ys)
     finite = bool(np.isfinite(dt).all())
-    # fit_tightest rejects a non-finite sample before it reads the moments, so
-    # reducing one must not warn where the fit raises its DomainError.
-    with np.errstate(all=None if finite else "ignore"):
+    if finite:
         moments = _moments(dx, dt)
+    else:
+        # fit_tightest rejects a non-finite sample before it reads the
+        # moments, so reducing one must not warn where the fit raises.
+        with np.errstate(all="ignore"):
+            moments = _moments(dx, dt)
     for m in moments:
         m.flags.writeable = False
     return xs, ys, moments, finite
