@@ -310,8 +310,13 @@ def delta_bundle(p1: INParams, p2: INParams) -> DeltaBundle:
         raise DomainError(
             f"requires p2.alpha*(p2.alpha-1) <= p2.beta^2, got {a2 * (a2 - 1.0)} > {b2 * b2}"
         )
-    q1 = ((1.0 - a1) ** 2 - b1 * b1) / (1.0 - a1)
-    q2 = ((1.0 - a2) ** 2 - b2 * b2) / (1.0 - a2)
+    try:
+        q1 = ((1.0 - a1) ** 2 - b1 * b1) / (1.0 - a1)
+        q2 = ((1.0 - a2) ** 2 - b2 * b2) / (1.0 - a2)
+    except OverflowError:
+        # A float ** raises where * would give inf: the rule does not apply.
+        raise DomainError(f"coupling coefficients overflow: 1 - alpha is {1.0 - a1} "
+                          f"and {1.0 - a2}") from None
     d1 = a1 / (1.0 - a1) * (1.0 - q2)
     d2 = a2 / (1.0 - a2)
     d3 = 1.0 - (q1 * (1.0 - q2) + q2)

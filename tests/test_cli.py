@@ -161,6 +161,12 @@ COMPOSE_TABLE = [
     ("neg-conic:0.5", "neg-conic:0.5", 2, _compose_rejected(
         "neg-conic:0.5", "neg-conic:0.5",
         "requires alpha+beta > 0 for both factors, got 0.0, 0.0", 1.0)),
+    # (1 - alpha)**2 overflows in the two-factor rule, which then does not
+    # apply, and the fallback product overflows to inf.
+    *((f"conic:{c}", f"conic:{c}", 2, _compose_rejected(
+        f"conic:{c}", f"conic:{c}",
+        "requires alpha+beta > 0 for both factors, got 0.0, 0.0", float("inf")))
+      for c in ("1e200", "1e308")),
 ]
 
 

@@ -323,6 +323,14 @@ def test_compose_certificate_matches_reference_ladder(outer_cert, inner_cert):
     assert type(got) is type(expected) and got == expected
 
 
+def test_compose_falls_back_where_the_coupling_coefficients_overflow():
+    huge = calculus.from_label(calculus.ClassLabel.conic(1e200))
+    with pytest.raises(DomainError, match="overflow"):
+        calculus.delta_bundle(huge, huge)
+    outer = Op(lambda x: x, 2, INParams(0.5, 0.5))
+    assert compose(outer, Op(lambda x: x, 2, huge)).certificate == INParams(0.0, 2e200)
+
+
 def test_scale_keeps_scaled_conic_structure():
     op = identity(2)
     op.certificate = ScaledConic(2.0, 0.5)
