@@ -298,7 +298,8 @@ def delta_bundle(p1: INParams, p2: INParams) -> DeltaBundle:
         d3 = 1 - (q1*(1 - q2) + q2)
         d4 = d1*d2/(d1+d2)
 
-    Requires ``a1 < 1``, ``a2 < 1`` and ``a2*(a2-1) <= b2^2``.
+    Requires ``a1 < 1``, ``a2 < 1`` and ``a2*(a2-1) <= b2^2``, and raises
+    :class:`DomainError` where ``(1 - a)**2`` overflows.
     """
     a1, b1 = p1.alpha, p1.beta
     a2, b2 = p2.alpha, p2.beta
@@ -314,7 +315,7 @@ def delta_bundle(p1: INParams, p2: INParams) -> DeltaBundle:
         q1 = ((1.0 - a1) ** 2 - b1 * b1) / (1.0 - a1)
         q2 = ((1.0 - a2) ** 2 - b2 * b2) / (1.0 - a2)
     except OverflowError:
-        # A float ** raises where * would give inf: the rule does not apply.
+        # A float ** raises where * gives inf: the rule does not apply.
         raise DomainError(f"coupling coefficients overflow: 1 - alpha is {1.0 - a1} "
                           f"and {1.0 - a2}") from None
     d1 = a1 / (1.0 - a1) * (1.0 - q2)

@@ -585,7 +585,7 @@ _LITERALS = [s.encode() for s in _RUN.split("%.4f")]
 _LITERALS[-1] += b" "
 _ASCII = np.stack(np.indices((10,) * 4, np.uint8), axis=-1).reshape(-1, 4) + np.uint8(ord("0"))
 _DIGITS = _ASCII.view(np.uint32).ravel()
-_LEAD = np.where(np.arange(10000)[:, None] < [1000, 100, 10, 0], 0, _ASCII).view(np.uint32).ravel()
+_LEAD = (_ASCII * (np.arange(10000)[:, None] >= [1000, 100, 10, 0])).view(np.uint32).ravel()
 _FRAC = np.concatenate((np.full((10000, 1), ord("."), np.uint8), _ASCII,
                         np.zeros((10000, 3), np.uint8)), axis=1).view(np.uint64).ravel()
 _PREFIX = np.frombuffer(_LITERALS[0].ljust(4, b"\0") + bytes(16), np.uint32)
