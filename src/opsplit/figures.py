@@ -92,18 +92,34 @@ class Raster:
     ``h = 2*extent/resolution``; the grid has ``resolution + 1`` samples per
     axis so the boundary and the origin are sampled exactly.
 
-    The grid is stored as its distinct rows: ``grid[j]`` is
-    ``rows[row_of[j]]``; :func:`composition_region_exact` stores each
-    distinct ``|y|`` row once.  ``grid`` is built on first use.
+    The grid is stored as the maximal runs of marked pixels of its distinct
+    rows: ``runs`` is a ``(k, 3)`` integer array of ``(row, first, last)``,
+    sorted, each run covering the columns ``first`` to ``last`` of its
+    distinct row, and ``grid[j]`` is distinct row ``row_of[j]``.
+    :func:`composition_region_exact` stores each distinct ``|y|`` row once.
+    ``grid`` is built on first use.
     """
 
-    def __init__(self, rows: np.ndarray, row_of: np.ndarray, extent: float, resolution: int):
-        self.rows, self.row_of = rows, row_of
+    def __init__(self, runs: np.ndarray, row_of: np.ndarray, extent: float, resolution: int):
+        self.runs, self.row_of = runs, row_of
         self.extent, self.resolution = extent, resolution
 
     @cached_property
     def grid(self) -> np.ndarray:
-        return self.rows[self.row_of]
+        j, run = self._grid_runs()
+        marks = np.zeros((len(self.row_of), self.resolution + 2), np.int8)
+        marks[j, self.runs[run, 1]] = 1
+        marks[j, self.runs[run, 2] + 1] = -1
+        return np.cumsum(marks[:, :-1], axis=1, dtype=np.int8).astype(bool)
+
+    def _grid_runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The runs of the grid, row by row, as ``(j, run)``: grid row
+        ``j[t]`` has the run ``runs[run[t]]``."""
+        rows = self.runs[:, 0]
+        first = np.searchsorted(rows, self.row_of)
+        counts = np.searchsorted(rows, self.row_of, side="right") - first
+        j = np.repeat(np.arange(len(counts)), counts)
+        return j, np.repeat(first - np.cumsum(counts) + counts, counts) + np.arange(len(j))
 
     @property
     def pixel(self) -> float:
@@ -393,11 +409,12 @@ def composition_region_exact(
     # (p - (1-w)*e)/w; columns sample x and rows sample y.  _membership sees
     # y only through hypot(., y/a2), and (-y)/a2 is exactly -(y/a2), so rows
     # with equal |y| are equal: each distinct |y| row is evaluated once, and
-    # the raster keeps those rows and the distinct row of each grid row.
-    # Tiles whose centre margin signs every pixel are filled whole; the rest
-    # go to the screen in one call, as whole _TILE x _TILE blocks.  A block
-    # of a short edge tile is filled out with the points past the grid's far
-    # edge, so no pixel is screened twice, and the fill is cut off after.
+    # the raster keeps the runs of those rows and the distinct row of each
+    # grid row.  Tiles whose centre margin signs every pixel are uniform; the
+    # rest go to the screen in one call, as whole _TILE x _TILE blocks.  A
+    # block of a short edge tile is filled out with the points past the
+    # grid's far edge, so no pixel is screened twice, and the fill is cut off
+    # after.
     xs = (ax - (1.0 - w)) / w
     ys, row_of = np.unique(np.abs(ax[:n] / w), return_inverse=True)
     with np.errstate(all="ignore"):
@@ -405,11 +422,41 @@ def composition_region_exact(
         nr, nc = decided.shape
         xb = xs[:nc * _TILE].reshape(nc, _TILE)
         yb = np.concatenate((ys, np.abs(ax[n:] / w)))[:nr * _TILE].reshape(nr, _TILE)
-        rows = np.repeat(np.repeat(inside, _TILE, axis=1), _TILE, axis=0)
         tr, tc = np.nonzero(~decided)
-        rows.reshape(nr, _TILE, nc, _TILE)[tr, :, tc] = _screened(xb[tc, None], yb[tr, :, None],
-                                                                  p1, p2)
-    return Raster(rows[:len(ys), :n], row_of, extent, resolution)
+        blocks = _screened(xb[tc, None], yb[tr, :, None], p1, p2)
+    return Raster(_tile_runs(inside, tr, tc, blocks, len(ys), n), row_of, extent, resolution)
+
+
+def _tile_runs(inside, tr, tc, blocks, m, n):
+    """The sorted ``(row, first, last)`` runs of the ``m`` x ``n`` grid whose
+    tile ``(r, c)`` is ``inside[r, c]`` at every pixel, except the tiles
+    ``(tr[b], tc[b])``, which are ``blocks[b]`` (past the grid's far edges,
+    a block holds fill that is cut off).
+
+    An edge at column ``c`` of a row marks a change between its columns
+    ``c - 1`` and ``c``, the row padded with unmarked pixels at both ends,
+    so a row's edges alternate start, end.  A uniform tile holds no edge,
+    so the edges lie between two tiles, at a grid end or inside a block.
+    """
+    nr, nc = inside.shape
+    # Each row's value at the first and at the last grid column of each tile.
+    first = np.repeat(inside, _TILE, axis=0)
+    last = first.copy()
+    first.reshape(nr, _TILE, nc)[tr, :, tc] = blocks[:, :, 0]
+    last.reshape(nr, _TILE, nc)[tr, :, tc] = blocks[np.arange(len(tc)), :, _tile_sizes(n)[tc] - 1]
+    first, last = first[:m], last[:m]
+    # np.nonzero on a 2-D or 3-D mask is several times slower than
+    # np.flatnonzero and divmod.
+    r, t = np.divmod(np.flatnonzero(first[:, 1:] != last[:, :-1]), nc - 1)
+    b, ij = np.divmod(np.flatnonzero(blocks[..., 1:] != blocks[..., :-1]), _TILE * (_TILE - 1))
+    i, j = np.divmod(ij, _TILE - 1)
+    ri, ci = tr[b] * _TILE + i, tc[b] * _TILE + j + 1
+    keep = (ri < m) & (ci < n)
+    keys = np.concatenate((r * (n + 1) + (t + 1) * _TILE, ri[keep] * (n + 1) + ci[keep],
+                           np.flatnonzero(first[:, 0]) * (n + 1),
+                           np.flatnonzero(last[:, -1]) * (n + 1) + n))
+    rows, cols = np.divmod(np.sort(keys), n + 1)
+    return np.column_stack((rows[::2], cols[::2], cols[1::2] - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -642,22 +689,8 @@ def _raster_path(raster: Raster, tx, ty, attr_text: str) -> str:
     grid row by grid row, left to right."""
     half = raster.pixel / 2.0
     ax = raster.axis()
-    # Runs of the distinct rows: edges[r, c] marks a change between columns
-    # c - 1 and c of row r zero-padded at both ends, so a row's edges
-    # alternate start, end.
-    distinct = raster.rows.astype(bool, copy=False)
-    m, n = distinct.shape
-    edges = np.empty((m, n + 1), bool)
-    edges[:, 0], edges[:, n] = distinct[:, 0], distinct[:, -1]
-    np.not_equal(distinct[:, 1:], distinct[:, :-1], out=edges[:, 1:n])
-    rows, cols = np.divmod(np.flatnonzero(edges), n + 1)
-    rows, i0, i1 = rows[::2], cols[::2], cols[1::2] - 1
-    # Each grid row repeats the runs of its distinct row, in grid row order.
-    counts = np.bincount(rows, minlength=m)[raster.row_of]
-    starts = np.cumsum(counts) - counts
-    first = np.searchsorted(rows, raster.row_of)
-    j = np.repeat(np.arange(len(counts)), counts)
-    run = np.repeat(first - starts, counts) + np.arange(len(j))
+    j, run = raster._grid_runs()
+    _, i0, i1 = raster.runs.T
     x0, x1 = tx(ax[i0] - half)[run], tx(ax[i1] + half)[run]
     y0, y1 = ty(ax + half)[j], ty(ax - half)[j]
     return f'<path d="{_format_runs(np.column_stack((x0, y0, x1, y1, x0)))}" {attr_text}/>'

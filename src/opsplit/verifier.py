@@ -84,13 +84,19 @@ def _moments(dx, dt) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 @lru_cache(maxsize=1)
 def _sample(T: Op, pairs: int, seed: int):
     # The sampled pairs, the moments of x - y and T(x) - T(y), and whether
-    # T(x) - T(y) is finite.  The cache holds T, so no other Op can take its
-    # id while the entry lives.
+    # T(x) - T(y) is finite; DomainError where the moments of a finite sample
+    # overflow.  The cache holds T, so no other Op can take its id while the
+    # entry lives.
     xs, ys = pair_samples(pairs, T.dim, seed=seed)
     dx, dt = xs - ys, T(xs) - T(ys)
     finite = bool(np.isfinite(dt).all())
     if finite:
-        moments = _moments(dx, dt)
+        try:
+            with np.errstate(over="raise"):
+                moments = _moments(dx, dt)
+        except FloatingPointError:
+            raise DomainError(f"the moments of T(x) - T(y) overflow at {pairs} sampled "
+                              f"pairs") from None
     else:
         # fit_tightest rejects a non-finite sample before it reads the
         # moments, so reducing one must not warn where the fit raises.
@@ -117,12 +123,17 @@ def check_membership(
     ``descriptor`` may be an :class:`INParams` or a :class:`ScaledConic`; one
     inequality checks both, on ``descriptor.to_in()``.  For a
     :class:`ScaledConic` the violation is divided by ``delta^2``, so it is
-    that of ``T/delta`` against its conic class.
+    that of ``T/delta`` against its conic class.  Where ``delta^2`` or the
+    moments of a finite sample overflow, no violation can be formed, and
+    :class:`DomainError` is raised.
     """
     xs, ys, moments, _ = _sample(T, pairs, seed)
     v = _in_violations(moments, descriptor.to_in())
     if isinstance(descriptor, ScaledConic):
-        v /= descriptor.delta**2
+        try:
+            v /= descriptor.delta**2
+        except OverflowError:
+            raise DomainError(f"delta**2 overflows, delta = {descriptor.delta}") from None
     return _report(v, xs, ys)
 
 

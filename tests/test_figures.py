@@ -200,15 +200,36 @@ def _meshgrid_points(extent, resolution, w):
     return shifted, gx.shape
 
 
-def _reference_region(p1, p2, resolution=512, relax_weight=1.0):
+def _reference_grid(p1, p2, resolution=512, relax_weight=1.0):
     w = relax_weight
     base = (abs(p1.alpha) + p1.beta) * (abs(p2.alpha) + p2.beta)
     extent = abs(1.0 - w) + w * base
     if extent == 0.0:
         extent = 1.0
     pts, shape = _meshgrid_points(extent, resolution, w)
-    grid = _reference_membership(pts, p1, p2).reshape(shape)
-    return Raster(grid, np.arange(len(grid)), extent, resolution)
+    return _reference_membership(pts, p1, p2).reshape(shape), extent
+
+
+def _reference_region(p1, p2, resolution=512, relax_weight=1.0):
+    grid, extent = _reference_grid(p1, p2, resolution, relax_weight)
+    return _dense_raster(grid, np.arange(len(grid)), extent, resolution)
+
+
+def _runs_of(rows):
+    """The ``(row, first, last)`` runs of a dense grid of rows, found by the
+    edge scan the raster path ran before rasters stored runs."""
+    distinct = rows.astype(bool, copy=False)
+    m, n = distinct.shape
+    edges = np.empty((m, n + 1), bool)
+    edges[:, 0], edges[:, n] = distinct[:, 0], distinct[:, -1]
+    np.not_equal(distinct[:, 1:], distinct[:, :-1], out=edges[:, 1:n])
+    rows, cols = np.divmod(np.flatnonzero(edges), n + 1)
+    return np.column_stack((rows[::2], cols[::2], cols[1::2] - 1))
+
+
+def _dense_raster(rows, row_of, extent, resolution):
+    """The raster whose grid row ``j`` is ``rows[row_of[j]]``."""
+    return Raster(_runs_of(rows), row_of, extent, resolution)
 
 
 def _reference_raster_path(raster, tx, ty, attr_text):
@@ -276,7 +297,7 @@ def _hand_grids(n=64):
 @pytest.mark.parametrize("kind", sorted(_hand_grids()))
 def test_hand_made_grid_svg_matches_reference(kind, monkeypatch):
     grid = _hand_grids()[kind]
-    regions = [(Raster(grid, np.arange(len(grid)), 1.3, 64), {"fill": "#b8b8b8"})]
+    regions = [(_dense_raster(grid, np.arange(len(grid)), 1.3, 64), {"fill": "#b8b8b8"})]
     text = emit_svg(regions)
     monkeypatch.setattr(figures, "_raster_path", _reference_raster_path)
     assert text.encode() == emit_svg(regions).encode()
@@ -347,7 +368,7 @@ def test_region_membership_rejects_non_finite_points():
     [
         ([(Disk(float("inf"), 0.5), {})], ()),
         ([(Disk(0.0, float("nan")), {})], ()),
-        ([(Raster(np.zeros((65, 65), bool), np.arange(65), float("inf"), 64), {})], ()),
+        ([(_dense_raster(np.zeros((65, 65), bool), np.arange(65), float("inf"), 64), {})], ()),
         ([], [(float("inf"), 0.0)]),
         ([], [(0.0, float("nan"))]),
         ([], [(1.75e308, 0.0)]),
@@ -395,6 +416,32 @@ def test_screened_raster_is_bit_equal_to_reference_over_scales(pair, w, resoluti
         ref = _reference_region(p1, p2, resolution, w)
     assert r.extent == ref.extent
     assert np.array_equal(r.grid, ref.grid)
+
+
+# The raster's runs come straight from the tile signs and the screened
+# blocks.  Resolution 1023 gives n % 16 == 0 and 300 gives 13-column edge
+# tiles.  The example's region is the single point (-1, 0), which no pixel
+# centre hits at an odd resolution, so no tile is left undecided.
+@settings(max_examples=100, deadline=None)
+@given(_scaled_descriptor_pairs(), st.one_of(st.just(1.0), st.floats(1e-3, 1e3)),
+       st.sampled_from([64, 65, 100, 300, 1023]))
+@example((INParams(0.5, 0.5), INParams(0.0, 0.0), "a2==0"), 2.0, 65)
+def test_raster_runs_are_the_runs_of_the_reference_grid(pair, w, resolution):
+    p1, p2, _ = pair
+    r = composition_region_exact(p1, p2, resolution, relax_weight=w)
+    with np.errstate(all="ignore"):
+        grid, extent = _reference_grid(p1, p2, resolution, w)
+    _, first = np.unique(r.row_of, return_index=True)
+    assert r.extent == extent and np.array_equal(grid, grid[first][r.row_of])
+    assert r.runs.shape[1] == 3 and np.array_equal(r.runs, _runs_of(grid[first]))
+
+
+def test_point_region_leaves_no_tile_undecided():
+    p1, p2, w = INParams(0.5, 0.5), INParams(0.0, 0.0), 2.0
+    xs, ys = _tile_inputs(p1, p2, 65, w)
+    decided, _ = figures._signed_tiles(xs, ys, p1, p2)
+    assert decided.all()
+    assert composition_region_exact(p1, p2, 65, relax_weight=w).runs.shape == (0, 3)
 
 
 def test_screen_falls_back_to_membership_on_the_boundary(monkeypatch):
@@ -502,28 +549,30 @@ def test_curvature_keeps_the_conic_pair_from_the_screen(resolution, share, monke
 
 @st.composite
 def _bool_rasters(draw):
-    """A raster of random rows: either a whole grid, or distinct rows with a
-    random, unsorted and repeating ``row_of``."""
+    """A raster of random rows and those rows: either a whole grid, or
+    distinct rows with a random, unsorted and repeating ``row_of``."""
     m = draw(st.integers(65, 300))
     density = draw(st.floats(0.0, 1.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     extent = 10.0 ** draw(st.floats(-300.0, 300.0))
     if not draw(st.booleans()):
-        return Raster(rng.random((m, m)) < density, np.arange(m), extent, m - 1)
+        rows = rng.random((m, m)) < density
+        return _dense_raster(rows, np.arange(m), extent, m - 1), rows
     rows = rng.random((draw(st.integers(1, m)), m)) < density
-    return Raster(rows, rng.integers(0, len(rows), m), extent, m - 1)
+    return _dense_raster(rows, rng.integers(0, len(rows), m), extent, m - 1), rows
 
 
 @settings(max_examples=100, deadline=None)
 @given(_bool_rasters())
-def test_raster_path_is_byte_equal_to_the_run_loop(raster):
-    grid = raster.rows[raster.row_of]
-    assert np.array_equal(raster.grid, grid)
+def test_raster_path_is_byte_equal_to_the_run_loop(drawn):
+    raster, rows = drawn
+    grid = rows[raster.row_of]
+    assert raster.grid.dtype == bool and np.array_equal(raster.grid, grid)
     style = {"fill": "#b8b8b8", "stroke": "none"}
     text = emit_svg([(raster, style)])
     # The reference loop reads the materialised grid of a whole-grid raster.
-    whole = Raster(grid, np.arange(len(grid)), raster.extent, raster.resolution)
-    assert whole.rows is grid and np.array_equal(whole.row_of, np.arange(len(grid)))
+    whole = _dense_raster(grid, np.arange(len(grid)), raster.extent, raster.resolution)
+    assert np.array_equal(whole.grid, grid) and np.array_equal(whole.row_of, np.arange(len(grid)))
     with mock.patch.object(figures, "_raster_path", _reference_raster_path):
         assert text.encode() == emit_svg([(whole, style)]).encode()
 

@@ -228,6 +228,19 @@ def test_membership_scaled_conic_descriptor(rng):
     assert not rep.passed
 
 
+@pytest.mark.parametrize("T, match", [
+    (ops.scale(1e200, identity(2)), "moments of T\\(x\\) - T\\(y\\) overflow"),
+    (identity(2), "delta\\*\\*2 overflows"),
+])
+def test_membership_rejects_a_scaled_conic_check_that_overflows(T, match):
+    # T = 1e200*Id is in the class, but ||Tx - Ty||^2 overflows; on Id the
+    # moments are finite and delta**2 overflows.  Neither may warn.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=match):
+            check_membership(T, ScaledConic(1e200, 0.5), pairs=200)
+
+
 # ---------------------------------------------------------------------------
 # monotonicity
 
