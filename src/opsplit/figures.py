@@ -12,9 +12,10 @@ first disk satisfies ``||p - a2*q|| <= b2*||q||``; for fixed ``p`` that set of
 first disk is closed-form and the raster is exact at pixel centers.
 
 The raster evaluates that test once per distinct ``|y|`` row (it depends on
-``y`` only through norms) and keeps only those rows, with the distinct row
-of each grid row; the SVG path is built from them too, and the full grid is
-built only when it is read.  The distinct rows are cut into ``_TILE`` x
+``y`` only through norms) and keeps only the maximal runs of marked pixels
+of those rows, with the distinct row of each grid row; the SVG path is
+formatted from the runs, and the full grid is built only when it is read.
+The distinct rows are cut into ``_TILE`` x
 ``_TILE`` pixel tiles, and the margin the test signs is evaluated once at
 each tile's centre.  Every pixel of a tile lies within the tile's
 half-diagonal ``rad`` of its centre,
@@ -29,7 +30,10 @@ screened with ``sqrt(u*u + v*v)`` in place of ``hypot``.  A pixel whose
 screened margin is no larger in magnitude than ``1e-12`` times its scale,
 plus a floor for underflowing squares, goes to the exact closed-form test,
 so every pixel gets the value that test gives.  The tile pass and the
-screen form the margin with one helper, :func:`_margin`.
+screen form the margin with one helper, :func:`_margin`.  A signed tile is
+uniform, so a run can start or end only between two tiles, at an end of a
+row or inside a screened block, and :func:`_tile_runs` finds the runs from
+the tile signs and the blocks alone, without scanning the distinct rows.
 
 The SVG draws a raster as one path with a rect run per maximal horizontal
 run of pixels, five numbers per run, each printed as ``%.4f`` prints it.
@@ -106,11 +110,15 @@ class Raster:
 
     @cached_property
     def grid(self) -> np.ndarray:
+        # Read row after row, the grid alternates unmarked and marked
+        # stretches between the ends of its runs.
         j, run = self._grid_runs()
-        marks = np.zeros((len(self.row_of), self.resolution + 2), np.int8)
-        marks[j, self.runs[run, 1]] = 1
-        marks[j, self.runs[run, 2] + 1] = -1
-        return np.cumsum(marks[:, :-1], axis=1, dtype=np.int8).astype(bool)
+        n = self.resolution + 1
+        ends = np.empty(2 * len(j) + 2, np.intp)
+        ends[0], ends[-1] = 0, len(self.row_of) * n
+        ends[1:-1:2] = j * n + self.runs[run, 1]
+        ends[2:-1:2] = j * n + self.runs[run, 2] + 1
+        return np.repeat(np.arange(len(ends) - 1) % 2 == 1, np.diff(ends)).reshape(-1, n)
 
     def _grid_runs(self) -> tuple[np.ndarray, np.ndarray]:
         """The runs of the grid, row by row, as ``(j, run)``: grid row
