@@ -1,7 +1,8 @@
 """Certified composition calculus for identity-nonexpansive decompositions.
 
 Submodules: ``calculus`` (descriptor arithmetic and composition rules),
-``operators`` (evaluatable maps, resolvents, proximal mappings),
+``operators`` (evaluatable maps, resolvents; a quadratic's proximal map
+is the resolvent of its gradient),
 ``splitting`` (Douglas-Rachford / forward-backward plans and drivers),
 ``verifier`` (sampled membership checks and named cases), ``figures``
 (2D region rasters and SVG emission), ``cli`` (command-line entry point).

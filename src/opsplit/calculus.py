@@ -153,6 +153,15 @@ class ClassLabel:
     value: float | None = None
     scale: float | None = None
 
+    def to_json(self) -> dict:
+        """``kind`` by its name, then ``value`` and ``scale`` where set."""
+        out = {"kind": self.kind.value}
+        if self.value is not None:
+            out["value"] = self.value
+        if self.scale is not None:
+            out["scale"] = self.scale
+        return out
+
     @staticmethod
     def lipschitz(constant: float) -> "ClassLabel":
         if not constant >= 0.0:

@@ -92,15 +92,6 @@ def parse_class_spec(text: str) -> ClassLabel:
     raise DomainError(f"cannot parse class spec {text!r}")
 
 
-def _label_json(label: ClassLabel) -> dict:
-    out = {"kind": label.kind.value}
-    if label.value is not None:
-        out["value"] = label.value
-    if label.scale is not None:
-        out["scale"] = label.scale
-    return out
-
-
 def _resolved_seed(args) -> int:
     env = os.environ.get("OPSPLIT_SEED")
     if env is not None:
@@ -162,7 +153,7 @@ def cmd_compose(args) -> int:
 def cmd_classify(args) -> int:
     labels = classify(INParams(args.alpha, args.beta))
     ordered = sorted(
-        (_label_json(l) for l in labels),
+        (l.to_json() for l in labels),
         key=lambda d: (d["kind"], d.get("value", 0.0), d.get("scale", 0.0)),
     )
     print(_dump({"config": {"alpha": args.alpha, "beta": args.beta},

@@ -83,11 +83,6 @@ class Disk:
     center_x: float
     radius: float
 
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        d = np.hypot(pts[:, 0] - self.center_x, pts[:, 1])
-        return d <= self.radius * (1.0 + 1e-12)
-
 
 class Raster:
     """Boolean grid of pixel-center samples over ``[-extent, extent]^2``.
@@ -364,7 +359,7 @@ def _signed_tiles(x: np.ndarray, y: np.ndarray, p1: INParams, p2: INParams):
         return decided, inside
     # The Taylor drift is no larger than L*rad, so it can only decide more
     # tiles: it is formed at the tiles that L*rad leaves undecided.
-    j, i = np.nonzero(~decided)
+    j, i = np.divmod(np.flatnonzero(~decided), decided.shape[1])
     u, v, nw, rad, drift = u[0, i], v[j, 0], nw[j, i], rad[j, i], drift[j, i]
     if s == 0.0:
         lip = lip[j, i]
@@ -430,7 +425,7 @@ def composition_region_exact(
         nr, nc = decided.shape
         xb = xs[:nc * _TILE].reshape(nc, _TILE)
         yb = np.concatenate((ys, np.abs(ax[n:] / w)))[:nr * _TILE].reshape(nr, _TILE)
-        tr, tc = np.nonzero(~decided)
+        tr, tc = np.divmod(np.flatnonzero(~decided), nc)
         blocks = _screened(xb[tc, None], yb[tr, :, None], p1, p2)
     return Raster(_tile_runs(inside, tr, tc, blocks, len(ys), n), row_of, extent, resolution)
 

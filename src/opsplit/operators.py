@@ -9,9 +9,9 @@ shape.
 Monotone operators enter through :class:`MonotoneSpec` subclasses, each with
 a closed-form resolvent ``(Id + gamma*A)^{-1}`` and a monotonicity modulus,
 the only property of the operator that the certificates read.  A
-:class:`QuadraticGradient` is an :class:`Affine` with a symmetric matrix;
-proximal mappings of hypoconvex quadratics reduce to the resolvent of their
-gradient.
+:class:`QuadraticGradient` is the gradient of a quadratic ``f``; its resolvent
+at step ``gamma`` is the proximal map of ``gamma*f``, the package's one path
+to it, single-valued while ``gamma*rho > -1``.
 
 Affine maps carry their form ``x -> matrix @ x + offset`` and the combinators
 fold it, so a tree of affine maps evaluates as a single matvec.
@@ -39,8 +39,6 @@ __all__ = [
     "ScaledIdentity",
     "SubspaceNormalPlusScale",
     "QuadraticGradient",
-    "HypoconvexQuadratic",
-    "prox",
     "compose",
     "scale",
     "negate",
@@ -310,53 +308,6 @@ class QuadraticGradient(Affine):
         q = self.matrix
         if not np.allclose(q, q.T, atol=1e-12 * max(1.0, float(np.abs(q).max()))):
             raise DomainError("quadratic matrix must be symmetric")
-
-
-# ---------------------------------------------------------------------------
-# Proximal mappings of hypoconvex quadratics
-
-
-@dataclass(eq=False)
-class HypoconvexQuadratic:
-    """``f(x) = x^T Q x / 2 + b^T x`` with hypoconvexity witness ``lam >= 0``.
-
-    ``f + (lam/2)*||.||^2`` must be convex, i.e. ``Q + lam*I`` positive
-    semidefinite (checked by an eigenvalue test at build time).  When ``lam``
-    is omitted the smallest valid witness ``max(0, -lambda_min(Q))`` is used.
-    """
-
-    matrix: np.ndarray
-    offset: np.ndarray | None = None
-    lam: float | None = None
-
-    def __post_init__(self):
-        self.gradient = QuadraticGradient(self.matrix, self.offset)
-        lam_min = self.gradient.rho
-        if self.lam is None:
-            self.lam = max(0.0, -lam_min)
-        else:
-            if self.lam < 0.0:
-                raise DomainError(f"hypoconvexity witness must be >= 0, got {self.lam}")
-            if lam_min + self.lam < -1e-10:
-                raise DomainError(
-                    f"witness {self.lam} too small: Q + lam*I has smallest "
-                    f"eigenvalue {lam_min + self.lam}"
-                )
-
-
-def prox(f: HypoconvexQuadratic, gamma: float) -> Op:
-    """``argmin_y f(y) + ||x - y||^2/(2*gamma)``, single-valued for ``gamma < 1/lam``.
-
-    Coincides with the resolvent of the gradient at step ``gamma``: the
-    minimizer solves ``(I + gamma*Q) y = x - gamma*b``.
-    """
-    if not gamma > 0.0:
-        raise DomainError(f"step size must be > 0, got {gamma}")
-    if f.lam > 0.0 and not gamma < 1.0 / f.lam:
-        raise DomainError(
-            f"prox not single-valued: requires gamma < 1/lam = {1.0 / f.lam}, got {gamma}"
-        )
-    return f.gradient.resolvent(gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import DomainError
+
 DEFAULT_SEED = 0xC0FFEE
 
 
@@ -33,7 +35,7 @@ def pair_samples(pairs: int, dim: int, seed: int = DEFAULT_SEED) -> tuple[np.nda
     """Return read-only arrays ``xs, ys`` of shape ``(m, dim)`` with ``x != y``
     rowwise.  The most recent sample is memoised, so copy before writing."""
     if pairs < 1:
-        raise ValueError(f"need at least one pair, got {pairs}")
+        raise DomainError(f"need at least one pair, got {pairs}")
     return _draw(pairs, dim, seed)
 
 

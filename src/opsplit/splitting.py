@@ -2,11 +2,12 @@
 
 ``plan_dr`` / ``plan_fb`` validate the step size against the certified
 interval and derive the constants (averagedness, contraction factor, inner
-conic parameter); ``build_dr`` / ``build_fb`` assemble the operator from
-monotone specifications and attach the plan's certificate.  ``iterate`` runs
-the fixed-point iteration with shadow tracking and divergence heuristics, and
-``rate_report`` compares the measured linear rate against the certified one;
-``solve`` runs all of these for the ``solve-*`` commands.
+conic parameter); ``build_dr`` / ``build_fb`` check the monotone
+specifications against the moduli the plan requires, assemble the operator
+and attach the plan's certificate.  ``iterate`` runs the fixed-point
+iteration with shadow tracking and divergence heuristics, and ``rate_report``
+compares the measured linear rate against the certified one; ``solve`` runs
+all of these for the ``solve-*`` commands.
 
 The raw constructors ``dr_operator`` / ``fb_operator`` skip plan validation;
 they exist for divergence demonstrations outside the certified range.
@@ -100,6 +101,20 @@ def _require(cond: bool, msg: str):
         raise DomainError(msg)
 
 
+def _required_moduli(kind: str, mu: float, omega: float, beta: float | None = None):
+    """The moduli ``(rho_A, rho_B)`` that a DR order or an FB case requires.
+
+    ``A_strong`` and FB cases I/Ib: ``(mu, -omega)``.  ``B_strong`` and cases
+    II/IIb: ``(-omega, mu)``, as ``A + omega*Id`` is cocoercive.  Cases
+    III/IIIb: ``(-beta, mu)``, as ``A`` is ``beta``-Lipschitz.
+    """
+    if kind in ("A_strong", "I", "Ib"):
+        return mu, -omega
+    if kind in ("B_strong", "II", "IIb"):
+        return -omega, mu
+    return -beta, mu
+
+
 def plan_dr(
     mu: float,
     omega: float,
@@ -125,7 +140,7 @@ def plan_dr(
         )
     nu = (mu - omega) / (mu - omega - gamma * mu * omega)
     # Cross-check against the conic-composition route (catches transcription bugs).
-    rho_a, rho_b = (mu, -omega) if order == "A_strong" else (-omega, mu)
+    rho_a, rho_b = _required_moduli(order, mu, omega)
     conic = compose_conic(
         ScaledConic(-1.0, 1.0 / (1.0 + gamma * rho_a)),
         ScaledConic(-1.0, 1.0 / (1.0 + gamma * rho_b)),
@@ -291,23 +306,22 @@ def fb_operator(A: MonotoneSpec, B: MonotoneSpec, gamma: float) -> Op:
     return ops.compose(B.resolvent(gamma), step)
 
 
-def _check_modulus(name: str, spec: MonotoneSpec, required: float):
-    if spec.rho < required - 1e-12:
-        raise DomainError(
-            f"modulus mismatch: {name} must be {required}-monotone, "
-            f"spec certifies only {spec.rho}"
-        )
+def _check_modulus(plan: SplitPlan, A: MonotoneSpec, B: MonotoneSpec):
+    """Reject specs below the moduli that the plan's order or case requires."""
+    required = _required_moduli(plan.order or plan.case, plan.mu, plan.omega, plan.beta)
+    for name, spec, rho in zip("AB", (A, B), required):
+        if spec.rho < rho - 1e-12:
+            raise DomainError(
+                f"modulus mismatch: {name} must be {rho}-monotone, "
+                f"spec certifies only {spec.rho}"
+            )
 
 
 def build_dr(plan: SplitPlan, A: MonotoneSpec, B: MonotoneSpec) -> Op:
     """Assemble the planned operator; fixed points map to zeros of ``A + B``
     through the resolvent of ``A``."""
     _require(plan.method == "DR", "plan is not a DR plan")
-    rho_a, rho_b = (
-        (plan.mu, -plan.omega) if plan.order == "A_strong" else (-plan.omega, plan.mu)
-    )
-    _check_modulus("A", A, rho_a)
-    _check_modulus("B", B, rho_b)
+    _check_modulus(plan, A, B)
     t = dr_operator(A, B, plan.gamma, plan.lambda_relax)
     auto = t.certificate.to_in()
     cert = INParams(1.0 - plan.averaged_alpha, plan.averaged_alpha)
@@ -323,6 +337,7 @@ def build_fb(plan: SplitPlan, A: MonotoneSpec, B: MonotoneSpec) -> Op:
     """Assemble the planned forward-backward operator; its fixed points are
     the zeros of ``A + B``."""
     _require(plan.method == "FB", "plan is not an FB plan")
+    _check_modulus(plan, A, B)
     t = fb_operator(A, B, plan.gamma)
     t.certificate = ScaledConic(plan.delta, plan.nu)
     return t

@@ -185,12 +185,15 @@ def check_composition_identity(
 # Tightest-class fitting
 
 
-# The family parameter ``q`` as the (alpha, beta) descriptor it fits.
+# The family parameter ``q`` as (the (alpha, beta) descriptor it fits, the
+# label it is reported as).
 _FAMILIES = {
-    "lipschitz": lambda q: INParams(0.0, q),
-    "averaged": lambda q: INParams(1.0 - q, q),
-    "conic": lambda q: INParams(1.0 - q, q),
-    "cocoercive": lambda q: INParams(q / 2.0, q / 2.0),  # q is the diameter
+    "lipschitz": (lambda q: INParams(0.0, q), ClassLabel.lipschitz),
+    "averaged": (lambda q: INParams(1.0 - q, q), ClassLabel.averaged),
+    "conic": (lambda q: INParams(1.0 - q, q), ClassLabel.conic),
+    # q is the diameter, reported as the modulus 1/q
+    "cocoercive": (lambda q: INParams(q / 2.0, q / 2.0),
+                   lambda q: ClassLabel.cocoercive(1.0 / q)),
 }
 
 
@@ -214,9 +217,9 @@ def fit_tightest(
     """
     if pairs < 100:
         raise DomainError(f"needs at least 100 pairs, got {pairs}")
-    descriptor = _FAMILIES.get(family)
-    if descriptor is None:
+    if family not in _FAMILIES:
         raise DomainError(f"unknown family {family!r}; known: {sorted(_FAMILIES)}")
+    descriptor, label = _FAMILIES[family]
     _, _, moments, finite = _sample(T, pairs, seed)
     if not finite:
         raise DomainError(f"non-finite T(x) - T(y) at sampled pairs, family {family!r}")
@@ -226,7 +229,7 @@ def fit_tightest(
 
     lo, hi = 1e-6, 1.0 - 1e-12 if family == "averaged" else 1e6
     if passes(lo):
-        return _family_label(family, lo)
+        return label(lo)
     if not passes(hi):
         raise DomainError(f"not in family {family!r} at sampled pairs")
     nd, ndt, ip = moments
@@ -242,17 +245,7 @@ def fit_tightest(
     while not passes(q):
         q = min(q + math.ulp(q) * step, hi)
         step *= 2.0
-    return _family_label(family, q)
-
-
-def _family_label(family: str, value: float) -> ClassLabel:
-    if family == "lipschitz":
-        return ClassLabel.lipschitz(value)
-    if family == "averaged":
-        return ClassLabel.averaged(value)
-    if family == "conic":
-        return ClassLabel.conic(value)
-    return ClassLabel.cocoercive(1.0 / value)
+    return label(q)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,14 @@ def marked_points(raster) -> np.ndarray:
     return np.column_stack([ax[is_], ax[js]])
 
 
+def disk_contains(disk, pts) -> np.ndarray:
+    """Whether each ``(x, y)`` row of ``pts`` lies in ``disk``, up to a
+    relative 1e-12 of its radius."""
+    pts = np.atleast_2d(pts)
+    d = np.hypot(pts[:, 0] - disk.center_x, pts[:, 1])
+    return d <= disk.radius * (1.0 + 1e-12)
+
+
 def raster_contains(raster, point, dilate: int = 0) -> bool:
     """Whether ``point`` falls on a marked pixel (within ``dilate`` pixels)."""
     x, y = float(point[0]), float(point[1])

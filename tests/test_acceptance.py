@@ -30,7 +30,7 @@ from opsplit.verifier import (
     run_named_case,
 )
 
-from conftest import marked_points, random_monotone_affine, raster_contains
+from conftest import disk_contains, marked_points, random_monotone_affine, raster_contains
 
 
 def _report(n, ok, detail=""):
@@ -216,7 +216,7 @@ def test_criterion_9_figure_soundness():
     for p1, p2 in pairs:
         raster = composition_region_exact(p1, p2, 512)
         disk = class_region(compose_general(p1, p2))
-        violating = int((~disk.contains(marked_points(raster))).sum())
+        violating = int((~disk_contains(disk, marked_points(raster))).sum())
         pts = _sampled_displacements(p1, p2, 10_000, rng)
         missed = sum(
             0 if raster_contains(raster, pt, dilate=1) else 1 for pt in pts

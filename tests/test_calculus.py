@@ -5,6 +5,7 @@ the closed forms (the oracle lives in ``_mp_bundle`` / ``_mp_general`` below
 and is kept independent of the package code).
 """
 
+import json
 import math
 
 import numpy as np
@@ -85,6 +86,27 @@ def test_label_range_errors():
         INParams(0.0, -0.1)
     with pytest.raises(DomainError):
         ScaledConic(1.0, 0.0)
+
+
+def _frozen_label_json(label: ClassLabel) -> dict:
+    """A label's JSON form as the CLI wrote it before ``ClassLabel.to_json``."""
+    out = {"kind": label.kind.value}
+    if label.value is not None:
+        out["value"] = label.value
+    if label.scale is not None:
+        out["scale"] = label.scale
+    return out
+
+
+def test_label_to_json_keeps_the_cli_bytes():
+    labels = [
+        ClassLabel.lipschitz(0.8), ClassLabel.nonexpansive(), ClassLabel.averaged(0.7),
+        ClassLabel.conic(1.7), ClassLabel.cocoercive(1 / 1.4), ClassLabel.contraction(0.0),
+        ClassLabel.scaled_conic(-2.0, 0.75), ClassLabel.neg_conic(2.0),
+    ]
+    assert {l.kind for l in labels} == set(Kind)
+    for label in labels:
+        assert json.dumps(label.to_json()) == json.dumps(_frozen_label_json(label)), label
 
 
 @pytest.mark.parametrize(

@@ -215,6 +215,28 @@ def test_solve_fb_tight_rate(tmp_path, fb_instance):
     assert header == "k,step_norm,err_norm,shadow_gap"
 
 
+@pytest.mark.parametrize("case, plan, a, b, message", [
+    # the plan's 0.75 contraction needs A 2-monotone; 0.5*Id is not
+    ("I", {"mu": 2.0, "omega": 1.0, "beta": 1.0, "gamma": 0.2}, 0.5, -1.0,
+     "modulus mismatch: A must be 2.0-monotone, spec certifies only 0.5"),
+    ("II", {"mu": 1.0, "omega": 0.5, "beta": 1.0, "beta_bar": 2.0, "gamma": 0.5}, 0.5, 0.5,
+     "modulus mismatch: B must be 1.0-monotone, spec certifies only 0.5"),
+    ("III", {"mu": 2.0, "beta": 1.0, "beta_bar": 3.0, "gamma": 1.0}, -2.0, 2.0,
+     "modulus mismatch: A must be -1.0-monotone, spec certifies only -2.0"),
+])
+def test_solve_fb_modulus_mismatch_is_rejected(case, plan, a, b, message, tmp_path):
+    inst = tmp_path / "fb.json"
+    inst.write_text(json.dumps({
+        "A": {"kind": "scaled_identity", "c": a, "dim": 2},
+        "B": {"kind": "scaled_identity", "c": b, "dim": 2},
+        "case": case, **plan,
+    }))
+    r = run_cli("solve-fb", "--instance", str(inst), "--x0", "1,2")
+    assert r.returncode == 2
+    out = json.loads(r.stdout)
+    assert out["error"] == message and set(out) == {"config", "error"}
+
+
 def test_solve_takes_no_seed(fb_instance):
     # the solvers draw nothing at random, so there is no seed to echo or set
     r = run_cli("solve-fb", "--instance", str(fb_instance), "--gamma", "0.2")

@@ -12,7 +12,6 @@ from opsplit.calculus import INParams, ScaledConic
 from opsplit.errors import BuildError, DomainError, GuardError
 from opsplit.operators import (
     Affine,
-    HypoconvexQuadratic,
     Op,
     QuadraticGradient,
     ScaledIdentity,
@@ -23,7 +22,6 @@ from opsplit.operators import (
     difference,
     identity,
     negate,
-    prox,
     relax,
     rotation_matrix,
     scale,
@@ -157,14 +155,13 @@ def test_affine_offset_shape_checked(offset):
 
 
 # ---------------------------------------------------------------------------
-# proximal mappings
+# proximal mappings: the resolvent of a quadratic's gradient
 
 
 def test_prox_concave_quadratic_matches_grid_search():
     lam = 0.5
-    f1 = HypoconvexQuadratic(np.array([[-lam]]))
     gamma = 1.0
-    p = prox(f1, gamma)
+    p = QuadraticGradient(np.array([[-lam]])).resolvent(gamma)
     x0 = 1.3
     oracle = grid_argmin(lambda y: -0.5 * lam * y * y + (x0 - y) ** 2 / (2 * gamma))
     got = p(np.array([x0]))[0]
@@ -174,54 +171,41 @@ def test_prox_concave_quadratic_matches_grid_search():
 
 def test_prox_convex_quadratic():
     mu = 2.0
-    f1 = HypoconvexQuadratic(mu * np.eye(2))
-    p = prox(f1, 0.5)
+    p = QuadraticGradient(mu * np.eye(2)).resolvent(0.5)
     x = np.array([1.0, -3.0])
     assert np.allclose(p(x), x / (1.0 + 0.5 * mu))
 
 
 def test_prox_linear_tilt():
     b = np.array([0.5, -1.0])
-    f1 = HypoconvexQuadratic(np.zeros((2, 2)), b)
-    p = prox(f1, 0.25)
+    p = QuadraticGradient(np.zeros((2, 2)), b).resolvent(0.25)
     x = np.array([1.0, 1.0])
     assert np.allclose(p(x), x - 0.25 * b)
 
 
 def test_prox_step_range():
-    f1 = HypoconvexQuadratic(np.array([[-2.0]]))
-    assert f1.lam == 2.0
-    prox(f1, 0.49)
-    with pytest.raises(DomainError):
-        prox(f1, 0.5)
-    # lam = 0: any positive step
-    prox(HypoconvexQuadratic(np.eye(1)), 1e6)
-
-
-def test_prox_agrees_with_gradient_resolvent(rng):
-    c = rng.standard_normal((3, 3))
-    q = c + c.T
-    b = rng.standard_normal(3)
-    f1 = HypoconvexQuadratic(q, b)
-    gamma = min(0.9 / f1.lam, 1.0) if f1.lam > 0 else 1.0
-    p = prox(f1, gamma)
-    j = QuadraticGradient(q, b).resolvent(gamma)
-    xs = rng.standard_normal((40, 3))
-    assert np.max(np.abs(p(xs) - j(xs))) < 1e-12
+    # f = -x^2 is 2-hypoconvex: its prox is single-valued exactly for gamma < 1/2
+    g = QuadraticGradient(np.array([[-2.0]]))
+    assert g.rho == -2.0
+    g.resolvent(math.nextafter(0.5, 0.0))
+    with pytest.raises(DomainError, match="not single-valued"):
+        g.resolvent(0.5)
+    # a convex quadratic: any positive step
+    QuadraticGradient(np.eye(1)).resolvent(1e6)
 
 
 def test_prox_surrogate_strongly_convex():
-    f1 = HypoconvexQuadratic(np.array([[-2.0, 0.0], [0.0, -0.5]]))
+    # Where the resolvent exists, f + ||x - .||^2/(2*gamma) is strongly convex.
+    g = QuadraticGradient(np.array([[-2.0, 0.0], [0.0, -0.5]]))
     gamma = 0.4
-    evals = np.linalg.eigvalsh(f1.matrix + np.eye(2) / gamma)
+    g.resolvent(gamma)
+    evals = np.linalg.eigvalsh(g.matrix + np.eye(2) / gamma)
     assert evals[0] > 0.0
 
 
-def test_hypoconvex_witness_validation():
-    with pytest.raises(DomainError):
-        HypoconvexQuadratic(np.array([[-2.0]]), lam=1.0)
-    with pytest.raises(DomainError):
-        HypoconvexQuadratic(np.array([[0.0, 1.0], [0.0, 0.0]]))  # not symmetric
+def test_quadratic_gradient_rejects_asymmetric_matrix():
+    with pytest.raises(DomainError, match="must be symmetric"):
+        QuadraticGradient(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,24 @@ def test_build_dr_modulus_mismatch():
         build_dr(plan, ScaledIdentity(2.0, dim=2), ScaledIdentity(-2.0, dim=2))
 
 
+# Per FB case: plan arguments, specs meeting the case's moduli, and specs
+# that miss one of them.
+_FB_MODULI_CASES = {
+    "I": (dict(mu=2.0, omega=1.0, beta=1.0, gamma=0.2), (2.0, -1.0), (0.5, -1.0)),
+    "II": (dict(mu=1.0, omega=0.5, beta=1.0, beta_bar=2.0, gamma=0.5), (-0.5, 1.0), (0.5, 0.5)),
+    "III": (dict(mu=2.0, beta=1.0, beta_bar=3.0, gamma=1.0), (-1.0, 2.0), (0.5, 1.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FB_MODULI_CASES))
+def test_build_fb_modulus_mismatch(case):
+    kwargs, (ca, cb), (bad_a, bad_b) = _FB_MODULI_CASES[case]
+    plan = plan_fb(case, **kwargs)
+    build_fb(plan, ScaledIdentity(ca, dim=2), ScaledIdentity(cb, dim=2))
+    with pytest.raises(DomainError, match="modulus mismatch"):
+        build_fb(plan, ScaledIdentity(bad_a, dim=2), ScaledIdentity(bad_b, dim=2))
+
+
 def test_build_dr_order_swap():
     plan = plan_dr(2.0, 1.0, gamma=0.1, order="B_strong")
     t = build_dr(plan, ScaledIdentity(-1.0, dim=2), ScaledIdentity(2.0, dim=2))

@@ -11,13 +11,12 @@ from mpmath import mp, mpf
 
 from opsplit import operators as ops
 from opsplit import verifier
-from opsplit.calculus import INParams, ScaledConic
+from opsplit.calculus import ClassLabel, INParams, ScaledConic
 from opsplit.errors import DomainError
 from opsplit.operators import Op, build_in_operator, build_rotation, identity, matrix_op
 from opsplit.sampling import DEFAULT_SEED, _row_dot, pair_samples
 from opsplit.verifier import (
     COMPOSITION_KINDS,
-    _family_label,
     _in_violations,
     _moments,
     check_composition_identity,
@@ -239,6 +238,17 @@ def test_membership_rejects_a_scaled_conic_check_that_overflows(T, match):
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=match):
             check_membership(T, ScaledConic(1e200, 0.5), pairs=200)
+
+
+@pytest.mark.parametrize("check, pairs", [
+    (lambda pairs: check_membership(identity(2), INParams(1.0, 0.0), pairs=pairs), 0),
+    (lambda pairs: check_monotone(identity(2), 1.0, pairs=pairs), -5),
+    (lambda pairs: pair_samples(pairs, 2), 0),
+])
+def test_too_few_pairs_is_a_domain_error(check, pairs):
+    # as fit_tightest rejects fewer than 100 pairs
+    with pytest.raises(DomainError, match="at least one pair"):
+        check(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +475,16 @@ def _reference_violations(moments, family, param):
     return v, err
 
 
+# The frozen reference's own family -> label map, so that it does not follow
+# production's ``verifier._FAMILIES``.
+_REFERENCE_LABELS = {
+    "lipschitz": ClassLabel.lipschitz,
+    "averaged": ClassLabel.averaged,
+    "conic": ClassLabel.conic,
+    "cocoercive": lambda q: ClassLabel.cocoercive(1.0 / q),
+}
+
+
 def _bisect_fit(T, family, pairs=10_000, tol=1e-9, seed=DEFAULT_SEED):
     """Reference: the bisection ``fit_tightest`` used before the closed form.
 
@@ -479,7 +499,7 @@ def _bisect_fit(T, family, pairs=10_000, tol=1e-9, seed=DEFAULT_SEED):
 
     lo, hi = 1e-6, 1.0 - 1e-12 if family == "averaged" else 1e6
     if passes(lo):
-        return _family_label(family, lo)
+        return _REFERENCE_LABELS[family](lo)
     if not passes(hi):
         raise DomainError(f"not in family {family!r} at sampled pairs")
     for _ in range(100):
@@ -488,7 +508,7 @@ def _bisect_fit(T, family, pairs=10_000, tol=1e-9, seed=DEFAULT_SEED):
             hi = mid
         else:
             lo = mid
-    return _family_label(family, hi)
+    return _REFERENCE_LABELS[family](hi)
 
 
 def _fit_or_none(fit, T, family, seed):
@@ -530,7 +550,8 @@ def _check_against_bisection(T, family, seed):
     assert np.max(_reference_violations(ref, family, q)[0]) > 1e-9, (family, got, want)
     q_want = 1.0 / want.value if family == "cocoercive" else want.value
     assert q < q_want, (family, got, want)
-    below = verifier._FAMILIES[family](math.nextafter(q, 0.0))
+    descriptor, _ = verifier._FAMILIES[family]
+    below = descriptor(math.nextafter(q, 0.0))
     assert np.max(_in_violations(moments, below)) > 1e-9, (family, got, want)
     # The bisection rejected the float below its result.  A pair that does so
     # while production accepts q lies within its two rounding errors of tol at
