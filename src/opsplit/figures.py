@@ -565,61 +565,48 @@ def _single_class_regions():
     ]
 
 
-def _composition_preset(p1, p2, resolution, certified=True):
-    regions = [(composition_region_exact(p1, p2, resolution), dict(_RASTER_STYLE))]
-    if certified:
-        regions.append((class_region(compose_general(p1, p2)), dict(_CERT_STYLE)))
-    return regions
+def _general_disk(p1, p2):
+    return compose_general(p1, p2)
 
 
-PRESET_NAMES = (
-    "single-class",
-    "averaged-averaged-0.5-0.5",
-    "averaged-averaged-0.7-0.6",
-    "conic-conic-1.7-0.45",
-    "conic-conic-1.7-0.7",
-    "scaled-averaged-cocoercive",
-    "fb-relaxed",
-)
+# Each composition preset: its factors' descriptors, the weight ``w`` of the
+# relaxation ``(1-w)*Id + w*(second . first)`` it draws, and the rule that
+# gives the composition's certified disk before relaxation, or None where no
+# certified disk exists.  The rules look the calculus functions up when they
+# run, so that a patched module attribute (a tracer's) sees each call.
+_COMPOSITION_PRESETS = {
+    "averaged-averaged-0.5-0.5": (INParams(0.5, 0.5), INParams(0.5, 0.5), 1.0, _general_disk),
+    "averaged-averaged-0.7-0.6": (INParams(0.3, 0.7), INParams(0.4, 0.6), 1.0, _general_disk),
+    "conic-conic-1.7-0.45": (INParams(-0.7, 1.7), INParams(0.55, 0.45), 1.0, _general_disk),
+    # Parameter product above one: no certified disk exists.
+    "conic-conic-1.7-0.7": (INParams(-0.7, 1.7), INParams(0.3, 0.7), 1.0, None),
+    "scaled-averaged-cocoercive": (
+        INParams(0.6, 1.0), INParams(0.3125, 0.3125), 1.0,
+        lambda p1, p2: compose_scaled_averaged_cocoercive(ScaledConic(1.6, 0.625), 0.625).to_in(),
+    ),
+    "fb-relaxed": (
+        INParams(-0.95, 1.95), INParams(0.5, 0.5), 0.04,
+        lambda p1, p2: compose_conic(ScaledConic(1.0, 1.95), ScaledConic(1.0, 0.5)).to_in(),
+    ),
+}
+
+PRESET_NAMES = ("single-class", *_COMPOSITION_PRESETS)
 
 
 def preset_figure(name: str, resolution: int = 512):
     """Return ``(regions, markers)`` for one of the named presets."""
     if name == "single-class":
         return _single_class_regions(), []
-    if name == "averaged-averaged-0.5-0.5":
-        return _composition_preset(INParams(0.5, 0.5), INParams(0.5, 0.5), resolution), []
-    if name == "averaged-averaged-0.7-0.6":
-        return _composition_preset(INParams(0.3, 0.7), INParams(0.4, 0.6), resolution), []
-    if name == "conic-conic-1.7-0.45":
-        return _composition_preset(INParams(-0.7, 1.7), INParams(0.55, 0.45), resolution), []
-    if name == "conic-conic-1.7-0.7":
-        # Parameter product above one: no certified disk exists.
-        return (
-            _composition_preset(INParams(-0.7, 1.7), INParams(0.3, 0.7), resolution,
-                                certified=False),
-            [],
-        )
-    if name == "scaled-averaged-cocoercive":
-        p1, p2 = INParams(0.6, 1.0), INParams(0.3125, 0.3125)
-        cert = compose_scaled_averaged_cocoercive(ScaledConic(1.6, 0.625), 0.625).to_in()
-        regions = [
-            (composition_region_exact(p1, p2, resolution), dict(_RASTER_STYLE)),
-            (class_region(cert), dict(_CERT_STYLE)),
-        ]
-        return regions, []
-    if name == "fb-relaxed":
-        p1, p2 = INParams(-0.95, 1.95), INParams(0.5, 0.5)
-        w = 0.04
-        conic = compose_conic(ScaledConic(1.0, 1.95), ScaledConic(1.0, 0.5))
-        base = conic.to_in()
-        cert = INParams((1.0 - w) + w * base.alpha, w * base.beta)
-        regions = [
-            (composition_region_exact(p1, p2, resolution, relax_weight=w), dict(_RASTER_STYLE)),
-            (class_region(cert), dict(_CERT_STYLE)),
-        ]
-        return regions, []
-    raise DomainError(f"unknown preset {name!r}; known: {PRESET_NAMES}")
+    if name not in _COMPOSITION_PRESETS:
+        raise DomainError(f"unknown preset {name!r}; known: {PRESET_NAMES}")
+    p1, p2, w, certified = _COMPOSITION_PRESETS[name]
+    regions = [(composition_region_exact(p1, p2, resolution, relax_weight=w), dict(_RASTER_STYLE))]
+    if certified is not None:
+        # The relaxation maps the disk affinely; at w = 1 it keeps the disk's floats.
+        cert = certified(p1, p2)
+        cert = INParams((1.0 - w) + w * cert.alpha, w * cert.beta)
+        regions.append((class_region(cert), dict(_CERT_STYLE)))
+    return regions, []
 
 
 # One rect run of a raster path; ``%.4f`` formats as ``_fmt`` does.

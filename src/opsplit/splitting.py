@@ -104,15 +104,13 @@ def _require(cond: bool, msg: str):
 def _required_moduli(kind: str, mu: float, omega: float, beta: float | None = None):
     """The moduli ``(rho_A, rho_B)`` that a DR order or an FB case requires.
 
-    ``A_strong`` and FB cases I/Ib: ``(mu, -omega)``.  ``B_strong`` and cases
-    II/IIb: ``(-omega, mu)``, as ``A + omega*Id`` is cocoercive.  Cases
-    III/IIIb: ``(-beta, mu)``, as ``A`` is ``beta``-Lipschitz.
+    ``A_strong`` and FB cases I/Ib: ``(mu, -omega)``.  ``B_strong`` and the
+    II/III family: ``(-p, mu)``, as ``A + p*Id`` is cocoercive, with the shift
+    ``p = beta`` in cases III/IIIb (``A`` is ``beta``-Lipschitz), else ``omega``.
     """
     if kind in ("A_strong", "I", "Ib"):
         return mu, -omega
-    if kind in ("B_strong", "II", "IIb"):
-        return -omega, mu
-    return -beta, mu
+    return -(beta if kind.startswith("III") else omega), mu
 
 
 def plan_dr(
@@ -132,13 +130,21 @@ def plan_dr(
     _require(mu > omega, f"requires mu > omega, got mu={mu}, omega={omega}")
     _require(0.0 < lambda_relax < 1.0, f"relaxation must lie in ]0,1[, got {lambda_relax}")
     _require(order in DR_ORDERS, f"unknown order {order!r}")
+    _require(omega == 0.0 or mu * omega > 0.0, f"mu*omega rounds to 0, got mu={mu}, omega={omega}")
     hi = None if omega == 0.0 else (1.0 - lambda_relax) * (mu - omega) / (mu * omega)
     rng = GammaRange(0.0, hi)
     if not rng.contains(gamma):
         raise StepSizeError(
             f"step size {gamma} outside certified interval {rng}", interval=rng
         )
-    nu = (mu - omega) / (mu - omega - gamma * mu * omega)
+    # The interval keeps mu - omega - gamma*mu*omega and 1 - gamma*omega above
+    # 0, but either can round to 0.
+    den = mu - omega - gamma * mu * omega
+    _require(den != 0.0, f"mu - omega - gamma*mu*omega rounds to 0 at gamma={gamma}; "
+                         "no constants certified")
+    _require(gamma * omega != 1.0, f"gamma*omega rounds to 1 at gamma={gamma}; "
+                                   "no constants certified")
+    nu = (mu - omega) / den
     # Cross-check against the conic-composition route (catches transcription bugs).
     rho_a, rho_b = _required_moduli(order, mu, omega)
     conic = compose_conic(
@@ -166,30 +172,6 @@ def plan_dr(
     )
 
 
-def _fb_constants(case, mu, omega, beta, beta_bar, gamma):
-    if case == "I":
-        return gamma * beta / (2.0 * (1.0 - gamma * mu)), (1.0 - gamma * mu) / (1.0 - gamma * omega)
-    if case == "Ib":
-        return (
-            gamma * beta / (2.0 * (gamma * (mu + beta) - 1.0)),
-            (1.0 - gamma * (mu + beta)) / (1.0 - gamma * omega),
-        )
-    if case == "II":
-        return gamma * beta_bar / (2.0 * (1.0 + gamma * omega)), (1.0 + gamma * omega) / (1.0 + gamma * mu)
-    if case == "IIb":
-        return (
-            gamma * beta_bar / (2.0 * (gamma * beta_bar - gamma * omega - 1.0)),
-            (1.0 + gamma * omega - gamma * beta_bar) / (1.0 + gamma * mu),
-        )
-    if case == "III":
-        return gamma * beta_bar / (2.0 * (1.0 + gamma * beta)), (1.0 + gamma * beta) / (1.0 + gamma * mu)
-    # IIIb
-    return (
-        gamma * beta_bar / (2.0 * (gamma * beta_bar - gamma * beta - 1.0)),
-        (1.0 + gamma * beta - gamma * beta_bar) / (1.0 + gamma * mu),
-    )
-
-
 def plan_fb(
     case: str,
     mu: float,
@@ -202,61 +184,63 @@ def plan_fb(
 
     Case I/Ib: forward side strongly monotone (``A`` mu-monotone with
     ``A - mu*Id`` ``1/beta``-cocoercive, ``B`` ``(-omega)``-monotone).
-    Case II/IIb: shift on the forward side (``A + omega*Id`` cocoercive,
-    ``B`` mu-monotone, bound ``beta_bar > max(beta, mu+omega)``).
-    Case III/IIIb: ``A`` merely ``beta``-Lipschitz, ``B`` mu-monotone.
+    Cases II/IIb and III/IIIb share one formula in the forward shift ``p``
+    (``A + p*Id`` cocoercive, ``B`` mu-monotone, ``mu >= p``): ``p = omega``
+    in case II (bound ``beta_bar > max(beta, mu+omega)``) and ``p = beta`` in
+    case III, where ``A`` is merely ``beta``-Lipschitz.  Their step size lies
+    in ``]0, 2/(beta_bar-2p)[``, with ``nu = g*beta_bar/(2(1+g*p))`` and
+    ``delta = (1+g*p)/(1+g*mu)``.
     The b-variants take the step size in the adjacent half-open interval and
-    certify a contraction with a negative scale factor in ``]-1, 0]``.
+    certify a contraction with a negative scale factor in ``]-1, 0]``; case
+    Ib also requires ``g*omega < 1``, where ``J_{gB}`` is single-valued.
     """
     _require(case in FB_CASES, f"unknown forward-backward case {case!r}")
     _require(gamma is not None, "gamma is required")
     _require(beta is not None and beta > 0.0, f"requires beta > 0, got {beta}")
     _require(omega >= 0.0, f"requires omega >= 0, got {omega}")
 
-    if case in ("I", "Ib"):
-        if case == "I":
-            _require(mu >= omega, f"case I requires mu >= omega, got {mu} < {omega}")
-            rng = GammaRange(0.0, 2.0 / (beta + 2.0 * mu))
-        else:
-            _require(mu > omega, f"case Ib requires mu > omega, got {mu} <= {omega}")
-            rng = GammaRange(2.0 / (beta + 2.0 * mu), 2.0 / (beta + mu), lo_closed=True)
-    elif case in ("II", "IIb"):
-        _require(beta_bar is not None, "cases II/IIb require beta_bar")
+    family, b_case = case.rstrip("b"), case.endswith("b")
+    p_name, p = ("beta", beta) if family == "III" else ("omega", omega)
+    if family != "I":
+        _require(beta_bar is not None, f"cases {family}/{family}b require beta_bar")
+    if family == "II":
         _require(
             beta_bar > max(beta, mu + omega),
             f"requires beta_bar > max(beta, mu+omega) = {max(beta, mu + omega)}, got {beta_bar}",
         )
-        if case == "II":
-            _require(mu >= omega, f"case II requires mu >= omega, got {mu} < {omega}")
-            rng = GammaRange(0.0, 2.0 / (beta_bar - 2.0 * omega))
-        else:
-            _require(mu > omega, f"case IIb requires mu > omega, got {mu} <= {omega}")
-            rng = GammaRange(
-                2.0 / (beta_bar - 2.0 * omega),
-                2.0 / (beta_bar - mu - omega),
-                lo_closed=True,
-            )
-    else:  # III / IIIb
-        _require(beta_bar is not None, "cases III/IIIb require beta_bar")
-        if case == "III":
-            _require(mu >= beta, f"case III requires mu >= beta, got {mu} < {beta}")
-            _require(beta_bar > 2.0 * beta, f"requires beta_bar > 2*beta, got {beta_bar}")
-            rng = GammaRange(0.0, 2.0 / (beta_bar - 2.0 * beta))
-        else:
-            _require(mu > beta, f"case IIIb requires mu > beta, got {mu} <= {beta}")
-            _require(beta_bar > mu + beta, f"requires beta_bar > mu+beta, got {beta_bar}")
-            rng = GammaRange(
-                2.0 / (beta_bar - 2.0 * beta),
-                2.0 / (beta_bar - mu - beta),
-                lo_closed=True,
-            )
+    _require(mu > p if b_case else mu >= p,
+             f"case {case} requires mu {'>' if b_case else '>='} {p_name}, "
+             f"got {mu} {'<=' if b_case else '<'} {p}")
+    if family == "III":
+        bound, text = (mu + beta, "mu+beta") if b_case else (2.0 * beta, "2*beta")
+        _require(beta_bar > bound, f"requires beta_bar > {text}, got {beta_bar}")
+    if family == "I":
+        beta_fwd, lo = beta, 2.0 / (beta + 2.0 * mu)
+    else:
+        beta_fwd, lo = beta_bar, 2.0 / (beta_bar - 2.0 * p)
+    if b_case:
+        rng = GammaRange(lo, 2.0 / (beta + mu if family == "I" else beta_bar - mu - p),
+                         lo_closed=True)
+    else:
+        rng = GammaRange(0.0, lo)
 
     if not rng.contains(gamma):
         raise StepSizeError(
             f"step size {gamma} outside case {case} interval {rng}", interval=rng
         )
-    nu, delta = _fb_constants(case, mu, omega, beta, beta_bar, gamma)
-    b_case = case.endswith("b")
+    if family == "I":
+        den = gamma * (mu + beta) - 1.0 if b_case else 1.0 - gamma * mu
+        num, scale = (-den if b_case else den), 1.0 - gamma * omega
+    else:
+        den = gamma * beta_bar - gamma * p - 1.0 if b_case else 1.0 + gamma * p
+        num, scale = (1.0 + gamma * p - gamma * beta_bar if b_case else den), 1.0 + gamma * mu
+    if case == "Ib":
+        _require(gamma * omega < 1.0,
+                 f"case Ib requires gamma*omega < 1 (J_gB single-valued), got {gamma * omega}")
+        # The interval keeps gamma*(mu+beta) - 1 above 0, but it can round to 0.
+        _require(den != 0.0, f"case Ib: gamma*(mu+beta) - 1 rounds to 0 at gamma={gamma}; "
+                             "no constants certified")
+    nu, delta = gamma * beta_fwd / (2.0 * den), num / scale
     if b_case:
         # The gamma interval alone does not pin the factor into ]-1, 0] when
         # omega > 0; reject at the boundary rather than certify a non-contraction.

@@ -237,6 +237,52 @@ def test_solve_fb_modulus_mismatch_is_rejected(case, plan, a, b, message, tmp_pa
     assert out["error"] == message and set(out) == {"config", "error"}
 
 
+# Planner inputs whose constants once divided by zero: each is now an exit-2
+# rejection record.
+_ROUNDING_EDGE_SOLVES = [
+    # case Ib at 1 - gamma*omega = 0, where J_gB is not single-valued
+    ("solve-fb", {"A": 1.6, "B": -1.0, "mu": 1.5, "omega": 1.0, "beta": 0.1, "case": "Ib",
+                  "gamma": 1.0}, [],
+     "case Ib requires gamma*omega < 1 (J_gB single-valued), got 1.0"),
+    # case Ib where gamma*(mu+beta) - 1 rounds to 0
+    ("solve-fb", {"A": 1.0, "B": 0.0, "mu": 1.0, "omega": 0.0, "beta": 1e-17, "case": "Ib",
+                  "gamma": 1.0}, [],
+     "case Ib: gamma*(mu+beta) - 1 rounds to 0 at gamma=1.0; no constants certified"),
+    # 1 - lambda rounds to 1, and mu - omega - gamma*mu*omega to 0
+    ("solve-dr", {"A": 5.0, "B": -4.9, "mu": 5.0, "omega": 4.9,
+                  "gamma": 0.004081632653061209}, ["--lambda", "1e-17"],
+     "mu - omega - gamma*mu*omega rounds to 0 at gamma=0.004081632653061209; "
+     "no constants certified"),
+]
+
+
+def _scalar_instance(tmp_path, inst):
+    """Write ``inst`` with its ``A`` and ``B`` as 2-D scaled identities."""
+    path = tmp_path / "inst.json"
+    specs = {side: {"kind": "scaled_identity", "c": inst[side], "dim": 2} for side in "AB"}
+    path.write_text(json.dumps({**inst, **specs}))
+    return path
+
+
+@pytest.mark.parametrize("command, inst, flags, message", _ROUNDING_EDGE_SOLVES)
+def test_solve_at_a_rounding_edge_is_rejected(command, inst, flags, message, tmp_path, capsys):
+    from opsplit.cli import main
+
+    path = _scalar_instance(tmp_path, inst)
+    assert main([command, "--instance", str(path), "--x0", "1,2", *flags]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"] == message and set(out) == {"config", "error"}
+
+
+def test_forced_solve_at_a_singular_resolvent_is_usage(tmp_path, capsys):
+    from opsplit.cli import main
+
+    command, inst, _, _ = _ROUNDING_EDGE_SOLVES[0]
+    path = _scalar_instance(tmp_path, inst)
+    assert main([command, "--instance", str(path), "--x0", "1,2", "--force"]) == 1
+    assert "resolvent not single-valued" in capsys.readouterr().err
+
+
 def test_solve_takes_no_seed(fb_instance):
     # the solvers draw nothing at random, so there is no seed to echo or set
     r = run_cli("solve-fb", "--instance", str(fb_instance), "--gamma", "0.2")

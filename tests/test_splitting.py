@@ -8,7 +8,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opsplit import operators as ops
@@ -18,8 +18,11 @@ from opsplit.operators import Op, ScaledIdentity, SubspaceNormalPlusScale, ident
 from opsplit.splitting import (
     _BLOCK,
     _CSV_ROWS,
+    DR_ORDERS,
+    FB_CASES,
     GammaRange,
     IterLog,
+    SplitPlan,
     build_dr,
     build_fb,
     dr_operator,
@@ -219,6 +222,217 @@ def test_plan_fb_case_iii():
 def test_plan_fb_case_iiib():
     plan = plan_fb("IIIb", mu=2.0, omega=0.0, beta=1.0, beta_bar=4.0, gamma=1.5)
     assert -1.0 < plan.delta <= 0.0 and plan.contraction
+
+
+# ---------------------------------------------------------------------------
+# FB planning against the case-by-case reference
+
+# The six-case planner as it was before cases II and III shared one formula,
+# kept as the reference for every message, interval and constant.
+
+
+def _reference_require(cond, msg):
+    if not cond:
+        raise DomainError(msg)
+
+
+def _reference_fb_constants(case, mu, omega, beta, beta_bar, gamma):
+    if case == "I":
+        return gamma * beta / (2.0 * (1.0 - gamma * mu)), (1.0 - gamma * mu) / (1.0 - gamma * omega)
+    if case == "Ib":
+        return (
+            gamma * beta / (2.0 * (gamma * (mu + beta) - 1.0)),
+            (1.0 - gamma * (mu + beta)) / (1.0 - gamma * omega),
+        )
+    if case == "II":
+        return gamma * beta_bar / (2.0 * (1.0 + gamma * omega)), (1.0 + gamma * omega) / (1.0 + gamma * mu)
+    if case == "IIb":
+        return (
+            gamma * beta_bar / (2.0 * (gamma * beta_bar - gamma * omega - 1.0)),
+            (1.0 + gamma * omega - gamma * beta_bar) / (1.0 + gamma * mu),
+        )
+    if case == "III":
+        return gamma * beta_bar / (2.0 * (1.0 + gamma * beta)), (1.0 + gamma * beta) / (1.0 + gamma * mu)
+    # IIIb
+    return (
+        gamma * beta_bar / (2.0 * (gamma * beta_bar - gamma * beta - 1.0)),
+        (1.0 + gamma * beta - gamma * beta_bar) / (1.0 + gamma * mu),
+    )
+
+
+def _reference_plan_fb(case, mu, omega=0.0, gamma=None, beta=None, beta_bar=None):
+    _reference_require(case in FB_CASES, f"unknown forward-backward case {case!r}")
+    _reference_require(gamma is not None, "gamma is required")
+    _reference_require(beta is not None and beta > 0.0, f"requires beta > 0, got {beta}")
+    _reference_require(omega >= 0.0, f"requires omega >= 0, got {omega}")
+
+    if case in ("I", "Ib"):
+        if case == "I":
+            _reference_require(mu >= omega, f"case I requires mu >= omega, got {mu} < {omega}")
+            rng = GammaRange(0.0, 2.0 / (beta + 2.0 * mu))
+        else:
+            _reference_require(mu > omega, f"case Ib requires mu > omega, got {mu} <= {omega}")
+            rng = GammaRange(2.0 / (beta + 2.0 * mu), 2.0 / (beta + mu), lo_closed=True)
+    elif case in ("II", "IIb"):
+        _reference_require(beta_bar is not None, "cases II/IIb require beta_bar")
+        _reference_require(
+            beta_bar > max(beta, mu + omega),
+            f"requires beta_bar > max(beta, mu+omega) = {max(beta, mu + omega)}, got {beta_bar}",
+        )
+        if case == "II":
+            _reference_require(mu >= omega, f"case II requires mu >= omega, got {mu} < {omega}")
+            rng = GammaRange(0.0, 2.0 / (beta_bar - 2.0 * omega))
+        else:
+            _reference_require(mu > omega, f"case IIb requires mu > omega, got {mu} <= {omega}")
+            rng = GammaRange(
+                2.0 / (beta_bar - 2.0 * omega),
+                2.0 / (beta_bar - mu - omega),
+                lo_closed=True,
+            )
+    else:  # III / IIIb
+        _reference_require(beta_bar is not None, "cases III/IIIb require beta_bar")
+        if case == "III":
+            _reference_require(mu >= beta, f"case III requires mu >= beta, got {mu} < {beta}")
+            _reference_require(beta_bar > 2.0 * beta, f"requires beta_bar > 2*beta, got {beta_bar}")
+            rng = GammaRange(0.0, 2.0 / (beta_bar - 2.0 * beta))
+        else:
+            _reference_require(mu > beta, f"case IIIb requires mu > beta, got {mu} <= {beta}")
+            _reference_require(beta_bar > mu + beta, f"requires beta_bar > mu+beta, got {beta_bar}")
+            rng = GammaRange(
+                2.0 / (beta_bar - 2.0 * beta),
+                2.0 / (beta_bar - mu - beta),
+                lo_closed=True,
+            )
+
+    if not rng.contains(gamma):
+        raise StepSizeError(
+            f"step size {gamma} outside case {case} interval {rng}", interval=rng
+        )
+    nu, delta = _reference_fb_constants(case, mu, omega, beta, beta_bar, gamma)
+    b_case = case.endswith("b")
+    if b_case:
+        # The gamma interval alone does not pin the factor into ]-1, 0] when
+        # omega > 0; reject at the boundary rather than certify a non-contraction.
+        if not (-1.0 < delta <= 0.0):
+            raise DomainError(
+                f"case {case} factor {delta} outside ]-1, 0]; "
+                f"no contraction certified at gamma={gamma}"
+            )
+        _reference_require(0.0 < nu <= 1.0, f"internal: nu = {nu} outside ]0,1]")
+        averaged_alpha = None
+    else:
+        _reference_require(0.0 < nu < 1.0, f"internal: nu = {nu} outside ]0,1[")
+        _reference_require(0.0 < delta <= 1.0, f"internal: delta = {delta} outside ]0,1]")
+        averaged_alpha = 1.0 - delta * (1.0 - nu) / (2.0 - nu)
+    return SplitPlan(
+        method="FB",
+        case=case,
+        mu=mu,
+        omega=omega,
+        gamma=gamma,
+        gamma_range=rng,
+        nu=nu,
+        delta=delta,
+        averaged_alpha=averaged_alpha,
+        contraction=abs(delta) < 1.0,
+        beta=beta,
+        beta_bar=beta_bar,
+    )
+
+
+# Free values reach every rejection and the extremes of the float range;
+# _SMALL and _POSITIVE values meet the hypotheses often enough to reach the
+# constants.
+_SMALL = st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 1e-17, 0.0]) | st.floats(0.0, 8.0)
+_POSITIVE = st.sampled_from([0.5, 1.0, 2.0, 1e-17]) | st.floats(1e-3, 8.0)
+_PLAN_VALUES = _SMALL | st.floats(-1.0, 8.0) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _gamma_near_ends(draw, planner, *args, **kwargs):
+    """A step size at or next to an end of ``planner``'s interval, or inside
+    it; anywhere when the hypotheses fail before the interval is formed."""
+    try:
+        planner(*args, gamma=math.nan, **kwargs)
+    except StepSizeError as exc:
+        lo, hi = exc.interval.lo, exc.interval.hi
+    except (DomainError, NumericError):
+        return draw(_PLAN_VALUES)
+    ends = [e for e in (lo, hi) if e is not None and math.isfinite(e)]
+    near = [g for e in ends for g in (math.nextafter(e, -math.inf), e, math.nextafter(e, math.inf))]
+    inside = st.floats(lo, hi) if len(ends) == 2 and lo <= hi else _POSITIVE
+    return draw(st.sampled_from(near) | inside)
+
+
+@st.composite
+def _fb_inputs(draw):
+    case = draw(st.sampled_from(FB_CASES))
+    if draw(st.booleans()):
+        mu, omega, beta = draw(_PLAN_VALUES), draw(_PLAN_VALUES), draw(_PLAN_VALUES)
+        beta_bar = draw(st.none() | _PLAN_VALUES)
+    else:
+        # mu and beta_bar above the cases' lower bounds, some by 1e-17
+        omega, beta = draw(_SMALL), draw(_POSITIVE)
+        mu = max(omega, beta) + draw(_POSITIVE)
+        beta_bar = mu + max(omega, beta) + draw(_POSITIVE)
+    kwargs = dict(case=case, mu=mu, omega=omega, beta=beta, beta_bar=beta_bar)
+    return dict(kwargs, gamma=_gamma_near_ends(draw, _reference_plan_fb, **kwargs))
+
+
+@st.composite
+def _dr_inputs(draw):
+    mu, omega = draw(_PLAN_VALUES), draw(_PLAN_VALUES)
+    lam = draw(st.sampled_from([0.5, 1e-17]) | st.floats(0.0, 1.0))
+    kwargs = dict(mu=mu, omega=omega, lambda_relax=lam, order=draw(st.sampled_from(DR_ORDERS)))
+    return dict(kwargs, gamma=_gamma_near_ends(draw, plan_dr, **kwargs))
+
+
+def _outcome(planner, inputs):
+    """The plan's JSON form, or the type and message of what it raised."""
+    try:
+        return repr(planner(**inputs).to_json())
+    except (DomainError, NumericError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+# The two inputs the reference divided by zero on, Ib at gamma*omega > 1,
+# which it rejected by its factor check, and a case III plan.
+@settings(max_examples=300, deadline=None)
+@given(_fb_inputs())
+@example(dict(case="Ib", mu=1.5, omega=1.0, beta=0.1, beta_bar=None, gamma=1.0))
+@example(dict(case="Ib", mu=1.0, omega=0.0, beta=1e-17, beta_bar=None, gamma=1.0))
+@example(dict(case="Ib", mu=1.5, omega=1.0, beta=0.1, beta_bar=None, gamma=1.1))
+@example(dict(case="III", mu=2.0, omega=0.0, beta=1.0, beta_bar=3.0, gamma=1.0))
+def test_plan_fb_matches_the_case_by_case_reference(inputs):
+    want, got = _outcome(_reference_plan_fb, inputs), _outcome(plan_fb, inputs)
+    if want[0] is ZeroDivisionError:
+        assert got[0] is DomainError
+    elif got != want:
+        assert inputs["case"] == "Ib" and inputs["gamma"] * inputs["omega"] >= 1.0
+        assert want[0] is DomainError and got[0] is DomainError
+        assert got[1].startswith("case Ib requires gamma*omega < 1")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_fb_inputs().map(lambda kw: (plan_fb, kw)),
+                 _dr_inputs().map(lambda kw: (plan_dr, kw))))
+@example((plan_fb, dict(case="Ib", mu=1.5, omega=1.0, beta=0.1, beta_bar=None, gamma=1.0)))
+@example((plan_fb, dict(case="Ib", mu=1.0, omega=0.0, beta=1e-17, beta_bar=None, gamma=1.0)))
+# 1 - lambda rounds to 1 and mu - omega - gamma*mu*omega to 0
+@example((plan_dr, dict(mu=5.0, omega=4.9, gamma=0.004081632653061209, lambda_relax=1e-17,
+                        order="A_strong")))
+# mu*omega underflows to 0
+@example((plan_dr, dict(mu=0.3, omega=5e-324, gamma=1.0, lambda_relax=0.5, order="A_strong")))
+# gamma*omega rounds to 1 in the conic cross-check, in either order
+@example((plan_dr, dict(mu=1e300, omega=1.94633949057541e-104, gamma=5.1378498193260365e103,
+                        lambda_relax=1e-17, order="B_strong")))
+@example((plan_dr, dict(mu=4.5918183751375215e111, omega=2.882132678302105e93,
+                        gamma=3.469652898107073e-94, lambda_relax=1e-17, order="A_strong")))
+def test_planners_raise_only_domain_or_numeric_errors(call):
+    planner, inputs = call
+    try:
+        planner(**inputs)
+    except (DomainError, NumericError):
+        pass
 
 
 # ---------------------------------------------------------------------------
