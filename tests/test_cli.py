@@ -283,6 +283,21 @@ def test_forced_solve_at_a_singular_resolvent_is_usage(tmp_path, capsys):
     assert "resolvent not single-valued" in capsys.readouterr().err
 
 
+# omega/mu = 0.9985: the conic route to nu loses about 8 digits, and these
+# step sizes, 5% and 4% into ]0, 0.0379[, used to exit 3 on a float
+# cross-check against it.
+@pytest.mark.parametrize("gamma", ["0.0018772050770655114", "0.0015"])
+def test_solve_dr_near_equal_moduli_plans(gamma, tmp_path, capsys):
+    from opsplit.cli import main
+
+    mu, omega = 0.01972509537269139, 0.019695644106618136
+    path = _scalar_instance(tmp_path, {"A": mu, "B": -omega, "mu": mu, "omega": omega})
+    assert main(["solve-dr", "--instance", str(path), "--gamma", gamma, "--lambda", "0.5",
+                 "--x0", "1,2", "--max-iter", "200"]) == 0
+    plan = json.loads(capsys.readouterr().out)["plan"]
+    assert plan["gamma"] == float(gamma) and plan["gamma_range"] == "]0.0, 0.03790396774326983["
+
+
 def test_solve_takes_no_seed(fb_instance):
     # the solvers draw nothing at random, so there is no seed to echo or set
     r = run_cli("solve-fb", "--instance", str(fb_instance), "--gamma", "0.2")

@@ -5,6 +5,7 @@ import json
 import math
 import warnings
 from dataclasses import asdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from opsplit.splitting import (
     GammaRange,
     IterLog,
     SplitPlan,
+    _required_moduli,
     build_dr,
     build_fb,
     dr_operator,
@@ -37,6 +39,7 @@ from opsplit.splitting import (
 )
 from opsplit.verifier import check_membership
 
+import exact
 from conftest import random_monotone_affine
 
 
@@ -355,7 +358,7 @@ def _gamma_near_ends(draw, planner, *args, **kwargs):
         planner(*args, gamma=math.nan, **kwargs)
     except StepSizeError as exc:
         lo, hi = exc.interval.lo, exc.interval.hi
-    except (DomainError, NumericError):
+    except DomainError:
         return draw(_PLAN_VALUES)
     ends = [e for e in (lo, hi) if e is not None and math.isfinite(e)]
     near = [g for e in ends for g in (math.nextafter(e, -math.inf), e, math.nextafter(e, math.inf))]
@@ -390,7 +393,7 @@ def _outcome(planner, inputs):
     """The plan's JSON form, or the type and message of what it raised."""
     try:
         return repr(planner(**inputs).to_json())
-    except (DomainError, NumericError, ZeroDivisionError) as exc:
+    except (DomainError, ZeroDivisionError) as exc:
         return type(exc), str(exc)
 
 
@@ -422,17 +425,119 @@ def test_plan_fb_matches_the_case_by_case_reference(inputs):
                         order="A_strong")))
 # mu*omega underflows to 0
 @example((plan_dr, dict(mu=0.3, omega=5e-324, gamma=1.0, lambda_relax=0.5, order="A_strong")))
-# gamma*omega rounds to 1 in the conic cross-check, in either order
+# gamma*omega rounds to 1, in either order: the planner's gamma*omega != 1 guard
 @example((plan_dr, dict(mu=1e300, omega=1.94633949057541e-104, gamma=5.1378498193260365e103,
                         lambda_relax=1e-17, order="B_strong")))
 @example((plan_dr, dict(mu=4.5918183751375215e111, omega=2.882132678302105e93,
                         gamma=3.469652898107073e-94, lambda_relax=1e-17, order="A_strong")))
-def test_planners_raise_only_domain_or_numeric_errors(call):
+def test_planners_raise_only_domain_errors(call):
     planner, inputs = call
     try:
         planner(**inputs)
-    except (DomainError, NumericError):
+    except DomainError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# DR constants against their exact values
+#
+# plan_dr's nu is the DR path's only source of constants. The paper's second
+# route to it, the conic composition of the two reflected resolvents, is
+# checked here in exact arithmetic; in floats it loses about 8 digits as
+# a1*a2 -> 1, where omega/mu -> 1.
+
+_NEAR_ONE = st.floats(0.99, 0.999)
+
+
+@st.composite
+def _dr_valid(draw, ratios=st.just(0.0) | st.floats(0.01, 0.999) | _NEAR_ONE,
+              lambdas=st.sampled_from([1e-3, 0.5]) | st.floats(1e-3, 0.999)):
+    """Inputs ``plan_dr`` accepts, where every float step rounds relatively
+    (no underflow or overflow): ``mu`` in [1e-2, 1e2], ``omega = mu*ratio``
+    and ``gamma`` a share of at least 1e-6 of the interval's end, or its last
+    float."""
+    mu = draw(st.floats(1e-2, 1e2))
+    omega, lam = mu * draw(ratios), draw(lambdas)
+    try:
+        plan_dr(mu, omega, math.nan, lam)
+    except StepSizeError as exc:
+        hi = exc.interval.hi
+    if hi is None:
+        gamma = draw(st.floats(1e-3, 1e3))
+    else:
+        below = math.nextafter(hi, 0.0)
+        gamma = draw(st.just(below) | st.floats(1e-6, 1.0).map(lambda f: min(hi * f, below)))
+    return dict(mu=mu, omega=omega, gamma=gamma, lambda_relax=lam,
+                order=draw(st.sampled_from(DR_ORDERS)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_dr_valid())
+def test_dr_nu_is_the_conic_composition_exactly(inputs):
+    nu = exact.dr_nu(inputs["mu"], inputs["omega"], inputs["gamma"])
+    for order in DR_ORDERS:
+        rho_a, rho_b = _required_moduli(order, inputs["mu"], inputs["omega"])
+        a1 = exact.reflected_conic(inputs["gamma"], rho_a)
+        a2 = exact.reflected_conic(inputs["gamma"], rho_b)
+        assert exact.conic_alpha(a1, a2) == nu
+
+
+# The rounding bound of plan_dr's constants, with u = 2**-53. The inputs are
+# exact, so d = fl(mu - omega) = x(1 + e0) with |e0| <= u whatever the
+# conditioning of mu - omega (Sterbenz makes it exact where omega >= mu/2).
+# With y = gamma*mu*omega, t = fl(fl(gamma*mu)*omega) = y(1 + th) with
+# |th| <= 2u + u**2, and z = x - y > 0 the exact denominator. The subtraction
+# d - t has condition number (x + y)/z = 2nu* - 1, but d is also the
+# numerator, so its error cancels but for y's share y/z = nu* - 1:
+#     d/(d - t) = nu* (1 + e0)/(1 + (x e0 - y th)/z),
+# whose relative error is (y/z)|th - e0| <= 3u(nu* - 1) to first order.
+# Rounding d - t and the quotient adds 2u, so
+#     |nu - nu*| <= (3(nu* - 1) + 2) u nu*,
+# and averaged_alpha = fl(lambda*nu) adds one more u. The terms of second
+# order, of size (nu* u)**2, are covered by the factor 1 + 2**-30 while nu*
+# is at most about 1/lambda <= 1e3 (a gamma at the interval's last float can
+# lie a few ulps past the exact end).
+_U = Fraction(1, 2**53)
+_SLACK = 1 + Fraction(1, 2**30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dr_valid())
+def test_dr_constants_lie_within_their_rounding_bound(inputs):
+    plan = plan_dr(**inputs)
+    nu = exact.dr_nu(inputs["mu"], inputs["omega"], inputs["gamma"])
+    rel = (3 * (nu - 1) + 2) * _U * _SLACK
+    assert abs(Fraction(plan.nu) - nu) <= rel * nu
+    alpha = Fraction(inputs["lambda_relax"]) * nu
+    assert abs(Fraction(plan.averaged_alpha) - alpha) <= (rel + _U) * _SLACK * alpha
+
+
+@settings(max_examples=200, deadline=None)
+@given(_dr_valid(), st.just(0.0) | st.floats(0.0, 2.0), st.just(0.0) | st.floats(0.0, 2.0))
+def test_dr_disk_from_stronger_specs_lies_inside_the_planned_disk(inputs, extra_a, extra_b):
+    plan = plan_dr(**inputs)
+    mu, lam, gamma = inputs["mu"], inputs["lambda_relax"], inputs["gamma"]
+    rho_a, rho_b = _required_moduli(plan.order, mu, inputs["omega"])
+    a, b = ScaledIdentity(rho_a + extra_a * mu, dim=2), ScaledIdentity(rho_b + extra_b * mu, dim=2)
+    assert a.rho >= rho_a and b.rho >= rho_b
+    t = build_dr(plan, a, b)
+    assert t.certificate == INParams(1.0 - plan.averaged_alpha, plan.averaged_alpha)
+    # The planned disk INParams(1 - lam nu, lam nu) is the relaxed nu-conic disk.
+    center, radius = exact.relaxed_conic_disk(
+        lam, exact.dr_nu(mu, inputs["omega"], gamma))
+    spec_nu = exact.conic_alpha(exact.reflected_conic(gamma, a.rho),
+                                exact.reflected_conic(gamma, b.rho))
+    spec_center, spec_radius = exact.relaxed_conic_disk(lam, spec_nu)
+    assert abs(spec_center - center) + spec_radius <= radius
+
+
+@settings(max_examples=100, deadline=None)
+@given(_dr_valid(ratios=_NEAR_ONE, lambdas=st.sampled_from([1e-3, 0.5]) | st.floats(1e-3, 0.5)))
+def test_dr_plan_and_build_raise_no_numeric_error_near_equal_moduli(inputs):
+    plan = plan_dr(**inputs)
+    rho_a, rho_b = _required_moduli(plan.order, plan.mu, plan.omega)
+    t = build_dr(plan, ScaledIdentity(rho_a, dim=2), ScaledIdentity(rho_b, dim=2))
+    assert t.certificate.beta == plan.averaged_alpha
 
 
 # ---------------------------------------------------------------------------
