@@ -176,11 +176,14 @@ class MonotoneSpec:
 
     ``rho`` is the modulus: ``<x-y, Ax-Ay> >= rho*||x-y||^2`` on the graph.
     Every certificate derived from a spec (its resolvent's class, the
-    splitting plans' modulus checks) reads ``rho`` alone.
+    splitting plans' modulus checks) reads ``rho`` alone.  ``rho_error``
+    bounds how far a computed ``rho`` may sit below the modulus it rounds:
+    0 where ``rho`` is given, an eigensolver's error bound where it is not.
     """
 
     rho: float
     dim: int
+    rho_error: float = 0.0
 
     def _check_gamma(self, gamma: float):
         if not gamma > 0.0:
@@ -230,6 +233,9 @@ class Affine(MonotoneSpec):
             raise DomainError("matrix and offset must be finite")
         self.dim = n
         self.rho = float(np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.T))[0])
+        # The eigensolver's error, a small multiple of eps*||M|| <= eps*n*max|M_ij|,
+        # with room for an M that is itself the rounding of one of modulus rho.
+        self.rho_error = 32.0 * np.finfo(float).eps * n * float(np.abs(self.matrix).max())
         self._last_resolvent = (None, None)
 
     def forward(self) -> Op:

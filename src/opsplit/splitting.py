@@ -281,10 +281,10 @@ def fb_operator(A: MonotoneSpec, B: MonotoneSpec, gamma: float) -> Op:
 
 
 def _check_modulus(plan: SplitPlan, A: MonotoneSpec, B: MonotoneSpec):
-    """Reject specs below the moduli that the plan's order or case requires."""
+    """Reject specs below the plan's moduli by more than their ``rho_error``."""
     required = _required_moduli(plan.order or plan.case, plan.mu, plan.omega, plan.beta)
     for name, spec, rho in zip("AB", (A, B), required):
-        if spec.rho < rho - 1e-12:
+        if spec.rho < rho - spec.rho_error:
             raise DomainError(
                 f"modulus mismatch: {name} must be {rho}-monotone, "
                 f"spec certifies only {spec.rho}"

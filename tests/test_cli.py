@@ -298,6 +298,19 @@ def test_solve_dr_near_equal_moduli_plans(gamma, tmp_path, capsys):
     assert plan["gamma"] == float(gamma) and plan["gamma_range"] == "]0.0, 0.03790396774326983["
 
 
+def test_solve_dr_refuses_specs_below_tiny_planned_moduli(tmp_path, capsys):
+    # A = 1.1e-12*Id falls 9e-13 short of mu = 2e-12; the spec's own modulus
+    # is exact, so the modulus check allows it no slack at all.
+    from opsplit.cli import main
+
+    inst = {"A": 1.1e-12, "B": -1e-12, "mu": 2e-12, "omega": 1e-12}
+    path = _scalar_instance(tmp_path, inst)
+    assert main(["solve-dr", "--instance", str(path), "--gamma", "1e11", "--lambda", "0.5",
+                 "--x0", "1,2"]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"] == "modulus mismatch: A must be 2e-12-monotone, spec certifies only 1.1e-12"
+
+
 def test_solve_takes_no_seed(fb_instance):
     # the solvers draw nothing at random, so there is no seed to echo or set
     r = run_cli("solve-fb", "--instance", str(fb_instance), "--gamma", "0.2")

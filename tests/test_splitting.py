@@ -512,14 +512,30 @@ def test_dr_constants_lie_within_their_rounding_bound(inputs):
     assert abs(Fraction(plan.averaged_alpha) - alpha) <= (rel + _U) * _SLACK * alpha
 
 
+# Near-equal moduli, at the interval's last float and inside it: where the
+# float conic route to nu loses about 8 digits.
+_NEAR_EQUAL = dict(mu=0.01972509537269139, omega=0.019695644106618136, lambda_relax=0.5)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_dr_valid(), st.just(0.0) | st.floats(0.0, 2.0), st.just(0.0) | st.floats(0.0, 2.0))
+@example(dict(_NEAR_EQUAL, gamma=math.nextafter(0.03790396774326983, 0.0), order="A_strong"),
+         0.0, 0.0)
+@example(dict(_NEAR_EQUAL, gamma=0.0018772050770655114, order="B_strong"), 0.0, 0.0)
+@example(dict(mu=9.36020915299378, omega=9.240117270596512, gamma=0.0013871266138155772,
+              lambda_relax=1e-3, order="A_strong"), 0.0, 0.0)
 def test_dr_disk_from_stronger_specs_lies_inside_the_planned_disk(inputs, extra_a, extra_b):
     plan = plan_dr(**inputs)
     mu, lam, gamma = inputs["mu"], inputs["lambda_relax"], inputs["gamma"]
     rho_a, rho_b = _required_moduli(plan.order, mu, inputs["omega"])
     a, b = ScaledIdentity(rho_a + extra_a * mu, dim=2), ScaledIdentity(rho_b + extra_b * mu, dim=2)
     assert a.rho >= rho_a and b.rho >= rho_b
+    # A scaled identity states its modulus exactly (rho_error 0), so build_dr
+    # accepts it only at or above the plan's: one ulp below is refused.
+    for low_a, low_b in ((math.nextafter(rho_a, -math.inf), b.rho),
+                         (a.rho, math.nextafter(rho_b, -math.inf))):
+        with pytest.raises(DomainError, match="modulus mismatch"):
+            build_dr(plan, ScaledIdentity(low_a, dim=2), ScaledIdentity(low_b, dim=2))
     t = build_dr(plan, a, b)
     assert t.certificate == INParams(1.0 - plan.averaged_alpha, plan.averaged_alpha)
     # The planned disk INParams(1 - lam nu, lam nu) is the relaxed nu-conic disk.
@@ -531,13 +547,24 @@ def test_dr_disk_from_stronger_specs_lies_inside_the_planned_disk(inputs, extra_
     assert abs(spec_center - center) + spec_radius <= radius
 
 
-@settings(max_examples=100, deadline=None)
-@given(_dr_valid(ratios=_NEAR_ONE, lambdas=st.sampled_from([1e-3, 0.5]) | st.floats(1e-3, 0.5)))
-def test_dr_plan_and_build_raise_no_numeric_error_near_equal_moduli(inputs):
-    plan = plan_dr(**inputs)
-    rho_a, rho_b = _required_moduli(plan.order, plan.mu, plan.omega)
-    t = build_dr(plan, ScaledIdentity(rho_a, dim=2), ScaledIdentity(rho_b, dim=2))
-    assert t.certificate.beta == plan.averaged_alpha
+def test_modulus_check_forgives_an_affine_spec_only_its_rounding_bound():
+    # An affine spec's rho comes from an eigensolver, so U diag U^T with
+    # modulus exactly 2 may report a rho a few ulps below 2; its rho_error
+    # absorbs that, and nothing more.
+    plan = plan_dr(2.0, 1.0, gamma=0.1)
+    rng = np.random.default_rng(3)
+    for d in (2, 3, 16):
+        b = ScaledIdentity(-1.0, dim=d)
+        for _ in range(20):
+            q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            a = ops.Affine(q @ np.diag(np.r_[2.0, rng.uniform(2.0, 6.0, d - 1)]) @ q.T)
+            assert abs(a.rho - 2.0) <= a.rho_error < 1e-12
+            build_dr(plan, a, b)
+    # A diagonal matrix states its modulus exactly, so 1e-13 short is refused.
+    a = ops.Affine(np.diag([2.0 - 1e-13, 4.0]))
+    assert a.rho == 2.0 - 1e-13 and a.rho_error < 1e-13
+    with pytest.raises(DomainError, match="modulus mismatch: A must be 2.0-monotone"):
+        build_dr(plan, a, ScaledIdentity(-1.0, dim=2))
 
 
 # ---------------------------------------------------------------------------
