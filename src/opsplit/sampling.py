@@ -5,7 +5,8 @@ sample: Gaussian pairs seeded by default with ``0xC0FFEE``, augmented with the
 axis-aligned unit pairs (rotation-family worst cases lie on simple
 directions).  The returned arrays are read-only, and the last draw is
 memoised: consecutive checks with the same ``(pairs, dim, seed)`` share one
-sample instead of drawing it again.
+sample instead of drawing it again.  The memo also keeps the ``x - y`` and
+``||x - y||^2`` that the coincident-pair filter forms, for the verifier.
 
 Every per-pair row reduction in the package (here and in ``verifier``) goes
 through :func:`_row_dot`.  For rows of length ``n <= 7`` it accumulates the
@@ -36,7 +37,7 @@ def pair_samples(pairs: int, dim: int, seed: int = DEFAULT_SEED) -> tuple[np.nda
     rowwise.  The most recent sample is memoised, so copy before writing."""
     if pairs < 1:
         raise DomainError(f"need at least one pair, got {pairs}")
-    return _draw(pairs, dim, seed)
+    return _draw(pairs, dim, seed)[:2]
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -52,7 +53,8 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _draw(pairs: int, dim: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+def _draw(pairs: int, dim: int, seed: int) -> tuple[np.ndarray, ...]:
+    # Read-only xs, ys, x - y and ||x - y||^2.
     rng = np.random.default_rng(seed)
     xs = rng.standard_normal((pairs, dim))
     ys = rng.standard_normal((pairs, dim))
@@ -63,10 +65,11 @@ def _draw(pairs: int, dim: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     xs = np.concatenate([xs, ax_x])
     ys = np.concatenate([ys, ax_y])
 
-    dd = xs - ys
-    keep = np.sqrt(_row_dot(dd, dd)) > 1e-14  # the row norms np.linalg.norm evaluates
+    dx = xs - ys
+    nd = _row_dot(dx, dx)
+    keep = np.sqrt(nd) > 1e-14  # the row norms np.linalg.norm evaluates
     if not keep.all():
-        xs, ys = xs[keep], ys[keep]
-    xs.flags.writeable = False
-    ys.flags.writeable = False
-    return xs, ys
+        xs, ys, dx, nd = xs[keep], ys[keep], dx[keep], nd[keep]
+    for a in (xs, ys, dx, nd):
+        a.flags.writeable = False
+    return xs, ys, dx, nd

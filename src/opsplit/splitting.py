@@ -138,7 +138,9 @@ def plan_dr(
             f"step size {gamma} outside certified interval {rng}", interval=rng
         )
     # The interval keeps mu - omega - gamma*mu*omega and 1 - gamma*omega above
-    # 0, but either can round to 0.
+    # 0, but either can round to 0; where gamma*mu is finite, so are both.
+    _require(math.isfinite(gamma * mu), f"gamma*mu overflows at gamma={gamma}; "
+                                        "no constants certified")
     den = mu - omega - gamma * mu * omega
     _require(den != 0.0, f"mu - omega - gamma*mu*omega rounds to 0 at gamma={gamma}; "
                          "no constants certified")

@@ -12,8 +12,11 @@ in which ``np.sum`` adds up such a row, so each reduction is bit-equal to
 
 Checks and fits of one ``(T, pairs, seed)`` share one reduction: the sample,
 ``T`` on it and its three per-pair moments are memoised for the last key, as
-``sampling`` memoises the last draw, so a membership check followed by the
-four fits evaluates ``T`` and reduces once.  The cached moments are read-only.
+``sampling`` memoises the last draw with its ``x - y`` and ``||x - y||^2``,
+so a membership check followed by the four fits evaluates ``T`` and reduces
+once.  The cached moments are read-only.  Every check and fit raises
+:class:`DomainError` where ``||Tx-Ty||^2`` is not finite (as where
+``T(x) - T(y)`` is not) or a moment overflows.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .calculus import (
 )
 from .errors import DomainError, GuardError
 from .operators import Op, build_in_operator, build_rotation, matrix_op
-from .sampling import DEFAULT_SEED, _row_dot, pair_samples
+from .sampling import DEFAULT_SEED, _draw, _row_dot, pair_samples
 
 __all__ = [
     "MembershipReport",
@@ -75,36 +78,26 @@ def _report(v: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> MembershipReport:
     return MembershipReport(len(xs), worst, worst <= _TOL, (xs[i].copy(), ys[i].copy()))
 
 
-def _moments(dx, dt) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # The row reductions ||x-y||^2, ||Tx-Ty||^2 and <x-y, Tx-Ty>, which no
-    # class parameter enters.
-    return _row_dot(dx, dx), _row_dot(dt, dt), _row_dot(dx, dt)
-
-
 @lru_cache(maxsize=1)
 def _sample(T: Op, pairs: int, seed: int):
-    # The sampled pairs, the moments of x - y and T(x) - T(y), and whether
-    # T(x) - T(y) is finite; DomainError where the moments of a finite sample
-    # overflow.  The cache holds T, so no other Op can take its id while the
-    # entry lives.
+    # The sampled pairs and the row reductions ||x-y||^2, ||Tx-Ty||^2 and
+    # <x-y, Tx-Ty>, which no class parameter enters; DomainError where
+    # ||Tx-Ty||^2 is not finite or a moment overflows.  The cache holds T, so
+    # no other Op can take its id while the entry lives.
     xs, ys = pair_samples(pairs, T.dim, seed=seed)
-    dx, dt = xs - ys, T(xs) - T(ys)
-    finite = bool(np.isfinite(dt).all())
-    if finite:
-        try:
-            with np.errstate(over="raise"):
-                moments = _moments(dx, dt)
-        except FloatingPointError:
-            raise DomainError(f"the moments of T(x) - T(y) overflow at {pairs} sampled "
-                              f"pairs") from None
-    else:
-        # fit_tightest rejects a non-finite sample before it reads the
-        # moments, so reducing one must not warn where the fit raises.
-        with np.errstate(all="ignore"):
-            moments = _moments(dx, dt)
-    for m in moments:
-        m.flags.writeable = False
-    return xs, ys, moments, finite
+    _, _, dx, nd = _draw(pairs, T.dim, seed)  # the draw pair_samples just memoised
+    tx, ty = T(xs), T(ys)
+    try:
+        # inf - inf only forms a nan, which the finiteness test below rejects
+        with np.errstate(over="raise", invalid="ignore"):
+            dt = tx - ty
+            ndt, ip = _row_dot(dt, dt), _row_dot(dx, dt)
+    except FloatingPointError:
+        raise DomainError(f"the moments of T(x) - T(y) overflow at {pairs} sampled pairs") from None
+    if not np.isfinite(ndt).all():
+        raise DomainError(f"non-finite T(x) - T(y) at {pairs} sampled pairs")
+    ndt.flags.writeable = ip.flags.writeable = False
+    return xs, ys, (nd, ndt, ip)
 
 
 def _in_violations(moments, p: INParams) -> np.ndarray:
@@ -123,11 +116,11 @@ def check_membership(
     ``descriptor`` may be an :class:`INParams` or a :class:`ScaledConic`; one
     inequality checks both, on ``descriptor.to_in()``.  For a
     :class:`ScaledConic` the violation is divided by ``delta^2``, so it is
-    that of ``T/delta`` against its conic class.  Where ``delta^2`` or the
-    moments of a finite sample overflow, no violation can be formed, and
-    :class:`DomainError` is raised.
+    that of ``T/delta`` against its conic class.  Where ``T(x) - T(y)`` is
+    not finite, or ``delta^2`` or a moment overflows, no violation can be
+    formed, and :class:`DomainError` is raised.
     """
-    xs, ys, moments, _ = _sample(T, pairs, seed)
+    xs, ys, moments = _sample(T, pairs, seed)
     v = _in_violations(moments, descriptor.to_in())
     if isinstance(descriptor, ScaledConic):
         try:
@@ -144,8 +137,10 @@ def check_monotone(
 
     The normalized violation is ``rho - <x-y, Fx-Fy>/||x-y||^2`` (positive
     when the inequality fails); its negation is the worst monotonicity slack.
+    :class:`DomainError` where ``F(x) - F(y)`` is not finite or a moment
+    overflows.
     """
-    xs, ys, (nd, _, ip), _ = _sample(F, pairs, seed)
+    xs, ys, (nd, _, ip) = _sample(F, pairs, seed)
     return _report(rho - ip / nd, xs, ys)
 
 
@@ -166,7 +161,7 @@ def check_composition_identity(
     if R1.dim != R2.dim:
         raise DomainError(f"dimension mismatch: {R1.dim} vs {R2.dim}")
     xs, ys = pair_samples(pairs, R1.dim, seed=seed)
-    dx = xs - ys
+    dx = _draw(pairs, R1.dim, seed)[2]
     r1x, r1y = R1(xs), R1(ys)
     d1 = r1x - r1y
     d21 = R2(r1x) - R2(r1y)
@@ -220,9 +215,7 @@ def fit_tightest(
     if family not in _FAMILIES:
         raise DomainError(f"unknown family {family!r}; known: {sorted(_FAMILIES)}")
     descriptor, label = _FAMILIES[family]
-    _, _, moments, finite = _sample(T, pairs, seed)
-    if not finite:
-        raise DomainError(f"non-finite T(x) - T(y) at sampled pairs, family {family!r}")
+    _, _, moments = _sample(T, pairs, seed)
 
     def passes(q: float) -> bool:
         return float(np.max(_in_violations(moments, descriptor(q)))) <= _TOL

@@ -237,8 +237,8 @@ def test_solve_fb_modulus_mismatch_is_rejected(case, plan, a, b, message, tmp_pa
     assert out["error"] == message and set(out) == {"config", "error"}
 
 
-# Planner inputs whose constants once divided by zero: each is now an exit-2
-# rejection record.
+# Planner inputs whose constants once divided by zero or overflowed: each is
+# now an exit-2 rejection record.
 _ROUNDING_EDGE_SOLVES = [
     # case Ib at 1 - gamma*omega = 0, where J_gB is not single-valued
     ("solve-fb", {"A": 1.6, "B": -1.0, "mu": 1.5, "omega": 1.0, "beta": 0.1, "case": "Ib",
@@ -253,6 +253,14 @@ _ROUNDING_EDGE_SOLVES = [
                   "gamma": 0.004081632653061209}, ["--lambda", "1e-17"],
      "mu - omega - gamma*mu*omega rounds to 0 at gamma=0.004081632653061209; "
      "no constants certified"),
+    # gamma*mu overflows where omega = 0 leaves the interval unbounded; the plan
+    # was nu = nan
+    ("solve-dr", {"A": 2.0, "B": 0.0, "mu": 2.0, "omega": 0.0}, ["--gamma", "1e308"],
+     "gamma*mu overflows at gamma=1e+308; no constants certified"),
+    # mu*omega is subnormal, so the interval's end is inf; the plan was nu = -0.0
+    ("solve-dr", {"A": 2.0, "B": -1e-323, "mu": 2.0, "omega": 1e-323},
+     ["--lambda", "0.001", "--gamma", "1.7976931348623157e308"],
+     "gamma*mu overflows at gamma=1.7976931348623157e+308; no constants certified"),
 ]
 
 

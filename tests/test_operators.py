@@ -394,11 +394,18 @@ def _draw_with_linalg_norm(pairs, dim, seed):
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 9])
 def test_pair_samples_equal_the_linalg_norm_draw(dim):
+    # and the draw's x - y and ||x - y||^2 equal those formed from the pairs,
+    # bit for bit, on both of _row_dot's paths (dim 9 goes to np.sum)
     for pairs, seed in [(1, 0), (100, 7), (2000, 13), (5000, sampling.DEFAULT_SEED)]:
         xs, ys = pair_samples(pairs, dim, seed=seed)
         want_x, want_y = _draw_with_linalg_norm(pairs, dim, seed)
         assert xs.shape == want_x.shape == (pairs + 3 * dim, dim)
         assert xs.tobytes() == want_x.tobytes() and ys.tobytes() == want_y.tobytes()
+        _, _, dx, nd = sampling._draw(pairs, dim, seed)
+        want_dx = xs - ys
+        assert dx.tobytes() == want_dx.tobytes()
+        assert nd.tobytes() == np.sum(want_dx * want_dx, axis=1).tobytes()
+        assert not dx.flags.writeable and not nd.flags.writeable
 
 
 def _row_dot_operand(rng, m, n, width, zero_share):

@@ -430,12 +430,20 @@ def test_plan_fb_matches_the_case_by_case_reference(inputs):
                         lambda_relax=1e-17, order="B_strong")))
 @example((plan_dr, dict(mu=4.5918183751375215e111, omega=2.882132678302105e93,
                         gamma=3.469652898107073e-94, lambda_relax=1e-17, order="A_strong")))
+# gamma*mu overflows: at omega = 0 the interval is unbounded, and when mu*omega
+# is subnormal its end is inf
+@example((plan_dr, dict(mu=2.0, omega=0.0, gamma=1e308, lambda_relax=0.5, order="A_strong")))
+@example((plan_dr, dict(mu=2.0, omega=1e-323, gamma=1.7976931348623157e308,
+                        lambda_relax=1e-3, order="A_strong")))
 def test_planners_raise_only_domain_errors(call):
     planner, inputs = call
     try:
-        planner(**inputs)
+        plan = planner(**inputs)
     except DomainError:
-        pass
+        return
+    constants = [plan.nu, plan.delta] + [plan.averaged_alpha] * (plan.averaged_alpha is not None)
+    assert all(math.isfinite(c) for c in constants), plan
+    assert plan.nu > 0.0, plan
 
 
 # ---------------------------------------------------------------------------

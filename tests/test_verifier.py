@@ -18,7 +18,6 @@ from opsplit.sampling import DEFAULT_SEED, _row_dot, pair_samples
 from opsplit.verifier import (
     COMPOSITION_KINDS,
     _in_violations,
-    _moments,
     check_composition_identity,
     check_membership,
     check_monotone,
@@ -33,6 +32,11 @@ from opsplit.verifier import (
 mp.dps = 40
 
 FAMILIES = ("lipschitz", "averaged", "conic", "cocoercive")
+
+
+def _moments(dx, dt):
+    # ||x-y||^2, ||Tx-Ty||^2 and <x-y, Tx-Ty> per pair, as the verifier reduces them
+    return _row_dot(dx, dx), _row_dot(dt, dt), _row_dot(dx, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -89,19 +93,12 @@ def test_worst_pair_is_a_copy_of_the_cached_sample(check):
     assert np.array_equal(second.worst_pair[1], y_saved)
 
 
-def test_checks_and_fits_share_one_reduction(monkeypatch):
-    calls = [0]
-
-    def counted(dx, dt):
-        calls[0] += 1
-        return _moments(dx, dt)
-
-    monkeypatch.setattr(verifier, "_moments", counted)
+def test_checks_and_fits_share_one_reduction():
     rng = np.random.default_rng(3)
     for kind in COMPOSITION_KINDS:
         T, cert, _ = random_certified_composition(kind, rng)
         other = random_certified_composition(kind, rng)[0]
-        calls[0] = 0
+        misses = verifier._sample.cache_info().misses
         # keywords or positions: one cache key
         for t, pairs, seed in [(T, 1000, 5), (other, 1000, 5), (other, 1001, 5), (other, 1001, 6)]:
             check_membership(t, cert, pairs=pairs, seed=seed)
@@ -111,8 +108,10 @@ def test_checks_and_fits_share_one_reduction(monkeypatch):
                 except DomainError:
                     pass
             check_monotone(t, 0.0, pairs, seed=seed)
-        # one reduction per (T, pairs, seed), each change of one of them reducing again
-        assert calls[0] == 4, (kind, calls[0])
+        # one evaluation of _sample per (T, pairs, seed), each change of one
+        # of them evaluating again
+        evaluations = verifier._sample.cache_info().misses - misses
+        assert evaluations == 4, (kind, evaluations)
 
 
 def test_cached_moments_are_read_only():
@@ -433,19 +432,28 @@ def test_fit_rejects_unknown_family_before_evaluating_T(monkeypatch):
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("family", ["lipschitz", "averaged", "conic", "cocoercive"])
-def test_fit_rejects_non_finite_images(bad, family):
-    # a few rows only; at (inf, -inf) the reduction forms inf - inf, which
-    # must not surface as a floating-point warning before the DomainError
+@pytest.mark.parametrize("check", FAMILIES + ("membership", "monotone"))
+def test_fit_rejects_non_finite_images(bad, check):
+    # fits and both checks reject them by one rule; a few rows only, and at
+    # (inf, -inf) <x-y, Tx-Ty> would form inf - inf, as T(x) - T(y) does where
+    # both points of a pair map to the same infinity, which must not surface
+    # as a floating-point warning before the DomainError
     def fn(x):
         y = 0.5 * x
         y[x[..., 0] > 2.0] = [bad, -bad]
+        y[x[..., 1] > 1.0] = bad
         return y
 
+    T = Op(fn, 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="non-finite"):
-            fit_tightest(Op(fn, 2), family, pairs=2000)
+            if check == "membership":
+                check_membership(T, INParams(0.0, 1.0), pairs=2000)
+            elif check == "monotone":
+                check_monotone(T, 0.0, pairs=2000)
+            else:
+                fit_tightest(T, check, pairs=2000)
 
 
 def _reference_moments(T, pairs, seed):
