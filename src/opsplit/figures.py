@@ -37,13 +37,15 @@ the tile signs and the blocks alone, without scanning the distinct rows.
 
 The SVG draws a raster as one path with a rect run per maximal horizontal
 run of pixels, five numbers per run, each printed as ``%.4f`` prints it.
-:func:`_format_runs` prints them all in one vectorized pass.  ``%.4f``
-rounds ``|v|*10**4`` half-even to an integer, and ``np.frexp`` writes that
-product exactly as an integer below ``2**63`` over a power of two, so one
-uint64 shift, with the remainder deciding the tie, gives the printed integer
-exactly.  Ties are common: pixel edges are binary fractions of the canvas,
-and at resolution 512, 276 of the 2075 numbers of the conic-conic-1.7-0.7
-path lie exactly halfway between two 4-decimal values.
+:func:`_format_runs` prints them all in one vectorized pass.  Each is a
+canvas coordinate in ``(9.8, 590.2)``, with no sign and at most four integer
+digits.  ``%.4f`` rounds ``v*10**4`` half-even to an integer, and
+``np.frexp`` writes that product exactly as an integer below ``2**63`` over a
+power of two, so one uint64 shift, with the remainder deciding the tie, gives
+the printed integer exactly.  Ties are common: pixel edges are binary
+fractions of the canvas, and at resolution 512, 276 of the 2075 numbers of
+the conic-conic-1.7-0.7 path lie exactly halfway between two 4-decimal
+values.
 """
 
 from __future__ import annotations
@@ -613,64 +615,51 @@ def preset_figure(name: str, resolution: int = 512):
 _RUN = "M %.4f %.4f H %.4f V %.4f H %.4f Z"
 
 # _format_runs writes each number of a run as words of ASCII bytes, with NUL
-# for a byte to drop: a sign word (a run's leading literal before its first
-# number, then "-" or NUL), one word per 4-digit group of the integer part
-# (leading zeros NUL), and an 8-byte word: "." and four digits, then the
-# literal after the number in _RUN, or after the last, " Z" and the " "
-# that joins runs.
+# for a byte to drop: a run's leading literal before its first number (NUL
+# before the others), one word for the integer part (leading zeros NUL), and
+# an 8-byte word: "." and four digits, then the literal after the number in
+# _RUN, or after the last, " Z" and the " " that joins runs.
 _LITERALS = [s.encode() for s in _RUN.split("%.4f")]
 _LITERALS[-1] += b" "
 _ASCII = np.stack(np.indices((10,) * 4, np.uint8), axis=-1).reshape(-1, 4) + np.uint8(ord("0"))
-_DIGITS = _ASCII.view(np.uint32).ravel()
 _LEAD = (_ASCII * (np.arange(10000)[:, None] >= [1000, 100, 10, 0])).view(np.uint32).ravel()
 _FRAC = np.concatenate((np.full((10000, 1), ord("."), np.uint8), _ASCII,
                         np.zeros((10000, 3), np.uint8)), axis=1).view(np.uint64).ravel()
 _PREFIX = np.frombuffer(_LITERALS[0].ljust(4, b"\0") + bytes(16), np.uint32)
-_MINUS = np.frombuffer(b"\0\0\0-", np.uint32)[0]
 _SUFFIX = np.frombuffer(b"".join(bytes(5) + s.ljust(3, b"\0") for s in _LITERALS[1:]), np.uint64)
-_PATH_LIMIT = 2.0**48
 
 
 def _format_runs(values: np.ndarray) -> str:
     """``" ".join([_RUN] * m) % tuple(values.ravel())`` for an ``(m, 5)``
-    float array, in one vectorized pass.
+    array of canvas coordinates, in one vectorized pass.
 
-    ``%.4f`` prints ``|v|*10**4`` rounded half-even to an integer.  From
-    ``np.frexp``, ``|v| = mant*2**(e - 53)`` with an integer ``mant < 2**53``,
-    so ``|v|*10**4 = p*2**-k`` with ``p = 625*mant < 2**63`` and
-    ``k = 49 - e``, and ``k >= 1`` below the limit ``2**48``.  In uint64,
+    Every number of a raster path lies in ``(9.8, 590.2)``.  :func:`emit_svg`
+    scales by ``s = 300/(1.05*E)`` about the canvas centre 300, with
+    ``E >= max(1.05, raster.extent)``, and a raster of resolution ``r >= 64``
+    (the floor :func:`composition_region_exact` enforces) reaches at most
+    ``extent*(1 + 1/r)`` from the centre, so every number lies within
+    ``300*(1 + 1/64)/1.05 < 290.2`` of 300.  A number outside ``[1, 9999)``
+    raises :class:`DomainError`.
+
+    ``%.4f`` prints ``v*10**4`` rounded half-even to an integer.  From
+    ``np.frexp``, ``v = mant*2**(e - 53)`` with an integer ``mant < 2**53`` and
+    ``1 <= e <= 14`` on ``[1, 9999)``, so ``v*10**4 = p*2**-k`` with
+    ``p = 625*mant < 2**63`` and ``35 <= k = 49 - e <= 48``.  In uint64,
     ``(p + 2**(k-1) - 1 + ((p >> k) & 1)) >> k`` is ``p*2**-k`` rounded
-    half-even, without overflow; where ``k > 63``, ``p*2**-k < 1/2`` rounds
-    to 0.  So every finite ``|v| < 2**48`` is printed exactly as ``%`` prints
-    it, with at most 15 integer digits; anything else raises
-    :class:`DomainError`.
+    half-even, without overflow.  That integer is at most ``99990000``, so
+    the integer part has one to four digits, one word.
     """
-    a = np.abs(values)
-    if not (a < _PATH_LIMIT).all():
-        raise DomainError(f"raster path coordinates must be finite and below 2**48 in "
-                          f"magnitude, got {values[~(a < _PATH_LIMIT)][0]}")
-    mant, e = np.frexp(a)
+    inside = (values >= 1.0) & (values < 9999.0)
+    if not inside.all():
+        raise DomainError(f"raster path coordinates must be in [1, 9999), got {values[~inside][0]}")
+    mant, e = np.frexp(values)
     p = (mant * 2.0**53).astype(np.uint64) * 625
-    k = 49 - e
-    p[k > 63] = 0
-    k = np.minimum(k, 63).astype(np.uint64)
-    n = (p + ((np.uint64(1) << (k - 1)) - 1) + ((p >> k) & 1)) >> k
-    whole = n // 10000
-    frac = n - whole * 10000
-    groups = (len(str(whole.max(initial=0))) + 3) // 4
-    # A pad word after the sign word when groups is even puts each 8-byte
-    # word at a multiple of 8 bytes.
-    words = np.zeros((len(values), 5, 3 + groups + (1 + groups) % 2), np.uint32)
-    words[..., 0] = _PREFIX + np.signbit(values) * _MINUS
-    for j in range(groups):
-        group = whole // 10**(4 * j) % 10000
-        # A group keeps its leading zeros below a higher group with digits;
-        # a group above the leading digit is dropped.
-        word = np.where(whole < 10**(4 * j + 4), _LEAD[group], _DIGITS[group])
-        if j:
-            word[whole < 10**(4 * j)] = 0
-        words[..., -3 - j] = word
-    words.view(np.uint64)[..., -1] = _FRAC[frac] | _SUFFIX
+    k = (49 - e).astype(np.uint64)
+    whole, frac = np.divmod((p + ((np.uint64(1) << (k - 1)) - 1) + ((p >> k) & 1)) >> k, 10000)
+    words = np.empty((len(values), 5, 4), np.uint32)
+    words[..., 0] = _PREFIX
+    words[..., 1] = _LEAD[whole]
+    words.view(np.uint64)[..., 1] = _FRAC[frac] | _SUFFIX
     return words.tobytes().translate(None, b"\0").decode("ascii")[:-1]
 
 

@@ -79,9 +79,9 @@ class Op:
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.dim:
+        if x.shape[-1:] != (self.dim,):
             raise DomainError(
-                f"dimension mismatch: operator expects {self.dim}, got {x.shape[-1]}"
+                f"dimension mismatch: operator expects {self.dim}, got shape {x.shape}"
             )
         return self._fn(x)
 
@@ -171,6 +171,12 @@ def build_in_operator(alpha: float, beta: float, n: Op) -> Op:
 # Monotone operator specifications with closed-form resolvents
 
 
+def _positive_dim(dim) -> int:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise DomainError(f"dim must be a positive integer, got {dim!r}")
+    return dim
+
+
 class MonotoneSpec:
     """Base for operator specifications with a known monotonicity modulus.
 
@@ -231,7 +237,7 @@ class Affine(MonotoneSpec):
             raise DomainError(f"offset must have shape ({n},), got {self.offset.shape}")
         if not (np.isfinite(self.matrix).all() and np.isfinite(self.offset).all()):
             raise DomainError("matrix and offset must be finite")
-        self.dim = n
+        self.dim = _positive_dim(n)
         self.rho = float(np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.T))[0])
         # The eigensolver's error, a small multiple of eps*||M|| <= eps*n*max|M_ij|,
         # with room for an M that is itself the rounding of one of modulus rho.
@@ -264,6 +270,7 @@ class ScaledIdentity(MonotoneSpec):
     dim: int = 2
 
     def __post_init__(self):
+        _positive_dim(self.dim)
         if not np.isfinite(self.c):
             raise DomainError(f"c must be finite, got {self.c}")
         self.rho = self.c
@@ -293,11 +300,11 @@ class SubspaceNormalPlusScale(MonotoneSpec):
         b = np.atleast_2d(np.asarray(self.basis, dtype=float))
         if not (np.isfinite(b).all() and np.isfinite(self.mu)):
             raise DomainError("basis and mu must be finite")
+        self.dim = _positive_dim(b.shape[1])
         q, r = np.linalg.qr(b.T)
         rank = int(np.sum(np.abs(np.diag(r)) > 1e-12))
         q = q[:, :rank]
         self.projector = q @ q.T
-        self.dim = b.shape[1]
         self.rho = self.mu
 
     def resolvent(self, gamma: float) -> Op:

@@ -37,6 +37,8 @@ def pair_samples(pairs: int, dim: int, seed: int = DEFAULT_SEED) -> tuple[np.nda
     rowwise.  The most recent sample is memoised, so copy before writing."""
     if pairs < 1:
         raise DomainError(f"need at least one pair, got {pairs}")
+    if dim < 1:
+        raise DomainError(f"need at least one dimension, got {dim}")
     return _draw(pairs, dim, seed)[:2]
 
 

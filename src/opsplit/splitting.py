@@ -396,6 +396,8 @@ def iterate(
         gap = ops.difference(*dr_shadow_ops(A, B, gamma))
 
     target = None if x_star is None else np.asarray(x_star, dtype=float)
+    if target is not None and target.shape != x.shape:
+        raise DomainError(f"x_star must have shape ({T.dim},), got {target.shape}")
     log = IterLog(points=[x],
                   err_norms=None if target is None else [_norm(x - target)],
                   shadow_gaps=None if gap is None else [_norm(gap(x))])

@@ -372,6 +372,26 @@ def test_verify_named_suite(tmp_path):
     assert all(c["agree"] for c in cases) and len(cases) >= 9
 
 
+def test_verify_named_suite_ignores_the_seed(tmp_path, monkeypatch, capsys):
+    # The named cases always sample with DEFAULT_SEED, so --seed and
+    # OPSPLIT_SEED move neither the report nor its recorded seed.
+    from opsplit.cli import main
+
+    def report(argv, env_seed=None):
+        if env_seed is None:
+            monkeypatch.delenv("OPSPLIT_SEED", raising=False)
+        else:
+            monkeypatch.setenv("OPSPLIT_SEED", env_seed)
+        path = tmp_path / "named.json"
+        assert main(["verify", "--suite", "named", "--json", str(path), *argv]) == 0
+        return capsys.readouterr().out, path.read_bytes()
+
+    default = report([])
+    assert json.loads(default[1])["config"]["seed"] == 0xC0FFEE
+    assert report(["--seed", "5"]) == default
+    assert report([], env_seed="5") == default
+
+
 def test_compose_scaled_conic_spec():
     r = run_cli("compose", "--class1", "scaled-conic:2:0.75", "--class2", "cocoercive:1.5")
     assert r.returncode == 0

@@ -146,6 +146,23 @@ def test_resolvent_certificates_hold(rng):
         assert rep.passed, (op, rep.worst_violation)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Affine(np.zeros((0, 0))),
+    lambda: QuadraticGradient(np.zeros((0, 0))),
+    lambda: SubspaceNormalPlusScale([]),
+    lambda: SubspaceNormalPlusScale(np.zeros((1, 0)), mu=1.0),
+], ids=["affine", "quadratic", "subspace-normal-empty", "subspace-normal-no-columns"])
+def test_every_spec_has_a_dimension(build):
+    with pytest.raises(DomainError, match="dim must be a positive integer, got 0"):
+        build()
+
+
+@pytest.mark.parametrize("dim", [0, -1, True, 2.0, "2", None])
+def test_scaled_identity_dim_is_a_positive_integer(dim):
+    with pytest.raises(DomainError, match=f"dim must be a positive integer, got {dim!r}"):
+        ScaledIdentity(1.0, dim=dim)
+
+
 @pytest.mark.parametrize("offset", [np.zeros(3), np.zeros((2, 1)), np.float64(1.0)])
 def test_affine_offset_shape_checked(offset):
     with pytest.raises(DomainError, match="offset must have shape"):
@@ -221,6 +238,14 @@ def test_negate_involution(rng):
 def test_compose_dimension_mismatch():
     with pytest.raises(DomainError):
         compose(identity(2), identity(3))
+
+
+@pytest.mark.parametrize("op", [identity(2), Op(lambda x: x, 2)], ids=["affine", "closure"])
+@pytest.mark.parametrize("x", [5.0, np.float64(5.0), np.ones((2, 3))],
+                         ids=["float", "float64", "rows-of-3"])
+def test_op_rejects_an_input_without_its_dimension(op, x):
+    with pytest.raises(DomainError, match="dimension mismatch: operator expects 2"):
+        op(x)
 
 
 def test_relax_and_shift_pointwise():

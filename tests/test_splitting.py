@@ -1064,6 +1064,13 @@ def test_iterate_rejects_bad_x0():
         iterate(identity(2), np.array([1.0, 2.0, 3.0]))
 
 
+@pytest.mark.parametrize("x_star", [np.zeros(3), np.zeros(1), np.zeros((2, 1)), 0.0])
+def test_iterate_rejects_an_x_star_of_another_shape(x_star):
+    # (1,), (2, 1) and scalar targets used to broadcast against the iterates
+    with pytest.raises(DomainError, match=r"x_star must have shape \(2,\)"):
+        iterate(identity(2), np.array([1.0, 2.0]), x_star=x_star)
+
+
 # ---------------------------------------------------------------------------
 # rates
 

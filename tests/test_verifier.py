@@ -250,6 +250,16 @@ def test_too_few_pairs_is_a_domain_error(check, pairs):
         check(pairs)
 
 
+@pytest.mark.parametrize("check", [
+    lambda op: check_membership(op, INParams(1.0, 0.0), pairs=10),
+    lambda op: check_monotone(op, 0.0, pairs=10),
+    lambda op: pair_samples(10, op.dim),
+], ids=["membership", "monotone", "pair_samples"])
+def test_a_sample_without_dimensions_is_a_domain_error(check):
+    with pytest.raises(DomainError, match="at least one dimension, got 0"):
+        check(Op(lambda x: x, 0))
+
+
 # ---------------------------------------------------------------------------
 # monotonicity
 
