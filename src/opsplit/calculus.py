@@ -16,6 +16,20 @@ when none applies callers fall back to the naive Lipschitz product
 ``(|a1|+b1)(|a2|+b2)``.
 
 Hypothesis inequalities are checked exactly as stated (strict where strict).
+
+The rules from :func:`delta_bundle` to :func:`compose_chain`,
+:func:`resolvent_class` and :meth:`ScaledConic.to_in` write their arithmetic
+literals as ints.  An int operand converts to the same double, so on floats
+they return the same results as with float literals; on ``Fraction`` inputs
+the same code computes every rational constant and decides every hypothesis
+exactly.  The exact path leaves the rationals only at the ``sqrt`` of
+:func:`compose_general` and the ``m/(1 + m)`` of
+:func:`compose_cocoercive_chain`.  Stored constants, such as the ``1.0`` of
+:func:`compose_conic`'s ``max = 1`` branch, stay floats, and a descriptor
+holds only values in the float range: an int or ``Fraction`` past it fails
+the finiteness check, as its float would.  The exact path decides but never
+prints: an f-string of a ``Fraction`` prints ``13/33``, so messages and
+outputs come from float calls.
 """
 
 from __future__ import annotations
@@ -67,7 +81,11 @@ class INParams:
     def __post_init__(self):
         if not self.beta >= 0.0:
             raise DomainError(f"beta must satisfy beta >= 0, got {self.beta}")
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+        try:
+            finite = math.isfinite(self.alpha) and math.isfinite(self.beta)
+        except OverflowError:  # an int or Fraction past the float range
+            finite = False
+        if not finite:
             raise DomainError(f"descriptor must be finite, got ({self.alpha}, {self.beta})")
 
     @property
@@ -99,12 +117,16 @@ class ScaledConic:
             raise DomainError("delta must be nonzero")
         if not self.alpha > 0.0:
             raise DomainError(f"alpha must satisfy alpha > 0, got {self.alpha}")
-        if not (math.isfinite(self.delta) and math.isfinite(self.alpha)):
+        try:
+            finite = math.isfinite(self.delta) and math.isfinite(self.alpha)
+        except OverflowError:  # an int or Fraction past the float range
+            finite = False
+        if not finite:
             raise DomainError(f"descriptor must be finite, got ({self.delta}, {self.alpha})")
 
     def to_in(self) -> INParams:
         """The induced descriptor ``(delta*(1-alpha), |delta|*alpha)``."""
-        return INParams(self.delta * (1.0 - self.alpha), abs(self.delta) * self.alpha)
+        return INParams(self.delta * (1 - self.alpha), abs(self.delta) * self.alpha)
 
     def to_json(self) -> dict:
         return {"type": "scaled-conic", "delta": self.delta, "alpha": self.alpha}
@@ -287,9 +309,9 @@ def resolvent_class(rho: float) -> ResolventClasses:
         raise DomainError(
             f"resolvent not single-valued/full-domain: requires rho > -1, got {rho}"
         )
-    res = ClassLabel.cocoercive(1.0 + rho)
-    refl = ClassLabel.neg_conic(1.0 / (1.0 + rho))
-    refl_lip = (1.0 - rho) / (1.0 + rho) if rho <= 0.0 else None
+    res = ClassLabel.cocoercive(1 + rho)
+    refl = ClassLabel.neg_conic(1 / (1 + rho))
+    refl_lip = (1 - rho) / (1 + rho) if rho <= 0.0 else None
     return ResolventClasses(res, refl, refl_lip)
 
 
@@ -308,7 +330,8 @@ def delta_bundle(p1: INParams, p2: INParams) -> DeltaBundle:
         d4 = d1*d2/(d1+d2)
 
     Requires ``a1 < 1``, ``a2 < 1`` and ``a2*(a2-1) <= b2^2``, and raises
-    :class:`DomainError` where ``(1 - a)**2`` overflows.
+    :class:`DomainError` where ``(1 - a)**2`` overflows.  That branch is
+    float-only: on ``Fraction`` inputs every coefficient is exact.
     """
     a1, b1 = p1.alpha, p1.beta
     a2, b2 = p2.alpha, p2.beta
@@ -316,20 +339,24 @@ def delta_bundle(p1: INParams, p2: INParams) -> DeltaBundle:
         raise DomainError(f"requires p1.alpha < 1, got {a1}")
     if not a2 < 1.0:
         raise DomainError(f"requires p2.alpha < 1, got {a2}")
-    if a2 * (a2 - 1.0) > b2 * b2:
+    if a2 * (a2 - 1) > b2 * b2:
         raise DomainError(
-            f"requires p2.alpha*(p2.alpha-1) <= p2.beta^2, got {a2 * (a2 - 1.0)} > {b2 * b2}"
+            f"requires p2.alpha*(p2.alpha-1) <= p2.beta^2, got {a2 * (a2 - 1)} > {b2 * b2}"
         )
+    # Each of 1 - a1, 1 - a2 and 1 - q2 is formed once: a float minus an int
+    # literal costs about twice a float minus a float.
+    u1, u2 = 1 - a1, 1 - a2
     try:
-        q1 = ((1.0 - a1) ** 2 - b1 * b1) / (1.0 - a1)
-        q2 = ((1.0 - a2) ** 2 - b2 * b2) / (1.0 - a2)
+        q1 = (u1 ** 2 - b1 * b1) / u1
+        q2 = (u2 ** 2 - b2 * b2) / u2
     except OverflowError:
         # A float ** raises where * gives inf: the rule does not apply.
-        raise DomainError(f"coupling coefficients overflow: 1 - alpha is {1.0 - a1} "
-                          f"and {1.0 - a2}") from None
-    d1 = a1 / (1.0 - a1) * (1.0 - q2)
-    d2 = a2 / (1.0 - a2)
-    d3 = 1.0 - (q1 * (1.0 - q2) + q2)
+        raise DomainError(f"coupling coefficients overflow: 1 - alpha is {u1} "
+                          f"and {u2}") from None
+    v2 = 1 - q2
+    d1 = a1 / u1 * v2
+    d2 = a2 / u2
+    d3 = 1 - (q1 * v2 + q2)
     s = d1 + d2
     if s == 0.0:
         return DeltaBundle(d1, d2, d3, 0.0, degenerate=True)
@@ -344,7 +371,9 @@ def compose_general(p1: INParams, p2: INParams) -> INParams:
         alpha = d4/(1+d4),   beta = sqrt(d3 - d4 + d3*d4)/(1+d4)
 
     Each failed hypothesis raises a distinct :class:`GuardError` so callers
-    can fall back to :func:`naive_lipschitz`.
+    can fall back to :func:`naive_lipschitz`.  On ``Fraction`` inputs every
+    guard and ``alpha`` are exact; ``beta`` leaves the rationals, as the float
+    ``sqrt`` of the radicand rounded to a double.
     """
     b = delta_bundle(p1, p2)
     if b.degenerate or not b.d1 + b.d2 > 0.0:
@@ -363,7 +392,7 @@ def compose_general(p1: INParams, p2: INParams) -> INParams:
             f"composition not certified: d4 = {b.d4} fails d4 > -1",
             hypothesis="d4 > -1",
         )
-    denom = 1.0 + b.d4
+    denom = 1 + b.d4
     return INParams(b.d4 / denom, math.sqrt(max(rad, 0.0)) / denom)
 
 
@@ -413,7 +442,7 @@ def compose_conic(c1: ScaledConic, c2: ScaledConic) -> ScaledConic:
     if max(a1, a2) == 1.0:
         alpha = 1.0
     elif prod < 1.0:
-        alpha = (a1 + a2 - 2.0 * prod) / (1.0 - prod)
+        alpha = (a1 + a2 - 2 * prod) / (1 - prod)
     else:
         raise GuardError(
             f"composition not certified conic: alpha1*alpha2 = {prod} >= 1 "
@@ -435,7 +464,7 @@ def compose_scaled_averaged_cocoercive(averaged: ScaledConic, coco_beta: float) 
         )
     if not coco_beta > 0.0:
         raise DomainError(f"cocoercive scale must be > 0, got {coco_beta}")
-    return ScaledConic(coco_beta * averaged.delta, 1.0 / (2.0 - averaged.alpha))
+    return ScaledConic(coco_beta * averaged.delta, 1 / (2 - averaged.alpha))
 
 
 def compose_chain(items: list[ScaledConic], r: int) -> ScaledConic:
@@ -458,8 +487,8 @@ def compose_chain(items: list[ScaledConic], r: int) -> ScaledConic:
                 f"factor {i} must have conic parameter in ]0,1[, got {c.alpha}"
             )
     a_r = items[r].alpha
-    s_other = sum(c.alpha / (1.0 - c.alpha) for i, c in enumerate(items) if i != r)
-    abar = s_other / (1.0 + s_other)
+    s_other = sum(c.alpha / (1 - c.alpha) for i, c in enumerate(items) if i != r)
+    abar = s_other / (1 + s_other)
     if not a_r * abar < 1.0:
         raise GuardError(
             f"chain not certified: a_r*abar = {a_r * abar} fails < 1",
@@ -468,13 +497,17 @@ def compose_chain(items: list[ScaledConic], r: int) -> ScaledConic:
     scale = math.prod(c.delta for c in items)
     if a_r == 1.0:
         return ScaledConic(scale, 1.0)
-    s_all = s_other + a_r / (1.0 - a_r)
-    return ScaledConic(scale, s_all / (1.0 + s_all))
+    s_all = s_other + a_r / (1 - a_r)
+    return ScaledConic(scale, s_all / (1 + s_all))
 
 
 def compose_cocoercive_chain(betas: Iterable[float]) -> ScaledConic:
     """Composition of ``1/beta_i``-cocoercive factors: ``prod(beta)``-scaled
-    ``m/(1+m)``-averaged."""
+    ``m/(1+m)``-averaged.
+
+    On ``Fraction`` scales the product is exact, but ``m/(1 + m)`` is a
+    float: the exact path leaves the rationals there.
+    """
     bs = list(betas)
     if not bs:
         raise DomainError("cocoercive chain needs at least one factor")

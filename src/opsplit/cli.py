@@ -224,6 +224,8 @@ def _array(name: str, value) -> np.ndarray | None:
 def _run_solve(args, method: str) -> int:
     if not math.isfinite(args.tol):
         raise DomainError(f"--tol must be finite, got {args.tol}")
+    if args.tol < 0.0:
+        raise DomainError(f"--tol must be >= 0, got {args.tol}")
     if args.max_iter < 0:
         raise DomainError(f"--max-iter must be >= 0, got {args.max_iter}")
     inst = _load_json(args.instance)
@@ -262,6 +264,8 @@ def _run_solve(args, method: str) -> int:
     x_star = _array("x_star", inst.get("x_star"))
     if x_star is not None and x_star.shape != (a_spec.dim,):
         raise DomainError(f"x_star must have shape ({a_spec.dim},), got {x_star.shape}")
+    if x_star is not None and not np.isfinite(x_star).all():
+        raise DomainError("x_star must be finite")
 
     summary, log = splitting.solve(a_spec, b_spec, config, x0, x_star)
     text = _dump(summary)

@@ -11,6 +11,14 @@ all of these for the ``solve-*`` commands.
 
 The raw constructors ``dr_operator`` / ``fb_operator`` skip plan validation;
 they exist for divergence demonstrations outside the certified range.
+
+The planners write their arithmetic literals as ints.  An int operand
+converts to the same double, so on floats they return the same plans as with
+float literals; called on ``Fraction`` inputs, the same code computes every
+interval end and constant and takes every step-size decision exactly.
+Stored constants (``GammaRange(0.0, ...)``, the DR plan's ``delta = 1.0``)
+stay floats.  The exact path decides but never prints: an f-string of a
+``Fraction`` prints ``13/33``, so messages and outputs come from float plans.
 """
 
 from __future__ import annotations
@@ -131,7 +139,7 @@ def plan_dr(
     _require(0.0 < lambda_relax < 1.0, f"relaxation must lie in ]0,1[, got {lambda_relax}")
     _require(order in DR_ORDERS, f"unknown order {order!r}")
     _require(omega == 0.0 or mu * omega > 0.0, f"mu*omega rounds to 0, got mu={mu}, omega={omega}")
-    hi = None if omega == 0.0 else (1.0 - lambda_relax) * (mu - omega) / (mu * omega)
+    hi = None if omega == 0.0 else (1 - lambda_relax) * (mu - omega) / (mu * omega)
     rng = GammaRange(0.0, hi)
     if not rng.contains(gamma):
         raise StepSizeError(
@@ -139,8 +147,10 @@ def plan_dr(
         )
     # The interval keeps mu - omega - gamma*mu*omega and 1 - gamma*omega above
     # 0, but either can round to 0; where gamma*mu is finite, so are both.
-    _require(math.isfinite(gamma * mu), f"gamma*mu overflows at gamma={gamma}; "
-                                        "no constants certified")
+    # A comparison, not math.isfinite: an int or Fraction product never
+    # overflows, and has no float to convert to past the float range.
+    _require(gamma * mu < math.inf, f"gamma*mu overflows at gamma={gamma}; "
+                                    "no constants certified")
     den = mu - omega - gamma * mu * omega
     _require(den != 0.0, f"mu - omega - gamma*mu*omega rounds to 0 at gamma={gamma}; "
                          "no constants certified")
@@ -204,14 +214,14 @@ def plan_fb(
              f"case {case} requires mu {'>' if b_case else '>='} {p_name}, "
              f"got {mu} {'<=' if b_case else '<'} {p}")
     if family == "III":
-        bound, text = (mu + beta, "mu+beta") if b_case else (2.0 * beta, "2*beta")
+        bound, text = (mu + beta, "mu+beta") if b_case else (2 * beta, "2*beta")
         _require(beta_bar > bound, f"requires beta_bar > {text}, got {beta_bar}")
     if family == "I":
-        beta_fwd, lo = beta, 2.0 / (beta + 2.0 * mu)
+        beta_fwd, lo = beta, 2 / (beta + 2 * mu)
     else:
-        beta_fwd, lo = beta_bar, 2.0 / (beta_bar - 2.0 * p)
+        beta_fwd, lo = beta_bar, 2 / (beta_bar - 2 * p)
     if b_case:
-        rng = GammaRange(lo, 2.0 / (beta + mu if family == "I" else beta_bar - mu - p),
+        rng = GammaRange(lo, 2 / (beta + mu if family == "I" else beta_bar - mu - p),
                          lo_closed=True)
     else:
         rng = GammaRange(0.0, lo)
@@ -221,18 +231,18 @@ def plan_fb(
             f"step size {gamma} outside case {case} interval {rng}", interval=rng
         )
     if family == "I":
-        den = gamma * (mu + beta) - 1.0 if b_case else 1.0 - gamma * mu
-        num, scale = (-den if b_case else den), 1.0 - gamma * omega
+        den = gamma * (mu + beta) - 1 if b_case else 1 - gamma * mu
+        num, scale = (-den if b_case else den), 1 - gamma * omega
     else:
-        den = gamma * beta_bar - gamma * p - 1.0 if b_case else 1.0 + gamma * p
-        num, scale = (1.0 + gamma * p - gamma * beta_bar if b_case else den), 1.0 + gamma * mu
+        den = gamma * beta_bar - gamma * p - 1 if b_case else 1 + gamma * p
+        num, scale = (1 + gamma * p - gamma * beta_bar if b_case else den), 1 + gamma * mu
     if case == "Ib":
         _require(gamma * omega < 1.0,
                  f"case Ib requires gamma*omega < 1 (J_gB single-valued), got {gamma * omega}")
         # The interval keeps gamma*(mu+beta) - 1 above 0, but it can round to 0.
         _require(den != 0.0, f"case Ib: gamma*(mu+beta) - 1 rounds to 0 at gamma={gamma}; "
                              "no constants certified")
-    nu, delta = gamma * beta_fwd / (2.0 * den), num / scale
+    nu, delta = gamma * beta_fwd / (2 * den), num / scale
     if b_case:
         # The gamma interval alone does not pin the factor into ]-1, 0] when
         # omega > 0; reject at the boundary rather than certify a non-contraction.
@@ -246,7 +256,7 @@ def plan_fb(
     else:
         _require(0.0 < nu < 1.0, f"internal: nu = {nu} outside ]0,1[")
         _require(0.0 < delta <= 1.0, f"internal: delta = {delta} outside ]0,1]")
-        averaged_alpha = 1.0 - delta * (1.0 - nu) / (2.0 - nu)
+        averaged_alpha = 1 - delta * (1 - nu) / (2 - nu)
     return SplitPlan(
         method="FB",
         case=case,
@@ -376,6 +386,9 @@ def iterate(
     ``divergence_factor*(1+||x0||)`` or the step norm grows for
     ``growth_window`` consecutive iterations.  With ``track_shadow`` (needs
     ``A``, ``B``, ``gamma``) records the gap between the two shadow points.
+    A non-finite ``x0`` or ``x_star``, a negative ``max_iter`` and a
+    ``tol_fix`` that is not a finite number ``>= 0`` raise
+    :class:`DomainError` before any step.
 
     The bookkeeping is blocked: the loop evaluates ``T`` alone for up to
     ``_BLOCK`` steps, then takes the block's norms, errors and shadow gaps in
@@ -389,6 +402,12 @@ def iterate(
     x = np.asarray(x0, dtype=float)
     if x.shape != (T.dim,):
         raise DomainError(f"x0 must have shape ({T.dim},), got {x.shape}")
+    if not np.isfinite(x).all():
+        raise DomainError("x0 must be finite")
+    if max_iter < 0:
+        raise DomainError(f"max_iter must be >= 0, got {max_iter}")
+    if not 0.0 <= tol_fix < math.inf:
+        raise DomainError(f"tol_fix must be a finite number >= 0, got {tol_fix}")
     gap = None
     if track_shadow:
         if A is None or B is None or gamma is None:
@@ -398,6 +417,8 @@ def iterate(
     target = None if x_star is None else np.asarray(x_star, dtype=float)
     if target is not None and target.shape != x.shape:
         raise DomainError(f"x_star must have shape ({T.dim},), got {target.shape}")
+    if target is not None and not np.isfinite(target).all():
+        raise DomainError("x_star must be finite")
     log = IterLog(points=[x],
                   err_norms=None if target is None else [_norm(x - target)],
                   shadow_gaps=None if gap is None else [_norm(gap(x))])

@@ -7,6 +7,7 @@ and is kept independent of the package code).
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -205,6 +206,19 @@ label_strategy = st.one_of(
 @given(label_strategy)
 def test_classify_inverts_from_label(label):
     assert _labels_match(label, classify(from_label(label)))
+
+
+# An int or Fraction past the float range is not finite, as its float would
+# not be; math.isfinite of such a value raises OverflowError.
+@pytest.mark.parametrize("make", [
+    lambda: INParams(10**400, 1.0),
+    lambda: INParams(0.0, Fraction(10**400)),
+    lambda: ScaledConic(10**400, 0.5),
+    lambda: ScaledConic(10**308, 3).to_in(),
+], ids=["int-alpha", "fraction-beta", "int-delta", "int-to-in"])
+def test_a_descriptor_past_the_float_range_is_not_finite(make):
+    with pytest.raises(DomainError, match="descriptor must be finite"):
+        make()
 
 
 @given(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))

@@ -363,6 +363,19 @@ def test_solve_max_iter_zero_takes_no_step(dr_instance, capsys):
     assert result["reason"] == "no convergence within 0 iterations"
 
 
+def test_solve_with_integer_fields_past_the_float_range_is_no_traceback(tmp_path, capsys):
+    # JSON reads 10**308 as an int; gamma*mu = 2*10**308 has no float, so the
+    # plan's overflow check must not convert it. The plan holds exactly and
+    # the build then rejects the step.
+    from opsplit.cli import main
+
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"A": _SI_A, "B": dict(_SI_B, c=0.0), "mu": 2, "omega": 0,
+                                "gamma": 10**308}))
+    assert main(["solve-dr", "--instance", str(path), "--x0", "1,2"]) == 2
+    assert "error" in json.loads(capsys.readouterr().out)
+
+
 def test_verify_named_suite(tmp_path):
     report = tmp_path / "named.json"
     r = run_cli("verify", "--suite", "named", "--json", str(report))
@@ -571,6 +584,8 @@ _BAD_OFFSET = {"kind": "affine", "matrix": [[2.0, 0.0], [0.0, 2.0]], "offset": [
     (["solve-fb", "--x0", "nan,0"], _SI_A, _SI_B, {}, "--x0 must be finite"),
     (["solve-fb", "--x0", "1,abc"], _SI_A, _SI_B, {}, "--x0 must be comma-separated numbers"),
     (["solve-fb", "--tol", "nan"], _SI_A, _SI_B, {}, "--tol must be finite"),
+    (["solve-dr", "--tol=-1"], _SI_A, _SI_B, {}, "--tol must be >= 0, got -1.0"),
+    (["solve-fb", "--tol=-inf"], _SI_A, _SI_B, {}, "--tol must be finite, got -inf"),
     (["solve-fb"], _BAD_OFFSET, _SI_B, {}, "offset must have shape (2,)"),
     (["solve-dr"], _BAD_OFFSET, _SI_B, {}, "offset must have shape (2,)"),
     (["solve-fb"], _SI_A, dict(_BAD_OFFSET, kind="quadratic"), {},
@@ -606,6 +621,9 @@ _BAD_OFFSET = {"kind": "affine", "matrix": [[2.0, 0.0], [0.0, 2.0]], "offset": [
     (["solve-dr"], _SI_A, _SI_B, {"x_star": ["x", 0.0]},
      "x_star must be an array of real numbers"),
     (["solve-fb"], _SI_A, _SI_B, {"x_star": [1.0, 2.0, 3.0]}, "x_star must have shape (2,)"),
+    # json.load reads NaN, so a cut-off run would log an all-nan err_norm column
+    (["solve-dr", "--max-iter", "12"], _SI_A, _SI_B, {"x_star": [_NAN, 0.0]},
+     "x_star must be finite"),
     (["solve-dr"], _SI_A, dict(_SI_B, dim=3), {}, "dimension mismatch: A has dim 2, B has dim 3"),
     (["solve-dr", "--force"], _SI_A, dict(_SI_B, dim=3), {}, "dimension mismatch"),
     (["solve-fb"], dict(_SI_A, dim=3), _SI_B, {}, "dimension mismatch: A has dim 3, B has dim 2"),
@@ -628,25 +646,27 @@ _BAD_OFFSET = {"kind": "affine", "matrix": [[2.0, 0.0], [0.0, 2.0]], "offset": [
      "--x0 must have 2 components, got 3"),
     (["solve-dr"], _SI_A, _SI_B, {"gamma": 0.6, "x_star": [0.0, 0.0, 0.0]},
      "x_star must have shape (2,)"),
+    (["solve-fb"], _SI_A, _SI_B, {"gamma": 0.6, "x_star": [0.0, _NAN]},
+     "x_star must be finite"),
     (["verify", "--suite", "random", "--count", "-3"], None, None, {},
      "--count must be at least 1"),
     (["verify", "--suite", "random", "--count", "0"], None, None, {},
      "--count must be at least 1"),
 ], ids=["cocoercive-0", "class-spec-junk", "fb-affine-matrix", "dr-affine-matrix", "affine-offset",
         "quadratic-matrix", "scaled-identity-c", "subspace-basis", "subspace-mu", "x0", "x0-junk",
-        "tol", "fb-offset-shape", "dr-offset-shape", "quadratic-offset-shape",
+        "tol", "tol-negative", "tol-minus-inf", "fb-offset-shape", "dr-offset-shape", "quadratic-offset-shape",
         "quadratic-asymmetric", "gamma-flag-nan",
         "gamma-flag-inf", "gamma-file-nan", "gamma-file-inf", "lambda-nan", "gamma-file-str",
         "gamma-file-bool", "gamma-file-list", "gamma-file-huge-int", "lambda-file-str",
         "lambda-file-bool", "lambda-file-list", "lambda-file-null", "scaled-identity-c-str",
         "scaled-identity-dim-str", "affine-matrix-str", "affine-offset-str",
         "affine-matrix-scalar", "spec-list", "mu-file-str", "beta-file-str", "omega-file-nan",
-        "x-star-str", "x-star-shape", "dr-dim-mismatch", "dr-dim-mismatch-force",
+        "x-star-str", "x-star-shape", "x-star-nan", "dr-dim-mismatch", "dr-dim-mismatch-force",
         "fb-dim-mismatch", "fb-dim-mismatch-force", "dr-max-iter-negative",
         "fb-max-iter-negative", "fb-case-unknown", "fb-case-unknown-force",
         "dr-order-unknown", "dr-order-unknown-force", "dr-force-gamma-rho-minus-one",
         "dr-force-gamma-negative", "dr-force-gamma-rho-below-minus-one", "x0-arity-before-plan",
-        "x-star-shape-before-plan", "count-negative", "count-zero"])
+        "x-star-shape-before-plan", "x-star-nan-before-plan", "count-negative", "count-zero"])
 def test_non_finite_and_degenerate_input_is_usage(args, A, B, inst, message, tmp_path, capsys):
     from opsplit.cli import main
 

@@ -98,6 +98,19 @@ def test_scaled_identity_resolvent():
     assert np.allclose(r(np.array([1.0, 0.0])), [3.0, 0.0])
 
 
+@pytest.mark.parametrize("c, gamma", [(-0.5, 1.0), (-0.25, 2.0), (-0.3, 1.5), (0.0, 1.0)])
+def test_reflected_lipschitz_is_attained_by_a_scaled_identity(c, gamma):
+    # For gamma*c in ]-1, 0] the reflected resolvent of c*Id is the scalar
+    # (1 - gamma c)/(1 + gamma c): resolvent_class's Lipschitz constant, attained.
+    lip = calculus.resolvent_class(gamma * c).reflected_lipschitz
+    r = ScaledIdentity(c, dim=3).reflected_resolvent(gamma)
+    x = np.array([1.0, -2.0, 0.5])
+    assert np.allclose(r(x), (1.0 - gamma * c) / (1.0 + gamma * c) * x, rtol=1e-15, atol=0.0)
+    assert math.isclose(lip, (1.0 - gamma * c) / (1.0 + gamma * c), rel_tol=1e-15)
+    assert check_membership(r, INParams(0.0, lip)).passed
+    assert not check_membership(r, INParams(0.0, lip * (1.0 - 1e-9))).passed
+
+
 def test_subspace_normal_resolvent():
     spec = SubspaceNormalPlusScale(np.array([[1.0, 0.0]]), mu=3.0)
     j = spec.resolvent(1.0)

@@ -83,6 +83,16 @@ def test_plan_dr_relaxed_range_scales_with_lambda():
     assert math.isclose(plan.averaged_alpha, 0.25 * 1.0 / (1.0 - 0.7), rel_tol=1e-12)
 
 
+def test_plan_dr_takes_an_exact_step_past_the_float_range():
+    # gamma*mu is 2e308: past the float range, so the float plan refuses it,
+    # but an int or Fraction product is exact and the plan is nu = 1.
+    for mu, gamma in ((2, 10**308), (Fraction(2), Fraction(10**308))):
+        plan = plan_dr(mu, 0, gamma)
+        assert plan.nu == 1 and plan.averaged_alpha == 0.5
+    with pytest.raises(DomainError, match=r"gamma\*mu overflows"):
+        plan_dr(2.0, 0.0, 1e308)
+
+
 def test_gamma_range_membership():
     rng = GammaRange(0.4, 2.0 / 3.0, lo_closed=True)
     assert rng.contains(0.4) and rng.contains(0.5) and not rng.contains(2.0 / 3.0)
@@ -629,6 +639,8 @@ def test_iterate_identity_stops_immediately():
     log = iterate(identity(2), np.array([1.0, 2.0]))
     assert log.converged and log.n_iter == 1
     assert np.allclose(log.final, [1.0, 2.0])
+    # the first step is exactly 0, which a zero tolerance accepts
+    assert iterate(identity(2), np.array([1.0, 2.0]), tol_fix=0.0, max_iter=5).converged
 
 
 def test_iterate_divergence_flag():
@@ -1062,6 +1074,25 @@ def test_iterate_rejects_bad_x0():
 
     with pytest.raises(DomainError):
         iterate(identity(2), np.array([1.0, 2.0, 3.0]))
+
+
+# Each of these used to run: a nan x0 failed at the first step as a
+# NumericError that blamed T, a nan x_star logged nan errors, and a negative
+# max_iter or a tol_fix below 0 (or nan) reported "no convergence".
+@pytest.mark.parametrize("x0, kwargs, message", [
+    ([math.nan, 0.0], {}, "x0 must be finite"),
+    ([1.0, -math.inf], {}, "x0 must be finite"),
+    ([1.0, 2.0], dict(x_star=[math.nan, 0.0], max_iter=12), "x_star must be finite"),
+    ([1.0, 2.0], dict(max_iter=-3), "max_iter must be >= 0, got -3"),
+    ([1.0, 2.0], dict(tol_fix=-1.0, max_iter=5), "tol_fix must be a finite number >= 0, got -1.0"),
+    ([1.0, 2.0], dict(tol_fix=math.nan, max_iter=5), "tol_fix must be a finite number >= 0, got nan"),
+    ([1.0, 2.0], dict(tol_fix=math.inf), "tol_fix must be a finite number >= 0, got inf"),
+], ids=["x0-nan", "x0-inf", "x-star-nan", "max-iter-negative", "tol-negative", "tol-nan",
+        "tol-inf"])
+def test_iterate_rejects_bad_solver_inputs(x0, kwargs, message):
+    with pytest.raises(DomainError) as e:
+        iterate(identity(2), x0, **kwargs)
+    assert str(e.value) == message
 
 
 @pytest.mark.parametrize("x_star", [np.zeros(3), np.zeros(1), np.zeros((2, 1)), 0.0])
