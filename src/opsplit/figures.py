@@ -51,6 +51,7 @@ values.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -394,8 +395,9 @@ def composition_region_exact(
     ``beta = 0`` degenerates to a single point and is handled by the same
     closed-form test.
     """
-    if resolution < 64:
-        raise DomainError(f"resolution must be >= 64, got {resolution}")
+    if (isinstance(resolution, bool) or not isinstance(resolution, numbers.Integral)
+            or resolution < 64):
+        raise DomainError(f"resolution must be an integer >= 64, got {resolution!r}")
     if resolution > _MAX_RESOLUTION:
         raise DomainError(f"resolution must be <= {_MAX_RESOLUTION}, got {resolution}")
     if not (relax_weight > 0.0 and math.isfinite(relax_weight)):

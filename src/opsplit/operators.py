@@ -146,10 +146,9 @@ def rotation_matrix(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def build_rotation(theta: float, scale: float = 1.0) -> Op:
-    """The planar map ``x -> scale*R_theta x``; certified ``|scale|``-Lipschitz."""
-    m = scale * rotation_matrix(theta)
-    return matrix_op(m, certificate=INParams(0.0, abs(scale)))
+def build_rotation(theta: float) -> Op:
+    """The planar rotation ``x -> R_theta x``; certified nonexpansive."""
+    return matrix_op(rotation_matrix(theta), certificate=INParams(0.0, 1.0))
 
 
 def build_in_operator(alpha: float, beta: float, n: Op) -> Op:

@@ -23,6 +23,7 @@ calls ``np.sum`` itself.  The column form skips numpy's reduce machinery: on
 
 from __future__ import annotations
 
+import numbers
 from functools import lru_cache
 
 import numpy as np
@@ -35,6 +36,11 @@ DEFAULT_SEED = 0xC0FFEE
 def pair_samples(pairs: int, dim: int, seed: int = DEFAULT_SEED) -> tuple[np.ndarray, np.ndarray]:
     """Return read-only arrays ``xs, ys`` of shape ``(m, dim)`` with ``x != y``
     rowwise.  The most recent sample is memoised, so copy before writing."""
+    for name, value in (("pairs", pairs), ("dim", dim), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     if pairs < 1:
         raise DomainError(f"need at least one pair, got {pairs}")
     if dim < 1:

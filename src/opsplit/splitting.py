@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from functools import partial
 
@@ -356,15 +357,14 @@ class IterLog:
     def final(self) -> np.ndarray:
         return self.points[-1]
 
-    @property
-    def ratios(self) -> list:
-        s = self.step_norms
-        return [s[i + 1] / s[i] for i in range(len(s) - 1) if s[i] > 0.0]
-
 
 # Steps per block of ``iterate``: ``T`` runs this many times between two
 # rounds of batched bookkeeping (set by timing solve-small and solve-large).
 _BLOCK = 64
+
+# ``iterate``'s fixed divergence policy, stated in its docstring.
+_DIVERGENCE_FACTOR = 1e6
+_GROWTH_WINDOW = 50
 
 
 def iterate(
@@ -377,18 +377,15 @@ def iterate(
     A: MonotoneSpec | None = None,
     B: MonotoneSpec | None = None,
     gamma: float | None = None,
-    divergence_factor: float = 1e6,
-    growth_window: int = 50,
 ) -> IterLog:
     """Run ``x_{k+1} = T x_k`` until the relative step drops below ``tol_fix``.
 
-    Flags divergence when the iterate norm exceeds
-    ``divergence_factor*(1+||x0||)`` or the step norm grows for
-    ``growth_window`` consecutive iterations.  With ``track_shadow`` (needs
-    ``A``, ``B``, ``gamma``) records the gap between the two shadow points.
-    A non-finite ``x0`` or ``x_star``, a negative ``max_iter`` and a
-    ``tol_fix`` that is not a finite number ``>= 0`` raise
-    :class:`DomainError` before any step.
+    Flags divergence when the iterate norm exceeds ``1e6*(1+||x0||)`` or the
+    step norm grows for 50 consecutive iterations.  With ``track_shadow``
+    (needs ``A``, ``B``, ``gamma``) records the gap between the two shadow
+    points.  A non-finite ``x0`` or ``x_star``, a ``max_iter`` that is not an
+    integer ``>= 0`` and a ``tol_fix`` that is not a finite number ``>= 0``
+    raise :class:`DomainError` before any step.
 
     The bookkeeping is blocked: the loop evaluates ``T`` alone for up to
     ``_BLOCK`` steps, then takes the block's norms, errors and shadow gaps in
@@ -404,6 +401,8 @@ def iterate(
         raise DomainError(f"x0 must have shape ({T.dim},), got {x.shape}")
     if not np.isfinite(x).all():
         raise DomainError("x0 must be finite")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral):
+        raise DomainError(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < 0:
         raise DomainError(f"max_iter must be >= 0, got {max_iter}")
     if not 0.0 <= tol_fix < math.inf:
@@ -422,7 +421,8 @@ def iterate(
     log = IterLog(points=[x],
                   err_norms=None if target is None else [_norm(x - target)],
                   shadow_gaps=None if gap is None else [_norm(gap(x))])
-    norm_cap = divergence_factor * (1.0 + _norm(x))
+    norm_cap = _DIVERGENCE_FACTOR * (1.0 + _norm(x))
+    growth_window = _GROWTH_WINDOW
     growth = 0
     last_step = math.inf
     fn = T.fn

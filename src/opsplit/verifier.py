@@ -293,14 +293,14 @@ def random_certified_composition(kind: str, rng: np.random.Generator):
 COMPOSITION_KINDS = ("averaged-averaged", "conic-conic", "scaled-averaged-cocoercive")
 
 
-def run_random_suite(count: int = 60, seed: int = DEFAULT_SEED, pairs: int = 2000) -> list[dict]:
-    """Membership reports for ``count`` random certified compositions."""
+def run_random_suite(count: int = 60, seed: int = DEFAULT_SEED) -> list[dict]:
+    """Membership reports, on 2000 pairs, for ``count`` random certified compositions."""
     rng = np.random.default_rng(seed)
     out = []
     for i in range(count):
         kind = COMPOSITION_KINDS[i % len(COMPOSITION_KINDS)]
         op, cert, params = random_certified_composition(kind, rng)
-        rep = check_membership(op, cert, pairs=pairs)
+        rep = check_membership(op, cert, pairs=2000)
         out.append(
             {
                 "kind": kind,
@@ -396,10 +396,6 @@ def _rotation_counterexample(theta: float, alpha1: float, alpha2: float, name: s
         agree=guard_rejected == empirical_failed == (kappa < 0.0),
         details={"kappa": kappa, "monotonicity_slack": -rep.worst_violation},
     )
-
-
-def _case_kappa_sign(theta=math.pi / 2, alpha1=2.0, alpha2=2.0) -> CaseReport:
-    return _rotation_counterexample(theta, alpha1, alpha2, "kappa-sign")
 
 
 def _case_ex_cases_i(eps=1.0, delta=1.0, theta=math.pi / 2) -> CaseReport:
@@ -519,7 +515,7 @@ def _case_dr_scalar_rate(mu=2.0, omega=1.0, gamma=0.1) -> CaseReport:
 
 
 NAMED_CASES = {
-    "kappa-sign": _case_kappa_sign,
+    "kappa-sign": lambda: _rotation_counterexample(math.pi / 2, 2.0, 2.0, "kappa-sign"),
     "ex-cases-i": _case_ex_cases_i,
     "chain-reject": _case_chain_reject,
     "dr-divergence": _case_dr_divergence,
@@ -531,15 +527,11 @@ NAMED_CASES = {
 }
 
 
-def run_named_case(name: str, **params) -> CaseReport:
+def run_named_case(name: str) -> CaseReport:
     """Reproduce one named case; raises on unrecognized names."""
-    try:
-        builder = NAMED_CASES[name]
-    except KeyError:
-        raise DomainError(
-            f"unknown case {name!r}; known: {sorted(NAMED_CASES)}"
-        ) from None
-    return builder(**params) if params else builder()
+    if name not in NAMED_CASES:
+        raise DomainError(f"unknown case {name!r}; known: {sorted(NAMED_CASES)}")
+    return NAMED_CASES[name]()
 
 
 def run_named_suite() -> list[CaseReport]:

@@ -18,6 +18,13 @@ def random_monotone_affine(rho, dim, rng, offset_scale=1.0):
     return Affine(m, offset_scale * rng.standard_normal(dim))
 
 
+def step_ratios(log) -> list:
+    """The ratios ``s[k+1]/s[k]`` of consecutive step norms of an ``IterLog``,
+    skipping zero steps."""
+    s = log.step_norms
+    return [s[i + 1] / s[i] for i in range(len(s) - 1) if s[i] > 0.0]
+
+
 def marked_points(raster) -> np.ndarray:
     """The ``(x, y)`` sample points of a raster's marked pixels."""
     js, is_ = np.nonzero(raster.grid)

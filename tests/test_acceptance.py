@@ -30,7 +30,8 @@ from opsplit.verifier import (
     run_named_case,
 )
 
-from conftest import disk_contains, marked_points, random_monotone_affine, raster_contains
+from conftest import (disk_contains, marked_points, random_monotone_affine, raster_contains,
+                      step_ratios)
 
 
 def _report(n, ok, detail=""):
@@ -166,12 +167,12 @@ def test_criterion_7_fb_tightness():
     plan = plan_fb("I", mu=2.0, omega=1.0, beta=1.0, gamma=0.2)
     t = build_fb(plan, ScaledIdentity(2.0, dim=2), ScaledIdentity(-1.0, dim=2))
     log = iterate(t, np.array([1.0, 0.0]))
-    worst_i = max(abs(r - 0.75) for r in log.ratios)
+    worst_i = max(abs(r - 0.75) for r in step_ratios(log))
 
     planb = plan_fb("Ib", mu=2.0, omega=1.0, beta=1.0, gamma=0.45)
     tb = build_fb(planb, ScaledIdentity(3.0, dim=2), ScaledIdentity(-1.0, dim=2))
     logb = iterate(tb, np.array([1.0, 0.0]))
-    worst_ib = max(abs(r - 7.0 / 11.0) for r in logb.ratios)
+    worst_ib = max(abs(r - 7.0 / 11.0) for r in step_ratios(logb))
     assert abs(abs(planb.delta) - 7.0 / 11.0) <= 1e-12
     _report(
         7,

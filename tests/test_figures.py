@@ -130,6 +130,9 @@ def test_relaxed_region_is_shifted_and_shrunk():
 def test_resolution_floor():
     with pytest.raises(DomainError):
         composition_region_exact(INParams(0.5, 0.5), INParams(0.5, 0.5), 32)
+    # used to fail with a TypeError on slice indices
+    with pytest.raises(DomainError, match="resolution must be an integer >= 64, got 64.5"):
+        composition_region_exact(INParams(0.5, 0.5), INParams(0.5, 0.5), 64.5)
 
 
 # ---------------------------------------------------------------------------

@@ -59,8 +59,10 @@ def test_rotation_zero_angle_is_identity():
 
 
 def test_rotation_scale_certificate():
-    r = build_rotation(0.3, scale=-2.5)
+    r = scale(-2.5, build_rotation(0.3))
     assert r.certificate == INParams(0.0, 2.5)
+    x = np.array([0.4, -1.3])
+    assert np.array_equal(r(x), (-2.5 * rotation_matrix(0.3)) @ x)
 
 
 def test_build_in_operator():
@@ -243,7 +245,7 @@ def test_quadratic_gradient_rejects_asymmetric_matrix():
 
 
 def test_negate_involution(rng):
-    op = build_rotation(0.7, scale=0.5)
+    op = scale(0.5, build_rotation(0.7))
     xs = rng.standard_normal((10, 2))
     assert np.allclose(negate(negate(op))(xs), op(xs))
 

@@ -40,7 +40,7 @@ from opsplit.splitting import (
 from opsplit.verifier import check_membership
 
 import exact
-from conftest import random_monotone_affine
+from conftest import random_monotone_affine, step_ratios
 
 
 def scaling_demo(mu=2.0, omega=1.0):
@@ -742,14 +742,14 @@ def _nan_on_call(n):
                                   "overflow", "nan", "inf"])
 def test_iterate_stopping_matches_reference_loop(case):
     a, b = scaling_demo()
-    cap = 1e250 if case == "growth" else 1e6
 
     def make():
         return {
             "converge": lambda: (dr_operator(a, b, 0.1), [1.0, 1.0]),
             "oscillate": lambda: (dr_operator(a, b, 0.5), [0.0, 1.0]),
             "norm": lambda: (scale(1.5, identity(2)), [1.0, -2.0]),
-            "growth": lambda: (scale(1.5, identity(2)), [1.0, -2.0]),
+            # ||x_51|| = 1.05^51 ||x0|| stays far below the norm cap
+            "growth": lambda: (scale(1.05, identity(2)), [1.0, -2.0]),
             # finite entries whose norm overflows: diverged, not a numeric failure
             "overflow": lambda: (scale(1e200, identity(2)), [1.0, 1.0]),
             "nan": lambda: (_nan_on_call(7), [1.0, 2.0]),
@@ -758,19 +758,21 @@ def test_iterate_stopping_matches_reference_loop(case):
 
     with np.errstate(over="ignore"):
         try:
-            want = _unblocked_iterate(*make(), max_iter=300, divergence_factor=cap)
+            want = _unblocked_iterate(*make(), max_iter=300)
         except NumericError as exc:
             with pytest.raises(NumericError) as got:
-                iterate(*make(), max_iter=300, divergence_factor=cap)
+                iterate(*make(), max_iter=300)
             assert got.value.iteration == exc.iteration
             return
-        log = iterate(*make(), max_iter=300, divergence_factor=cap)
+        log = iterate(*make(), max_iter=300)
     _assert_same_log(log, want)
     reason = {"converge": "", "oscillate": "no convergence", "norm": "iterate norm",
               "growth": "step norm grew", "overflow": "iterate norm"}[case]
     assert log.reason.startswith(reason)
     if case == "overflow":
         assert log.n_iter == 1
+    if case == "growth":
+        assert log.n_iter == 51
 
 
 @pytest.mark.parametrize("order", ["A_strong", "B_strong"])
@@ -920,17 +922,16 @@ STOP_AT = [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK]
 def test_blocked_stop_matches_unblocked_loop(kind, k):
     x0 = np.array([1.0, 0.0])
     if kind == "converge":
-        make, kw = (lambda: _converge_at(k)[0]), {}
+        make = lambda: _converge_at(k)[0]
     elif kind == "norm":
-        # ||x_j|| = 2^j first exceeds the cap 0.75 * 2^k at j = k
-        make = lambda: scale(2.0, identity(2))
-        kw = {"divergence_factor": 0.375 * 2.0**k, "growth_window": 10**6}
+        # oscillates with a constant step, then jumps past the cap 2e6 at call k
+        make = lambda: _counted(lambda c, x: 1e7 * x if c == k else -x)[0]
     else:
-        # steps grow from step 2 on, so the counter reaches k - 1 at step k
-        make = lambda: scale(1.5, identity(2))
-        kw = {"divergence_factor": 1e300, "growth_window": k - 1}
-    log = iterate(make(), x0, max_iter=5 * _BLOCK, **kw)
-    _assert_same_log(log, _unblocked_iterate(make(), x0, max_iter=5 * _BLOCK, **kw))
+        # steps shrink until call k - 50, then grow from call k - 49 on, so
+        # the counter reaches 50 at step k
+        make = lambda: _counted(lambda c, x: 0.9 * x if c < k - 50 else 1.1 * x)[0]
+    log = iterate(make(), x0, max_iter=5 * _BLOCK)
+    _assert_same_log(log, _unblocked_iterate(make(), x0, max_iter=5 * _BLOCK))
     assert log.n_iter == k
     assert log.converged == (kind == "converge") and log.diverged == (kind != "converge")
 
@@ -967,9 +968,9 @@ def test_blocked_growth_counter_carries_across_blocks(resets):
     def fn(c, x):
         return 1.01 * x if c in resets else 1.05 * x
 
-    kw = {"max_iter": 5 * _BLOCK, "divergence_factor": 1e300}
-    log = iterate(_counted(fn)[0], np.array([1.0, 0.0]), **kw)
-    _assert_same_log(log, _unblocked_iterate(_counted(fn)[0], np.array([1.0, 0.0]), **kw))
+    log = iterate(_counted(fn)[0], np.array([1.0, 0.0]), max_iter=5 * _BLOCK)
+    _assert_same_log(log, _unblocked_iterate(_counted(fn)[0], np.array([1.0, 0.0]),
+                                             max_iter=5 * _BLOCK))
     assert log.diverged and log.n_iter == resets[-1] + 50
 
 
@@ -1041,25 +1042,22 @@ def test_blocked_err_norms_bit_equal(rng):
 @settings(max_examples=60, deadline=None)
 @given(
     d=st.integers(1, 6),
-    factor=st.floats(0.5, 1.2),
+    # up to 1.5, so that some runs pass the norm cap before 50 growing steps
+    factor=st.floats(0.5, 1.5),
     max_iter=st.integers(0, 3 * _BLOCK),
     tol_fix=st.sampled_from([1e-10, 1e-4, 1e-2]),
-    divergence_factor=st.sampled_from([3.0, 1e2, 1e6]),
-    growth_window=st.integers(1, 80),
     with_star=st.booleans(),
     with_gap=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_blocked_iterate_matches_unblocked_loop(d, factor, max_iter, tol_fix,
-                                                divergence_factor, growth_window,
-                                                with_star, with_gap, seed):
+def test_blocked_iterate_matches_unblocked_loop(d, factor, max_iter, tol_fix, with_star,
+                                                with_gap, seed):
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))
     t = ops._affine(d, factor * q, rng.standard_normal(d))
     x0 = rng.standard_normal(d)
     x_star = rng.standard_normal(d) if with_star else None
-    kw = {"max_iter": max_iter, "tol_fix": tol_fix, "x_star": x_star,
-          "divergence_factor": divergence_factor, "growth_window": growth_window}
+    kw = {"max_iter": max_iter, "tol_fix": tol_fix, "x_star": x_star}
     gap, shadow = None, {}
     if with_gap:
         a = random_monotone_affine(0.5, d, rng)
@@ -1077,18 +1075,20 @@ def test_iterate_rejects_bad_x0():
 
 
 # Each of these used to run: a nan x0 failed at the first step as a
-# NumericError that blamed T, a nan x_star logged nan errors, and a negative
-# max_iter or a tol_fix below 0 (or nan) reported "no convergence".
+# NumericError that blamed T, a nan x_star logged nan errors, a negative
+# max_iter or a tol_fix below 0 (or nan) reported "no convergence", and a
+# float max_iter failed in range() with a TypeError.
 @pytest.mark.parametrize("x0, kwargs, message", [
     ([math.nan, 0.0], {}, "x0 must be finite"),
     ([1.0, -math.inf], {}, "x0 must be finite"),
     ([1.0, 2.0], dict(x_star=[math.nan, 0.0], max_iter=12), "x_star must be finite"),
     ([1.0, 2.0], dict(max_iter=-3), "max_iter must be >= 0, got -3"),
+    ([1.0, 2.0], dict(max_iter=2.5), "max_iter must be an integer, got 2.5"),
     ([1.0, 2.0], dict(tol_fix=-1.0, max_iter=5), "tol_fix must be a finite number >= 0, got -1.0"),
     ([1.0, 2.0], dict(tol_fix=math.nan, max_iter=5), "tol_fix must be a finite number >= 0, got nan"),
     ([1.0, 2.0], dict(tol_fix=math.inf), "tol_fix must be a finite number >= 0, got inf"),
-], ids=["x0-nan", "x0-inf", "x-star-nan", "max-iter-negative", "tol-negative", "tol-nan",
-        "tol-inf"])
+], ids=["x0-nan", "x0-inf", "x-star-nan", "max-iter-negative", "max-iter-float",
+        "tol-negative", "tol-nan", "tol-inf"])
 def test_iterate_rejects_bad_solver_inputs(x0, kwargs, message):
     with pytest.raises(DomainError) as e:
         iterate(identity(2), x0, **kwargs)
@@ -1113,7 +1113,7 @@ def test_rate_report_fb_tight():
     rep = rate_report(log, plan)
     assert abs(rep.empirical_rate - 0.75) < 1e-12
     assert rep.satisfied
-    for r in log.ratios:
+    for r in step_ratios(log):
         assert abs(r - 0.75) < 1e-12
 
 

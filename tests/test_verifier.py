@@ -71,7 +71,7 @@ def test_membership_fails_for_false_claim():
 
 @pytest.mark.parametrize("check", ["membership", "monotone"])
 def test_worst_pair_is_a_copy_of_the_cached_sample(check):
-    T = build_rotation(1.3, scale=1.5)
+    T = ops.scale(1.5, build_rotation(1.3))
 
     def run():
         if check == "membership":
@@ -115,7 +115,7 @@ def test_checks_and_fits_share_one_reduction():
 
 
 def test_cached_moments_are_read_only():
-    T = build_rotation(1.3, scale=1.5)
+    T = ops.scale(1.5, build_rotation(1.3))
     check_membership(T, INParams(0.0, 1.0), pairs=300)
     hits = verifier._sample.cache_info().hits
     moments = verifier._sample(T, 300, DEFAULT_SEED)[2]
@@ -248,6 +248,39 @@ def test_too_few_pairs_is_a_domain_error(check, pairs):
     # as fit_tightest rejects fewer than 100 pairs
     with pytest.raises(DomainError, match="at least one pair"):
         check(pairs)
+
+
+@pytest.mark.parametrize("check, message", [
+    (lambda: check_membership(identity(2), INParams(1.0, 0.0), pairs=10, seed=-1),
+     "seed must be >= 0, got -1"),
+    (lambda: check_membership(identity(2), INParams(1.0, 0.0), pairs=10, seed=1.5),
+     "seed must be an integer, got 1.5"),
+    (lambda: check_membership(identity(2), INParams(1.0, 0.0), pairs=10.0),
+     "pairs must be an integer, got 10.0"),
+    (lambda: check_monotone(identity(2), 1.0, pairs=10, seed=-1), "seed must be >= 0, got -1"),
+    (lambda: check_monotone(identity(2), 1.0, pairs=10, seed=True),
+     "seed must be an integer, got True"),
+    (lambda: fit_tightest(identity(2), "lipschitz", pairs=100, seed=-1),
+     "seed must be >= 0, got -1"),
+    (lambda: fit_tightest(identity(2), "lipschitz", pairs=100.5),
+     "pairs must be an integer, got 100.5"),
+    (lambda: pair_samples(10, 2.0), "dim must be an integer, got 2.0"),
+    (lambda: pair_samples(10, 2, seed="1"), "seed must be an integer, got '1'"),
+], ids=["membership-seed-negative", "membership-seed-float", "membership-pairs-float",
+        "monotone-seed-negative", "monotone-seed-bool", "fit-seed-negative", "fit-pairs-float",
+        "pair_samples-dim-float", "pair_samples-seed-str"])
+def test_a_non_integer_size_or_a_negative_seed_is_a_domain_error(check, message):
+    # each but the bool seed used to fail inside numpy with a ValueError or a
+    # TypeError; True ran as seed 1
+    with pytest.raises(DomainError) as e:
+        check()
+    assert str(e.value) == message
+
+
+def test_numpy_integer_sizes_and_seeds_are_accepted():
+    xs, ys = pair_samples(np.int64(10), np.int32(2), seed=np.uint8(3))
+    want = pair_samples(10, 2, seed=3)
+    assert np.array_equal(xs, want[0]) and np.array_equal(ys, want[1])
 
 
 @pytest.mark.parametrize("check", [
@@ -601,7 +634,7 @@ def test_fit_matches_bisection_on_random_compositions(seed, kind):
 @given(st.integers(0, 2**32 - 1), st.floats(0.0, 0.8))
 def test_fit_matches_bisection_on_expansive_rotation(seed, theta):
     # c = 1.5*cos(theta) > 1 on every pair: averaged and conic are refuted
-    T = build_rotation(theta, scale=1.5)
+    T = ops.scale(1.5, build_rotation(theta))
     for family in FAMILIES:
         _check_against_bisection(T, family, seed)
 
@@ -677,7 +710,7 @@ def test_kappa_sign_details():
 
 
 def test_kappa_sign_positive_instance_accepts():
-    rep = run_named_case("kappa-sign", theta=math.pi / 2, alpha1=0.5, alpha2=0.5)
+    rep = verifier._rotation_counterexample(math.pi / 2, 0.5, 0.5, "kappa-sign")
     assert not rep.guard_rejected and not rep.empirical_failed and rep.agree
 
 
@@ -690,10 +723,10 @@ def test_ex_cases_parameters_propagate():
 def test_dr_divergence_case_variants():
     rep = run_named_case("dr-divergence")
     assert rep.agree and rep.details["diverged"]
-    osc = run_named_case("dr-divergence", gamma=0.5)
+    osc = verifier._case_dr_divergence(gamma=0.5)
     assert osc.agree and not osc.details["diverged"]  # oscillation, factor -1
     assert abs(osc.details["orthogonal_factor"] + 1.0) < 1e-15
-    ok = run_named_case("dr-divergence", gamma=0.1)
+    ok = verifier._case_dr_divergence(gamma=0.1)
     assert ok.agree and not ok.guard_rejected and not ok.empirical_failed
 
 
@@ -714,8 +747,8 @@ def test_unknown_case_rejected():
 
 
 def test_random_suite_reproducible():
-    a = run_random_suite(count=6, seed=7, pairs=500)
-    b = run_random_suite(count=6, seed=7, pairs=500)
+    a = run_random_suite(count=6, seed=7)
+    b = run_random_suite(count=6, seed=7)
     assert a == b
     assert all(r["passed"] for r in a)
 
