@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .errors import DomainError, GuardError
+from .errors import DomainError, GuardError, _is_integer
 
 __all__ = [
     "INParams",
@@ -71,6 +71,15 @@ __all__ = [
 # Descriptors
 
 
+def _require_finite(a, b) -> None:
+    try:
+        finite = math.isfinite(a) and math.isfinite(b)
+    except OverflowError:  # an int or Fraction past the float range
+        finite = False
+    if not finite:
+        raise DomainError(f"descriptor must be finite, got ({a}, {b})")
+
+
 @dataclass(frozen=True)
 class INParams:
     """Descriptor of the decomposition ``R = alpha*Id + beta*N``, ``N`` nonexpansive."""
@@ -81,12 +90,7 @@ class INParams:
     def __post_init__(self):
         if not self.beta >= 0.0:
             raise DomainError(f"beta must satisfy beta >= 0, got {self.beta}")
-        try:
-            finite = math.isfinite(self.alpha) and math.isfinite(self.beta)
-        except OverflowError:  # an int or Fraction past the float range
-            finite = False
-        if not finite:
-            raise DomainError(f"descriptor must be finite, got ({self.alpha}, {self.beta})")
+        _require_finite(self.alpha, self.beta)
 
     @property
     def lipschitz(self) -> float:
@@ -117,12 +121,7 @@ class ScaledConic:
             raise DomainError("delta must be nonzero")
         if not self.alpha > 0.0:
             raise DomainError(f"alpha must satisfy alpha > 0, got {self.alpha}")
-        try:
-            finite = math.isfinite(self.delta) and math.isfinite(self.alpha)
-        except OverflowError:  # an int or Fraction past the float range
-            finite = False
-        if not finite:
-            raise DomainError(f"descriptor must be finite, got ({self.delta}, {self.alpha})")
+        _require_finite(self.delta, self.alpha)
 
     def to_in(self) -> INParams:
         """The induced descriptor ``(delta*(1-alpha), |delta|*alpha)``."""
@@ -479,6 +478,8 @@ def compose_chain(items: list[ScaledConic], r: int) -> ScaledConic:
     m = len(items)
     if m < 2:
         raise DomainError(f"chain needs at least two factors, got {m}")
+    if not _is_integer(r):
+        raise DomainError(f"index r must be an integer, got {r!r}")
     if not 0 <= r < m:
         raise DomainError(f"index r={r} out of range for chain of length {m}")
     for i, c in enumerate(items):

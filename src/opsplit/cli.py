@@ -259,14 +259,9 @@ def _run_solve(args, method: str) -> int:
         config.update({"lambda": lam, "order": inst.get("order", "A_strong")})
     else:
         config["case"] = args.case or inst.get("case", "I")
-    # A bad --x0 or x_star (or case or order, in solve) exits 1 before any plan.
+    # A bad --x0 (or x_star, case or order, in solve) exits 1 before any plan.
     x0 = _parse_x0(args.x0, a_spec.dim)
     x_star = _array("x_star", inst.get("x_star"))
-    if x_star is not None and x_star.shape != (a_spec.dim,):
-        raise DomainError(f"x_star must have shape ({a_spec.dim},), got {x_star.shape}")
-    if x_star is not None and not np.isfinite(x_star).all():
-        raise DomainError("x_star must be finite")
-
     summary, log = splitting.solve(a_spec, b_spec, config, x0, x_star)
     text = _dump(summary)
     if log is None:

@@ -9,6 +9,8 @@ exit codes.
 
 from __future__ import annotations
 
+import numbers
+
 
 class OpSplitError(Exception):
     """Base class for all package errors."""
@@ -48,3 +50,8 @@ class NumericError(OpSplitError, ArithmeticError):
     def __init__(self, message: str, iteration: int | None = None):
         super().__init__(message)
         self.iteration = iteration
+
+
+def _is_integer(value) -> bool:
+    """An integer input: a ``numbers.Integral`` (numpy's included) but not a ``bool``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)

@@ -51,7 +51,6 @@ values.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -65,7 +64,7 @@ from .calculus import (
     compose_general,
     compose_scaled_averaged_cocoercive,
 )
-from .errors import DomainError
+from .errors import DomainError, _is_integer
 
 __all__ = [
     "Disk",
@@ -395,8 +394,7 @@ def composition_region_exact(
     ``beta = 0`` degenerates to a single point and is handled by the same
     closed-form test.
     """
-    if (isinstance(resolution, bool) or not isinstance(resolution, numbers.Integral)
-            or resolution < 64):
+    if not _is_integer(resolution) or resolution < 64:
         raise DomainError(f"resolution must be an integer >= 64, got {resolution!r}")
     if resolution > _MAX_RESOLUTION:
         raise DomainError(f"resolution must be <= {_MAX_RESOLUTION}, got {resolution}")

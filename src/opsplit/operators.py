@@ -26,7 +26,7 @@ import numpy as np
 
 from . import calculus
 from .calculus import INParams, ScaledConic, resolvent_class
-from .errors import BuildError, DomainError, NumericError
+from .errors import BuildError, DomainError, NumericError, _is_integer
 
 __all__ = [
     "Op",
@@ -171,9 +171,9 @@ def build_in_operator(alpha: float, beta: float, n: Op) -> Op:
 
 
 def _positive_dim(dim) -> int:
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+    if not _is_integer(dim) or dim < 1:
         raise DomainError(f"dim must be a positive integer, got {dim!r}")
-    return dim
+    return int(dim)
 
 
 class MonotoneSpec:
@@ -269,7 +269,7 @@ class ScaledIdentity(MonotoneSpec):
     dim: int = 2
 
     def __post_init__(self):
-        _positive_dim(self.dim)
+        self.dim = _positive_dim(self.dim)
         if not np.isfinite(self.c):
             raise DomainError(f"c must be finite, got {self.c}")
         self.rho = self.c

@@ -23,12 +23,11 @@ calls ``np.sum`` itself.  The column form skips numpy's reduce machinery: on
 
 from __future__ import annotations
 
-import numbers
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _is_integer
 
 DEFAULT_SEED = 0xC0FFEE
 
@@ -37,7 +36,7 @@ def pair_samples(pairs: int, dim: int, seed: int = DEFAULT_SEED) -> tuple[np.nda
     """Return read-only arrays ``xs, ys`` of shape ``(m, dim)`` with ``x != y``
     rowwise.  The most recent sample is memoised, so copy before writing."""
     for name, value in (("pairs", pairs), ("dim", dim), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        if not _is_integer(value):
             raise DomainError(f"{name} must be an integer, got {value!r}")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import asdict, dataclass, field
 from functools import partial
 
@@ -33,7 +32,7 @@ import numpy as np
 
 from . import operators as ops
 from .calculus import INParams, ScaledConic
-from .errors import DomainError, NumericError, StepSizeError
+from .errors import DomainError, NumericError, StepSizeError, _is_integer
 from .operators import MonotoneSpec, Op
 
 __all__ = [
@@ -367,6 +366,13 @@ _DIVERGENCE_FACTOR = 1e6
 _GROWTH_WINDOW = 50
 
 
+def _vector(name: str, value, dim: int) -> np.ndarray:
+    v = np.asarray(value, dtype=float)
+    _require(v.shape == (dim,), f"{name} must have shape ({dim},), got {v.shape}")
+    _require(np.isfinite(v).all(), f"{name} must be finite")
+    return v
+
+
 def iterate(
     T: Op,
     x0,
@@ -396,28 +402,17 @@ def iterate(
     calls ``T.fn`` on the vectors it returns, so the shape of each block's
     iterates is checked once, when they are stacked.
     """
-    x = np.asarray(x0, dtype=float)
-    if x.shape != (T.dim,):
-        raise DomainError(f"x0 must have shape ({T.dim},), got {x.shape}")
-    if not np.isfinite(x).all():
-        raise DomainError("x0 must be finite")
-    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral):
-        raise DomainError(f"max_iter must be an integer, got {max_iter!r}")
-    if max_iter < 0:
-        raise DomainError(f"max_iter must be >= 0, got {max_iter}")
-    if not 0.0 <= tol_fix < math.inf:
-        raise DomainError(f"tol_fix must be a finite number >= 0, got {tol_fix}")
+    x = _vector("x0", x0, T.dim)
+    _require(_is_integer(max_iter), f"max_iter must be an integer, got {max_iter!r}")
+    _require(max_iter >= 0, f"max_iter must be >= 0, got {max_iter}")
+    _require(0.0 <= tol_fix < math.inf, f"tol_fix must be a finite number >= 0, got {tol_fix}")
     gap = None
     if track_shadow:
         if A is None or B is None or gamma is None:
             raise DomainError("shadow tracking requires A, B and gamma")
         gap = ops.difference(*dr_shadow_ops(A, B, gamma))
 
-    target = None if x_star is None else np.asarray(x_star, dtype=float)
-    if target is not None and target.shape != x.shape:
-        raise DomainError(f"x_star must have shape ({T.dim},), got {target.shape}")
-    if target is not None and not np.isfinite(target).all():
-        raise DomainError("x_star must be finite")
+    target = None if x_star is None else _vector("x_star", x_star, T.dim)
     log = IterLog(points=[x],
                   err_norms=None if target is None else [_norm(x - target)],
                   shadow_gaps=None if gap is None else [_norm(gap(x))])
@@ -536,9 +531,10 @@ def solve(A: MonotoneSpec, B: MonotoneSpec, config: dict, x0,
     ``instance`` (with the plan's moduli), ``gamma``, ``max_iter``, ``tol``,
     ``force``, and ``lambda``/``order`` (DR) or ``case`` (FB).  A rejected plan
     returns ``({config, error[, valid_interval]}, None)``; under ``force`` the
-    unplanned operator runs, and ``plan`` and ``rate`` are ``None``.  An unknown
-    ``order`` or ``case`` raises :class:`DomainError` before any plan.
+    unplanned operator runs, and ``plan`` and ``rate`` are ``None``.  A bad
+    ``x_star``, ``order`` or ``case`` raises :class:`DomainError` before any plan.
     """
+    x_star = None if x_star is None else _vector("x_star", x_star, A.dim)
     inst, gamma = config["instance"], config["gamma"]
     if config["method"] == "DR":
         _require(config["order"] in DR_ORDERS, f"unknown order {config['order']!r}")

@@ -38,7 +38,7 @@ from .calculus import (
     compose_general,
     compose_scaled_averaged_cocoercive,
 )
-from .errors import DomainError, GuardError
+from .errors import DomainError, GuardError, _is_integer
 from .operators import Op, build_in_operator, build_rotation, matrix_op
 from .sampling import DEFAULT_SEED, _draw, _row_dot, pair_samples
 
@@ -59,6 +59,7 @@ __all__ = [
 
 
 _TOL = 1e-9  # the largest normalized violation a passing check allows
+_AVERAGED_PAIR_DRAWS = 20  # random factor pairs per averaged-averaged named case
 
 
 @dataclass
@@ -210,7 +211,7 @@ def fit_tightest(
     So the fit is the largest lower root, clipped to the bracket, then stepped
     up by 1, 2, 4, ... ulps until membership accepts it.
     """
-    if pairs < 100:
+    if _is_integer(pairs) and pairs < 100:  # pair_samples rejects a non-integer
         raise DomainError(f"needs at least 100 pairs, got {pairs}")
     if family not in _FAMILIES:
         raise DomainError(f"unknown family {family!r}; known: {sorted(_FAMILIES)}")
@@ -295,6 +296,9 @@ COMPOSITION_KINDS = ("averaged-averaged", "conic-conic", "scaled-averaged-cocoer
 
 def run_random_suite(count: int = 60, seed: int = DEFAULT_SEED) -> list[dict]:
     """Membership reports, on 2000 pairs, for ``count`` random certified compositions."""
+    for name, value, least in (("count", count, 1), ("seed", seed, 0)):
+        if not _is_integer(value) or value < least:
+            raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
     rng = np.random.default_rng(seed)
     out = []
     for i in range(count):
@@ -460,7 +464,7 @@ def _case_dr_divergence(mu=2.0, omega=1.0, gamma=0.6) -> CaseReport:
     )
 
 
-def _case_averaged_pair(a1: float, a2: float, name: str, samples: int = 20) -> CaseReport:
+def _case_averaged_pair(a1: float, a2: float, name: str) -> CaseReport:
     cert, guard_rejected, guard_message = _guard(
         compose_general, INParams(1.0 - a1, a1), INParams(1.0 - a2, a2)
     )
@@ -469,7 +473,7 @@ def _case_averaged_pair(a1: float, a2: float, name: str, samples: int = 20) -> C
     if cert is not None:
         rng = np.random.default_rng(DEFAULT_SEED)
         empirical_failed = False
-        for _ in range(samples):
+        for _ in range(_AVERAGED_PAIR_DRAWS):
             r1 = build_in_operator(1.0 - a1, a1, random_orthogonal(rng))
             r2 = build_in_operator(1.0 - a2, a2, random_orthogonal(rng))
             rep = check_membership(ops.compose(r2, r1), cert, pairs=2000)

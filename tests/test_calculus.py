@@ -460,6 +460,7 @@ def test_compose_chain_examples():
     assert pair.delta == 1.0 and math.isclose(pair.alpha, 2.0 / 3.0, rel_tol=1e-15)
     three = compose_chain([ScaledConic(1.0, 0.5)] * 3, 0)
     assert math.isclose(three.alpha, 0.75, rel_tol=1e-15)
+    assert compose_chain([ScaledConic(1.0, 0.5)] * 3, np.int64(0)) == three
 
 
 def test_compose_chain_rejects_counterexample():
@@ -475,6 +476,20 @@ def test_compose_chain_domain_errors():
         compose_chain([ScaledConic(1.0, 0.5)], 0)
     with pytest.raises(DomainError):
         compose_chain([ScaledConic(1.0, 0.5), ScaledConic(1.0, 1.5)], 0)
+
+
+@pytest.mark.parametrize("r, message", [
+    (True, "index r must be an integer, got True"),
+    (1.0, "index r must be an integer, got 1.0"),
+    ("1", "index r must be an integer, got '1'"),
+    (None, "index r must be an integer, got None"),
+    (-1, "index r=-1 out of range for chain of length 2"),
+], ids=["bool", "float", "str", "none", "negative"])
+def test_compose_chain_index_is_an_integer(r, message):
+    # True ran as index 1; 1.0 and "1" failed with a TypeError
+    with pytest.raises(DomainError) as e:
+        compose_chain([ScaledConic(1.0, 0.5), ScaledConic(1.0, 0.5)], r)
+    assert str(e.value) == message
 
 
 def test_compose_cocoercive_chain():

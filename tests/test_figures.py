@@ -131,8 +131,13 @@ def test_resolution_floor():
     with pytest.raises(DomainError):
         composition_region_exact(INParams(0.5, 0.5), INParams(0.5, 0.5), 32)
     # used to fail with a TypeError on slice indices
-    with pytest.raises(DomainError, match="resolution must be an integer >= 64, got 64.5"):
-        composition_region_exact(INParams(0.5, 0.5), INParams(0.5, 0.5), 64.5)
+    for bad in (64.5, True, "64", None):
+        with pytest.raises(DomainError) as e:
+            composition_region_exact(INParams(0.5, 0.5), INParams(0.5, 0.5), bad)
+        assert str(e.value) == f"resolution must be an integer >= 64, got {bad!r}"
+    r = composition_region_exact(INParams(0.5, 0.5), INParams(0.5, 0.5), np.int64(64))
+    assert np.array_equal(r.grid, composition_region_exact(INParams(0.5, 0.5),
+                                                           INParams(0.5, 0.5), 64).grid)
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,13 @@ def test_scaled_identity_dim_is_a_positive_integer(dim):
         ScaledIdentity(1.0, dim=dim)
 
 
+def test_scaled_identity_takes_a_numpy_integer_dim():
+    # used to be rejected as "dim must be a positive integer, got np.int64(2)"
+    spec = ScaledIdentity(3.0, dim=np.int64(2))
+    assert type(spec.dim) is int and spec.dim == 2
+    assert spec.forward()(np.array([1.0, -2.0])).tolist() == [3.0, -6.0]
+
+
 @pytest.mark.parametrize("offset", [np.zeros(3), np.zeros((2, 1)), np.float64(1.0)])
 def test_affine_offset_shape_checked(offset):
     with pytest.raises(DomainError, match="offset must have shape"):

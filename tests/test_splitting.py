@@ -937,7 +937,7 @@ def test_blocked_stop_matches_unblocked_loop(kind, k):
 
 
 @pytest.mark.parametrize("max_iter", [0, 1, _BLOCK - 1, _BLOCK + 1, 2 * _BLOCK + 7,
-                                      3 * _BLOCK - 5])
+                                      3 * _BLOCK - 5, np.int64(_BLOCK + 2)])
 def test_blocked_max_iter_not_a_multiple_of_block(max_iter):
     t, calls = _counted(lambda c, x: -x)
     log = iterate(t, np.array([1.0, 2.0]), max_iter=max_iter)
@@ -1084,11 +1084,14 @@ def test_iterate_rejects_bad_x0():
     ([1.0, 2.0], dict(x_star=[math.nan, 0.0], max_iter=12), "x_star must be finite"),
     ([1.0, 2.0], dict(max_iter=-3), "max_iter must be >= 0, got -3"),
     ([1.0, 2.0], dict(max_iter=2.5), "max_iter must be an integer, got 2.5"),
+    ([1.0, 2.0], dict(max_iter=True), "max_iter must be an integer, got True"),
+    ([1.0, 2.0], dict(max_iter="1"), "max_iter must be an integer, got '1'"),
+    ([1.0, 2.0], dict(max_iter=None), "max_iter must be an integer, got None"),
     ([1.0, 2.0], dict(tol_fix=-1.0, max_iter=5), "tol_fix must be a finite number >= 0, got -1.0"),
     ([1.0, 2.0], dict(tol_fix=math.nan, max_iter=5), "tol_fix must be a finite number >= 0, got nan"),
     ([1.0, 2.0], dict(tol_fix=math.inf), "tol_fix must be a finite number >= 0, got inf"),
 ], ids=["x0-nan", "x0-inf", "x-star-nan", "max-iter-negative", "max-iter-float",
-        "tol-negative", "tol-nan", "tol-inf"])
+        "max-iter-bool", "max-iter-str", "max-iter-none", "tol-negative", "tol-nan", "tol-inf"])
 def test_iterate_rejects_bad_solver_inputs(x0, kwargs, message):
     with pytest.raises(DomainError) as e:
         iterate(identity(2), x0, **kwargs)
@@ -1192,6 +1195,21 @@ def test_solve_rejects_an_unknown_order_or_case_before_planning(method, field, m
     config = {**_solve_config(method, 0.6, force=force), **field}
     with pytest.raises(DomainError, match=message):
         solve(*_solve_specs(config), config, np.array([0.0, 1.0]), None)
+
+
+@pytest.mark.parametrize("force", [False, True])
+@pytest.mark.parametrize("x_star, message", [
+    ([0.0, 0.0, 0.0], "x_star must have shape (2,), got (3,)"),
+    ([math.nan, 0.0], "x_star must be finite"),
+], ids=["shape", "nan"])
+def test_solve_rejects_a_bad_x_star_before_planning(x_star, message, force):
+    # gamma = 0.6 is outside the DR interval, and the order is unknown: solve
+    # used to report the order; past that check, the plan's rejection record
+    # (or, under force, a run of the unplanned operator) came first
+    config = {**_solve_config("DR", 0.6, force=force), "order": "sideways"}
+    with pytest.raises(DomainError) as e:
+        solve(*_solve_specs(config), config, np.array([0.0, 1.0]), x_star)
+    assert str(e.value) == message
 
 
 @pytest.mark.parametrize("method,gamma", [("DR", 0.6), ("FB", 0.6)])

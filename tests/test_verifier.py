@@ -264,14 +264,30 @@ def test_too_few_pairs_is_a_domain_error(check, pairs):
      "seed must be >= 0, got -1"),
     (lambda: fit_tightest(identity(2), "lipschitz", pairs=100.5),
      "pairs must be an integer, got 100.5"),
+    (lambda: fit_tightest(identity(2), "lipschitz", pairs="x"), "pairs must be an integer, got 'x'"),
+    (lambda: fit_tightest(identity(2), "lipschitz", pairs=None), "pairs must be an integer, got None"),
+    (lambda: fit_tightest(identity(2), "lipschitz", pairs=True), "pairs must be an integer, got True"),
     (lambda: pair_samples(10, 2.0), "dim must be an integer, got 2.0"),
+    (lambda: pair_samples(10, True), "dim must be an integer, got True"),
+    (lambda: pair_samples(None, 2), "pairs must be an integer, got None"),
     (lambda: pair_samples(10, 2, seed="1"), "seed must be an integer, got '1'"),
+    (lambda: run_random_suite(count=2.5), "count must be an integer >= 1, got 2.5"),
+    (lambda: run_random_suite(count=-1), "count must be an integer >= 1, got -1"),
+    (lambda: run_random_suite(count=True), "count must be an integer >= 1, got True"),
+    (lambda: run_random_suite(count="1"), "count must be an integer >= 1, got '1'"),
+    (lambda: run_random_suite(count=1, seed=-1), "seed must be an integer >= 0, got -1"),
+    (lambda: run_random_suite(count=1, seed=None), "seed must be an integer >= 0, got None"),
 ], ids=["membership-seed-negative", "membership-seed-float", "membership-pairs-float",
         "monotone-seed-negative", "monotone-seed-bool", "fit-seed-negative", "fit-pairs-float",
-        "pair_samples-dim-float", "pair_samples-seed-str"])
+        "fit-pairs-str", "fit-pairs-none", "fit-pairs-bool", "pair_samples-dim-float",
+        "pair_samples-dim-bool", "pair_samples-pairs-none", "pair_samples-seed-str",
+        "random-count-float", "random-count-negative", "random-count-bool", "random-count-str",
+        "random-seed-negative", "random-seed-none"])
 def test_a_non_integer_size_or_a_negative_seed_is_a_domain_error(check, message):
-    # each but the bool seed used to fail inside numpy with a ValueError or a
-    # TypeError; True ran as seed 1
+    # each but the bool seed and fit_tightest's bool pairs used to fail inside
+    # numpy or Python with a ValueError or a TypeError; True ran as seed 1 and
+    # as count 1, a negative count returned no reports, and True pairs read as
+    # fewer than 100
     with pytest.raises(DomainError) as e:
         check()
     assert str(e.value) == message
@@ -281,6 +297,10 @@ def test_numpy_integer_sizes_and_seeds_are_accepted():
     xs, ys = pair_samples(np.int64(10), np.int32(2), seed=np.uint8(3))
     want = pair_samples(10, 2, seed=3)
     assert np.array_equal(xs, want[0]) and np.array_equal(ys, want[1])
+    t = ops.scale(0.75, identity(2))
+    assert (fit_tightest(t, "lipschitz", pairs=np.int64(100), seed=np.int64(3))
+            == fit_tightest(t, "lipschitz", pairs=100, seed=3))
+    assert run_random_suite(count=np.int64(1), seed=np.int64(5)) == run_random_suite(1, 5)
 
 
 @pytest.mark.parametrize("check", [
