@@ -390,8 +390,11 @@ def iterate(
     step norm grows for 50 consecutive iterations.  With ``track_shadow``
     (needs ``A``, ``B``, ``gamma``) records the gap between the two shadow
     points.  A non-finite ``x0`` or ``x_star``, a ``max_iter`` that is not an
-    integer ``>= 0`` and a ``tol_fix`` that is not a finite number ``>= 0``
-    raise :class:`DomainError` before any step.
+    integer ``>= 0``, a ``tol_fix`` that is not a finite number ``>= 0`` and
+    an ``x0`` whose norm overflows that cap (above about 1.8e302) raise
+    :class:`DomainError` before any step.  Norms do not overflow short of the
+    float range (see ``_row_norms``), and an iterate norm past it exceeds the
+    finite cap, so it stops the run as diverged before any stop test reads it.
 
     The bookkeeping is blocked: the loop evaluates ``T`` alone for up to
     ``_BLOCK`` steps, then takes the block's norms, errors and shadow gaps in
@@ -413,10 +416,16 @@ def iterate(
         gap = ops.difference(*dr_shadow_ops(A, B, gamma))
 
     target = None if x_star is None else _vector("x_star", x_star, T.dim)
-    log = IterLog(points=[x],
-                  err_norms=None if target is None else [_norm(x - target)],
-                  shadow_gaps=None if gap is None else [_norm(gap(x))])
-    norm_cap = _DIVERGENCE_FACTOR * (1.0 + _norm(x))
+    with np.errstate(all="ignore"):
+        x_norm = _row_norms(x[None]).item()
+        log = IterLog(points=[x],
+                      err_norms=None if target is None else _row_norms((x - target)[None]).tolist(),
+                      shadow_gaps=None if gap is None else _row_norms(gap(x)[None]).tolist())
+    # Past this norm the cap overflows, and an infinite iterate norm would no
+    # longer stop the run as diverged before it enters a stop test.
+    norm_cap = _DIVERGENCE_FACTOR * (1.0 + x_norm)
+    _require(norm_cap < math.inf,
+             f"x0's norm {x_norm:g} is too large: the divergence cap 1e6*(1 + ||x0||) overflows")
     growth_window = _GROWTH_WINDOW
     growth = 0
     last_step = math.inf
@@ -433,7 +442,7 @@ def iterate(
             except Exception as exc:  # raised below unless an earlier step stops
                 failure = exc
             # Row i of P is x_{k+i}; norms[i] is ||x_{k+i}|| and steps[i-1]
-            # is ||x_{k+i} - x_{k+i-1}||, both bit-equal to _norm of the row.
+            # is ||x_{k+i} - x_{k+i-1}||.
             try:
                 P = np.array(pts)
             except ValueError:  # iterates of different shapes
@@ -449,7 +458,8 @@ def iterate(
         for step in steps:
             n += 1
             new_norm = norms[n]
-            # A finite norm implies finite entries; a non-finite one may be overflow.
+            # A finite norm implies finite entries; an infinite one of finite
+            # entries lies past the float range, and so past the cap.
             if not math.isfinite(new_norm) and not np.all(np.isfinite(P[n])):
                 raise NumericError(f"non-finite iterate at iteration {k + n}", iteration=k + n)
             if step <= tol_fix * (1.0 + norms[n - 1]):
@@ -482,18 +492,24 @@ def iterate(
     return log
 
 
-def _norm(v: np.ndarray) -> float:
-    """Euclidean norm of a 1-D real array; equal to ``np.linalg.norm(v)``."""
-    return math.sqrt(v.dot(v))
-
-
 def _row_norms(m: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a 2-D array.
+    """Euclidean norm of each row of a 2-D array, without overflow.
 
-    The stacked ``(1, n) @ (n, 1)`` products are bit-equal to ``_norm`` of
-    each row (``einsum`` and ``(m*m).sum(1)`` sum in another order).
+    The stacked ``(1, n) @ (n, 1)`` products are bit-equal to ``ndarray.dot``
+    of each row (``einsum`` and ``(m*m).sum(1)`` sum in another order).  A row
+    of finite entries whose sum of squares overflows is recomputed scaled by
+    its largest ``|entry|``, so its norm is infinite only past the float
+    range; every other norm keeps the bits of ``sqrt(row.dot(row))``.
     """
-    return np.sqrt(np.matmul(m[:, None, :], m[:, :, None]).ravel())
+    norms = np.sqrt(np.matmul(m[:, None, :], m[:, :, None]).ravel())
+    # The cheapest test that every norm is finite; its false alarms, rows of
+    # norms whose squares sum past the float range, only take the rescue path.
+    if not math.isfinite(norms.dot(norms)):
+        big = np.isinf(norms) & np.isfinite(m).all(axis=1)
+        scale = np.abs(m[big]).max(axis=1)
+        u = m[big] / scale[:, None]
+        norms[big] = scale * np.sqrt(np.matmul(u[:, None, :], u[:, :, None]).ravel())
+    return norms
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -347,35 +347,31 @@ def _guard(call, *args, errors=GuardError):
         return None, True, str(exc)
 
 
+def _case_report(guard, empirical_failed, expected, params: dict, details: dict) -> CaseReport:
+    # The one verdict: the guard rejects exactly when the case fails
+    # empirically, and that is the failure the case expects; a rate case's
+    # measured rate must also be within 1e-12 of its expected rate.
+    # run_named_case sets the name.
+    _, rejected, message = guard
+    agree = rejected == empirical_failed == expected and details.get("rate_error", 0.0) <= 1e-12
+    return CaseReport("", params, rejected, message, empirical_failed, agree, details)
+
+
 def _displacement_check(r: Op) -> MembershipReport:
     # Sampled monotonicity of Id - R, which holds for every conically
     # nonexpansive R.
     return check_monotone(ops.shift(1.0, ops.negate(r)), 0.0, pairs=2000)
 
 
-def _rate_case(
-    name: str, params: dict, plan, t: Op, x0, expected: float, details: dict
-) -> CaseReport:
+def _rate_case(params: dict, plan, t: Op, x0, expected: float, details: dict) -> CaseReport:
     # Iterate from x0 and compare the empirical rate with the expected one.
     report = splitting.rate_report(splitting.iterate(t, np.array(x0)), plan)
-    err = abs(report.empirical_rate - expected)
-    return CaseReport(
-        name=name,
-        params=params,
-        guard_rejected=False,
-        guard_message="",
-        empirical_failed=not report.satisfied,
-        agree=report.satisfied and err <= 1e-12,
-        details={
-            **details,
-            "empirical_rate": report.empirical_rate,
-            "certified_rate": report.certified_rate,
-            "rate_error": err,
-        },
-    )
+    details.update(empirical_rate=report.empirical_rate, certified_rate=report.certified_rate,
+                   rate_error=abs(report.empirical_rate - expected))
+    return _case_report((plan, False, ""), not report.satisfied, False, params, details)
 
 
-def _rotation_counterexample(theta: float, alpha1: float, alpha2: float, name: str) -> CaseReport:
+def _rotation_counterexample(theta: float, alpha1: float, alpha2: float) -> CaseReport:
     """Two conic factors built on a rotation, second one sign-flipped."""
     kappa = (
         alpha1
@@ -383,28 +379,19 @@ def _rotation_counterexample(theta: float, alpha1: float, alpha2: float, name: s
         - 2.0 * alpha1 * alpha2 * math.sin(theta) ** 2
         - (alpha1 - alpha2) * math.cos(theta)
     )
-    _, guard_rejected, guard_message = _guard(
-        compose_conic, ScaledConic(1.0, alpha1), ScaledConic(1.0, alpha2)
-    )
+    guard = _guard(compose_conic, ScaledConic(1.0, alpha1), ScaledConic(1.0, alpha2))
     rot = build_rotation(theta)
     r1 = build_in_operator(1.0 - alpha1, alpha1, rot)
     r2 = build_in_operator(1.0 - alpha2, alpha2, ops.negate(rot))
     rep = _displacement_check(ops.compose(r2, r1))
-    empirical_failed = not rep.passed
-    return CaseReport(
-        name=name,
-        params={"theta": theta, "alpha1": alpha1, "alpha2": alpha2},
-        guard_rejected=guard_rejected,
-        guard_message=guard_message,
-        empirical_failed=empirical_failed,
-        agree=guard_rejected == empirical_failed == (kappa < 0.0),
-        details={"kappa": kappa, "monotonicity_slack": -rep.worst_violation},
-    )
+    return _case_report(guard, not rep.passed, kappa < 0.0,
+                        {"theta": theta, "alpha1": alpha1, "alpha2": alpha2},
+                        {"kappa": kappa, "monotonicity_slack": -rep.worst_violation})
 
 
 def _case_ex_cases_i(eps=1.0, delta=1.0, theta=math.pi / 2) -> CaseReport:
     s2 = math.sin(theta) ** 2
-    rep = _rotation_counterexample(theta, (1.0 + eps) / s2, (1.0 + delta) / s2, "ex-cases-i")
+    rep = _rotation_counterexample(theta, (1.0 + eps) / s2, (1.0 + delta) / s2)
     rep.params.update({"eps": eps, "delta": delta})
     return rep
 
@@ -412,7 +399,7 @@ def _case_ex_cases_i(eps=1.0, delta=1.0, theta=math.pi / 2) -> CaseReport:
 def _case_chain_reject(eps=1.0, delta=2.0, alpha1=0.25) -> CaseReport:
     alpha2 = alpha1 + delta + eps
     alpha3 = (1.0 + delta) / (2.0 * delta)
-    _, guard_rejected, guard_message = _guard(
+    guard = _guard(
         compose_chain,
         [ScaledConic(1.0, alpha1), ScaledConic(1.0, alpha2), ScaledConic(1.0, alpha3)],
         1,
@@ -422,52 +409,30 @@ def _case_chain_reject(eps=1.0, delta=2.0, alpha1=0.25) -> CaseReport:
     r2 = build_in_operator(1.0 - alpha2, alpha2, s)
     r3 = ops.compose(s, ops.scale(-1.0 / delta, ops.identity(2)))
     rep = _displacement_check(ops.compose(r3, ops.compose(r2, r1)))
-    return CaseReport(
-        name="chain-reject",
-        params={"eps": eps, "delta": delta, "alpha1": alpha1},
-        guard_rejected=guard_rejected,
-        guard_message=guard_message,
-        empirical_failed=not rep.passed,
-        agree=guard_rejected and not rep.passed,
-        details={
-            "alpha2": alpha2,
-            "alpha3": alpha3,
-            "monotonicity_slack": -rep.worst_violation,
-            "expected_slack": -eps / delta,
-        },
-    )
+    return _case_report(guard, not rep.passed, True,
+                        {"eps": eps, "delta": delta, "alpha1": alpha1},
+                        {"alpha2": alpha2, "alpha3": alpha3,
+                         "monotonicity_slack": -rep.worst_violation,
+                         "expected_slack": -eps / delta})
 
 
 def _case_dr_divergence(mu=2.0, omega=1.0, gamma=0.6) -> CaseReport:
-    _, guard_rejected, guard_message = _guard(
-        splitting.plan_dr, mu, omega, gamma, errors=DomainError
-    )
+    guard = _guard(splitting.plan_dr, mu, omega, gamma, errors=DomainError)
     a = ops.SubspaceNormalPlusScale(basis=np.array([[1.0, 0.0]]), mu=mu)
     b = ops.ScaledIdentity(-omega, dim=2)
     t = splitting.dr_operator(a, b, gamma)
     log = splitting.iterate(t, np.array([0.0, 1.0]), max_iter=500)
     factor = -gamma * omega / (1.0 - gamma * omega)
-    empirical_failed = not log.converged
-    return CaseReport(
-        name="dr-divergence",
-        params={"mu": mu, "omega": omega, "gamma": gamma},
-        guard_rejected=guard_rejected,
-        guard_message=guard_message,
-        empirical_failed=empirical_failed,
-        agree=guard_rejected == empirical_failed,
-        details={
-            "orthogonal_factor": factor,
-            "diverged": log.diverged,
-            "reason": log.reason,
-            "iterations": log.n_iter,
-        },
-    )
+    # the plan's own decision is the expected one: rejected iff not converged
+    return _case_report(guard, not log.converged, guard[1],
+                        {"mu": mu, "omega": omega, "gamma": gamma},
+                        {"orthogonal_factor": factor, "diverged": log.diverged,
+                         "reason": log.reason, "iterations": log.n_iter})
 
 
-def _case_averaged_pair(a1: float, a2: float, name: str) -> CaseReport:
-    cert, guard_rejected, guard_message = _guard(
-        compose_general, INParams(1.0 - a1, a1), INParams(1.0 - a2, a2)
-    )
+def _case_averaged_pair(a1: float, a2: float) -> CaseReport:
+    guard = _guard(compose_general, INParams(1.0 - a1, a1), INParams(1.0 - a2, a2))
+    cert = guard[0]
     empirical_failed = None
     worst = -math.inf
     if cert is not None:
@@ -479,28 +444,19 @@ def _case_averaged_pair(a1: float, a2: float, name: str) -> CaseReport:
             rep = check_membership(ops.compose(r2, r1), cert, pairs=2000)
             worst = max(worst, rep.worst_violation)
             empirical_failed = empirical_failed or not rep.passed
-    return CaseReport(
-        name=name,
-        params={"a1": a1, "a2": a2},
-        guard_rejected=guard_rejected,
-        guard_message=guard_message,
-        empirical_failed=empirical_failed,
-        agree=(not guard_rejected) and empirical_failed is False,
-        details={
-            "certified": cert.to_json() if cert is not None else None,
-            "worst_violation": worst,
-        },
-    )
+    return _case_report(guard, empirical_failed, False, {"a1": a1, "a2": a2},
+                        {"certified": cert.to_json() if cert is not None else None,
+                         "worst_violation": worst})
 
 
-def _case_fb_tight(case="I", gamma=0.2, expected=0.75, name="fb-tight-contraction") -> CaseReport:
+def _case_fb_tight(case: str, gamma: float, expected: float) -> CaseReport:
     mu, omega, beta = 2.0, 1.0, 1.0
     plan = splitting.plan_fb(case, mu=mu, omega=omega, beta=beta, gamma=gamma)
     a = ops.ScaledIdentity(mu if case == "I" else mu + beta, dim=2)
     b = ops.ScaledIdentity(-omega, dim=2)
     params = {"case": case, "mu": mu, "omega": omega, "beta": beta, "gamma": gamma}
     t = splitting.build_fb(plan, a, b)
-    return _rate_case(name, params, plan, t, [1.0, 0.0], expected, {"expected": expected})
+    return _rate_case(params, plan, t, [1.0, 0.0], expected, {"expected": expected})
 
 
 def _case_dr_scalar_rate(mu=2.0, omega=1.0, gamma=0.1) -> CaseReport:
@@ -514,19 +470,18 @@ def _case_dr_scalar_rate(mu=2.0, omega=1.0, gamma=0.1) -> CaseReport:
         / ((1.0 - gamma * omega) * (1.0 + gamma * mu))
     )
     params = {"mu": mu, "omega": omega, "gamma": gamma}
-    return _rate_case("dr-scalar-rate", params, plan, t, [1.0, 1.0], abs(factor),
-                      {"scalar_factor": factor})
+    return _rate_case(params, plan, t, [1.0, 1.0], abs(factor), {"scalar_factor": factor})
 
 
 NAMED_CASES = {
-    "kappa-sign": lambda: _rotation_counterexample(math.pi / 2, 2.0, 2.0, "kappa-sign"),
+    "kappa-sign": partial(_rotation_counterexample, math.pi / 2, 2.0, 2.0),
     "ex-cases-i": _case_ex_cases_i,
     "chain-reject": _case_chain_reject,
     "dr-divergence": _case_dr_divergence,
-    "averaged-averaged-0.5-0.5": lambda: _case_averaged_pair(0.5, 0.5, "averaged-averaged-0.5-0.5"),
-    "averaged-averaged-0.7-0.6": lambda: _case_averaged_pair(0.7, 0.6, "averaged-averaged-0.7-0.6"),
-    "fb-tight-contraction": lambda: _case_fb_tight("I", 0.2, 0.75, "fb-tight-contraction"),
-    "fb-tight-negative": lambda: _case_fb_tight("Ib", 0.45, 7.0 / 11.0, "fb-tight-negative"),
+    "averaged-averaged-0.5-0.5": partial(_case_averaged_pair, 0.5, 0.5),
+    "averaged-averaged-0.7-0.6": partial(_case_averaged_pair, 0.7, 0.6),
+    "fb-tight-contraction": partial(_case_fb_tight, "I", 0.2, 0.75),
+    "fb-tight-negative": partial(_case_fb_tight, "Ib", 0.45, 7.0 / 11.0),
     "dr-scalar-rate": _case_dr_scalar_rate,
 }
 
@@ -535,7 +490,9 @@ def run_named_case(name: str) -> CaseReport:
     """Reproduce one named case; raises on unrecognized names."""
     if name not in NAMED_CASES:
         raise DomainError(f"unknown case {name!r}; known: {sorted(NAMED_CASES)}")
-    return NAMED_CASES[name]()
+    rep = NAMED_CASES[name]()
+    rep.name = name
+    return rep
 
 
 def run_named_suite() -> list[CaseReport]:

@@ -376,6 +376,19 @@ def test_solve_with_integer_fields_past_the_float_range_is_no_traceback(tmp_path
     assert "error" in json.loads(capsys.readouterr().out)
 
 
+def test_forced_solve_with_a_non_finite_iterate_exits_3(tmp_path):
+    # gamma*A = 1e309 overflows, so the forced run's first iterate is not finite
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"A": {"kind": "affine", "matrix": [[1e308, 0], [0, 1e308]]},
+                                "B": {"kind": "scaled_identity", "c": 1.0, "dim": 2},
+                                "mu": 2.0, "beta": 1.0, "case": "I",
+                                "gamma": 10.0}))
+    r = run_cli("solve-fb", "--instance", str(path), "--force", "--x0", "1,2")
+    assert r.returncode == 3
+    assert r.stdout == ""
+    assert r.stderr.endswith("numeric failure: non-finite iterate at iteration 1\n"), r.stderr
+
+
 def test_verify_named_suite(tmp_path):
     report = tmp_path / "named.json"
     r = run_cli("verify", "--suite", "named", "--json", str(report))
@@ -431,6 +444,22 @@ def test_seed_env_override(tmp_path):
                 "--json", str(out), env={"OPSPLIT_SEED": "11"})
     assert r.returncode == 0
     assert json.loads(out.read_text())["config"]["seed"] == 11
+
+
+def test_random_suite_without_a_seed_uses_the_default(tmp_path, monkeypatch, capsys):
+    from opsplit.cli import main
+
+    monkeypatch.delenv("OPSPLIT_SEED", raising=False)
+
+    def report(argv):
+        path = tmp_path / "random.json"
+        assert main(["verify", "--suite", "random", "--count", "1", "--json", str(path),
+                     *argv]) == 0
+        return capsys.readouterr().out, path.read_bytes()
+
+    default = report([])
+    assert json.loads(default[1])["config"]["seed"] == 12648430
+    assert report(["--seed", "12648430"]) == default
 
 
 def test_non_integer_seed_env_is_usage(monkeypatch, capsys):
@@ -568,6 +597,9 @@ _BAD_OFFSET = {"kind": "affine", "matrix": [[2.0, 0.0], [0.0, 2.0]], "offset": [
      None, None, {}, "cocoercive diameter must be > 0"),
     (["compose", "--class1", "averaged:abc", "--class2", "averaged:0.5"],
      None, None, {}, "cannot parse class spec 'averaged:abc'"),
+    (["compose"], None, None, {}, "compose needs --class1 and --class2 (or --chain)"),
+    (["solve-fb", "--x0", "1e303,0"], _SI_A, _SI_B, {},
+     "x0's norm 1e+303 is too large: the divergence cap 1e6*(1 + ||x0||) overflows"),
     (["solve-fb"], {"kind": "affine", "matrix": [[_NAN, 0.0], [0.0, 2.0]]}, _SI_B, {},
      "finite"),
     (["solve-dr"], {"kind": "affine", "matrix": [[_NAN, 0.0], [0.0, 2.0]]}, _SI_B, {},
@@ -652,7 +684,8 @@ _BAD_OFFSET = {"kind": "affine", "matrix": [[2.0, 0.0], [0.0, 2.0]], "offset": [
      "--count must be at least 1"),
     (["verify", "--suite", "random", "--count", "0"], None, None, {},
      "--count must be at least 1"),
-], ids=["cocoercive-0", "class-spec-junk", "fb-affine-matrix", "dr-affine-matrix", "affine-offset",
+], ids=["cocoercive-0", "class-spec-junk", "compose-no-classes", "x0-norm-past-cap",
+        "fb-affine-matrix", "dr-affine-matrix", "affine-offset",
         "quadratic-matrix", "scaled-identity-c", "subspace-basis", "subspace-mu", "x0", "x0-junk",
         "tol", "tol-negative", "tol-minus-inf", "fb-offset-shape", "dr-offset-shape", "quadratic-offset-shape",
         "quadratic-asymmetric", "gamma-flag-nan",
@@ -695,6 +728,8 @@ _DR_TEXT = json.dumps({"A": _SI_A, "B": _SI_B, "mu": 2.0, "omega": 1.0, "gamma":
                      reason="no int/str conversion limit before Python 3.10.7")),
     (["solve-fb", "--instance"], b"\xff\xfe", "codec can't decode"),
     (["solve-dr", "--instance"], "[" + _DR_TEXT + "]", "--instance must hold a JSON object"),
+    (["solve-dr", "--instance"], json.dumps({"A": _SI_A, "B": _SI_B, "mu": 2.0, "omega": 1.0}),
+     "gamma required (flag or instance file)"),
     (["compose", "--chain"], "[{\"delta\": 1.0, \"alpha\": 0.5},", "Expecting"),
     (["compose", "--chain"], '{"a": 1}', "--chain must hold a JSON list"),
     (["compose", "--chain"], "[1.0, 0.5]", "--chain must hold a JSON list"),
@@ -705,6 +740,7 @@ _DR_TEXT = json.dumps({"A": _SI_A, "B": _SI_B, "mu": 2.0, "omega": 1.0, "gamma":
     (["compose", "--chain"], '[{"delta": 1.0, "alpha": 0.5}, {"delta": 1e999, "alpha": 0.5}]',
      "chain[1].delta must be finite"),
 ], ids=["instance-truncated", "instance-huge-int", "instance-not-utf8", "instance-list",
+        "instance-no-gamma",
         "chain-truncated",
         "chain-object", "chain-numbers", "chain-delta-str", "chain-alpha-bool",
         "chain-delta-inf"])

@@ -25,6 +25,7 @@ from opsplit.splitting import (
     IterLog,
     SplitPlan,
     _required_moduli,
+    _row_norms,
     build_dr,
     build_fb,
     dr_operator,
@@ -373,7 +374,8 @@ def _gamma_near_ends(draw, planner, *args, **kwargs):
     ends = [e for e in (lo, hi) if e is not None and math.isfinite(e)]
     near = [g for e in ends for g in (math.nextafter(e, -math.inf), e, math.nextafter(e, math.inf))]
     inside = st.floats(lo, hi) if len(ends) == 2 and lo <= hi else _POSITIVE
-    return draw(st.sampled_from(near) | inside)
+    # both ends overflow (case Ib at a subnormal mu and beta: [inf, inf[)
+    return draw(st.sampled_from(near) | inside if near else inside)
 
 
 @st.composite
@@ -739,7 +741,7 @@ def _nan_on_call(n):
 
 
 @pytest.mark.parametrize("case", ["converge", "oscillate", "norm", "growth",
-                                  "overflow", "nan", "inf"])
+                                  "overflow", "large-x0", "nan", "inf"])
 def test_iterate_stopping_matches_reference_loop(case):
     a, b = scaling_demo()
 
@@ -750,8 +752,10 @@ def test_iterate_stopping_matches_reference_loop(case):
             "norm": lambda: (scale(1.5, identity(2)), [1.0, -2.0]),
             # ||x_51|| = 1.05^51 ||x0|| stays far below the norm cap
             "growth": lambda: (scale(1.05, identity(2)), [1.0, -2.0]),
-            # finite entries whose norm overflows: diverged, not a numeric failure
+            # finite entries whose squares overflow: diverged, not a numeric failure
             "overflow": lambda: (scale(1e200, identity(2)), [1.0, 1.0]),
+            # the square of every iterate and step norm of the run overflows
+            "large-x0": lambda: (dr_operator(a, b, 0.1), [1e200, -1e200]),
             "nan": lambda: (_nan_on_call(7), [1.0, 2.0]),
             "inf": lambda: (scale(1e300, identity(2)), [1e10, 1.0]),
         }[case]()
@@ -767,7 +771,8 @@ def test_iterate_stopping_matches_reference_loop(case):
         log = iterate(*make(), max_iter=300)
     _assert_same_log(log, want)
     reason = {"converge": "", "oscillate": "no convergence", "norm": "iterate norm",
-              "growth": "step norm grew", "overflow": "iterate norm"}[case]
+              "growth": "step norm grew", "overflow": "iterate norm",
+              "large-x0": "no convergence"}[case]
     assert log.reason.startswith(reason)
     if case == "overflow":
         assert log.n_iter == 1
@@ -835,7 +840,12 @@ def _unblocked_iterate(T, x0, max_iter=10_000, tol_fix=1e-10, x_star=None, gap=N
     shadow gap taken one step at a time, the log filled as the loop goes.
     ``gap`` is the fused shadow-gap op that ``track_shadow`` builds."""
     def norm(v):
-        return math.sqrt(v.dot(v))
+        # rescaled by the largest |entry| where the square overflows on finite entries
+        n = math.sqrt(v.dot(v))
+        if math.isinf(n) and np.isfinite(v).all():
+            s = float(np.abs(v).max())
+            n = s * math.sqrt((v / s).dot(v / s))
+        return n
 
     x = np.asarray(x0, dtype=float)
     log = IterLog(err_norms=[] if x_star is not None else None,
@@ -1067,6 +1077,30 @@ def test_blocked_iterate_matches_unblocked_loop(d, factor, max_iter, tol_fix, wi
     _assert_same_log(iterate(t, x0, **kw, **shadow), _unblocked_iterate(t, x0, gap=gap, **kw))
 
 
+def test_iterate_from_a_norm_whose_square_overflows():
+    # ||x0||^2 = 1e400: the norms used to read as inf, and the stop test
+    # step <= tol*(1 + inf) passed at iteration 1
+    plan = plan_fb("I", mu=2, omega=1, beta=1, gamma=0.2)
+    t = build_fb(plan, ScaledIdentity(2.0, dim=2), ScaledIdentity(-1.0, dim=2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        log = iterate(t, [1e200, 0.0])
+    assert log.converged and log.n_iter > 1000
+    assert np.linalg.norm(log.final - iterate(t, [1.0, 0.0]).final) <= 1e-6
+    assert log.step_norms[0] == 0.25e200  # the first step is x0/4
+
+
+def test_row_norms_rescale_only_overflowing_rows():
+    m = np.array([[3.0, 4.0], [1e200, 1e200], [1e308, 1e308], [1.5e308, 1.5e308],
+                  [math.nan, 1.0], [math.inf, 0.0], [0.1, 0.2]])
+    with np.errstate(all="ignore"):
+        got = _row_norms(m)
+    assert got[0] == 5.0 and got[6] == math.sqrt(m[6].dot(m[6]))
+    for i in (1, 2):
+        assert got[i] == pytest.approx(math.hypot(*m[i]), rel=1e-15)
+    assert math.isinf(got[3]) and math.isnan(got[4]) and math.isinf(got[5])
+
+
 def test_iterate_rejects_bad_x0():
     from opsplit.operators import identity
 
@@ -1090,8 +1124,14 @@ def test_iterate_rejects_bad_x0():
     ([1.0, 2.0], dict(tol_fix=-1.0, max_iter=5), "tol_fix must be a finite number >= 0, got -1.0"),
     ([1.0, 2.0], dict(tol_fix=math.nan, max_iter=5), "tol_fix must be a finite number >= 0, got nan"),
     ([1.0, 2.0], dict(tol_fix=math.inf), "tol_fix must be a finite number >= 0, got inf"),
+    # a norm past the float range used to read as inf and pass the stop test
+    ([1.5e308, 1.5e308], {},
+     "x0's norm inf is too large: the divergence cap 1e6*(1 + ||x0||) overflows"),
+    ([1e303, 0.0], {},
+     "x0's norm 1e+303 is too large: the divergence cap 1e6*(1 + ||x0||) overflows"),
 ], ids=["x0-nan", "x0-inf", "x-star-nan", "max-iter-negative", "max-iter-float",
-        "max-iter-bool", "max-iter-str", "max-iter-none", "tol-negative", "tol-nan", "tol-inf"])
+        "max-iter-bool", "max-iter-str", "max-iter-none", "tol-negative", "tol-nan", "tol-inf",
+        "x0-past-float-range", "x0-norm-past-cap"])
 def test_iterate_rejects_bad_solver_inputs(x0, kwargs, message):
     with pytest.raises(DomainError) as e:
         iterate(identity(2), x0, **kwargs)
@@ -1127,6 +1167,16 @@ def test_rate_report_needs_steps():
     log = iterate(identity(2), np.array([1.0, 0.0]))
     with pytest.raises(DomainError):
         rate_report(log, plan)
+
+
+def test_rate_report_needs_a_converged_run_or_a_known_fixed_point():
+    plan = plan_fb("I", mu=2.0, omega=1.0, beta=1.0, gamma=0.2)
+    t = build_fb(plan, ScaledIdentity(2.0, dim=2), ScaledIdentity(-1.0, dim=2))
+    log = iterate(t, np.array([1.0, 0.0]), max_iter=12)
+    assert not log.converged and not log.diverged and len(log.step_norms) == 12
+    with pytest.raises(DomainError) as e:
+        rate_report(log, plan)
+    assert str(e.value) == "rate report needs a converged run or a known fixed point"
 
 
 def test_rate_report_divergent():

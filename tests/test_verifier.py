@@ -730,7 +730,7 @@ def test_kappa_sign_details():
 
 
 def test_kappa_sign_positive_instance_accepts():
-    rep = verifier._rotation_counterexample(math.pi / 2, 0.5, 0.5, "kappa-sign")
+    rep = verifier._rotation_counterexample(math.pi / 2, 0.5, 0.5)
     assert not rep.guard_rejected and not rep.empirical_failed and rep.agree
 
 
