@@ -21,6 +21,7 @@ from . import figures, splitting, verifier
 from .calculus import (
     ClassLabel,
     INParams,
+    Kind,
     ScaledConic,
     certify,
     classify,
@@ -62,34 +63,26 @@ def _load_json(path):
 
 
 def parse_class_spec(text: str) -> ClassLabel:
-    """Parse specs like ``averaged:0.5``, ``conic:1.7``, ``cocoercive:1.4``
-    (the value is the Lipschitz diameter), ``lipschitz:0.8``,
-    ``scaled-conic:2:0.75``, ``neg-conic:2``, ``contraction:0.9``,
-    ``nonexpansive``."""
-    parts = text.split(":")
-    kind = parts[0].strip().lower()
+    """Parse ``kind:value`` with ``kind`` a :class:`Kind` value and the
+    matching :class:`ClassLabel` constructor's arguments, such as
+    ``averaged:0.5`` or ``scaled-conic:2:0.75``.  ``nonexpansive`` takes no
+    value (one given is ignored), and ``cocoercive:B`` takes the Lipschitz
+    diameter ``B = 1/c`` of a ``c``-cocoercive map."""
+    name, *parts = text.split(":")
     try:
-        vals = [float(p) for p in parts[1:]]
+        kind = Kind(name.strip().lower())
+        vals = [float(p) for p in parts]
     except ValueError:
         raise DomainError(f"cannot parse class spec {text!r}") from None
-    if kind == "nonexpansive":
+    if kind is Kind.NONEXPANSIVE:
         return ClassLabel.nonexpansive()
-    if kind == "cocoercive" and len(vals) == 1 and not vals[0] > 0.0:
-        raise DomainError(f"cocoercive diameter must be > 0, got {vals[0]}")
-    if len(vals) == 1:
-        one = {
-            "averaged": ClassLabel.averaged,
-            "conic": ClassLabel.conic,
-            "lipschitz": ClassLabel.lipschitz,
-            "contraction": ClassLabel.contraction,
-            "neg-conic": ClassLabel.neg_conic,
-            "cocoercive": lambda b: ClassLabel.cocoercive(1.0 / b),
-        }
-        if kind in one:
-            return one[kind](vals[0])
-    if kind == "scaled-conic" and len(vals) == 2:
-        return ClassLabel.scaled_conic(vals[0], vals[1])
-    raise DomainError(f"cannot parse class spec {text!r}")
+    if len(vals) != (2 if kind is Kind.SCALED_CONIC else 1):
+        raise DomainError(f"cannot parse class spec {text!r}")
+    if kind is Kind.COCOERCIVE:
+        if not vals[0] > 0.0:
+            raise DomainError(f"cocoercive diameter must be > 0, got {vals[0]}")
+        vals = [1.0 / vals[0]]
+    return getattr(ClassLabel, kind.name.lower())(*vals)
 
 
 def _resolved_seed(args) -> int:

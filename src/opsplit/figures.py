@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -67,7 +66,6 @@ from .calculus import (
 from .errors import DomainError, _is_integer
 
 __all__ = [
-    "Disk",
     "Raster",
     "class_region",
     "composition_region_exact",
@@ -76,14 +74,6 @@ __all__ = [
     "PRESET_NAMES",
     "preset_figure",
 ]
-
-
-@dataclass(frozen=True)
-class Disk:
-    """Disk centered at ``(center_x, 0)``."""
-
-    center_x: float
-    radius: float
 
 
 class Raster:
@@ -134,9 +124,10 @@ class Raster:
         return -self.extent + self.pixel * np.arange(self.resolution + 1)
 
 
-def class_region(p: INParams) -> Disk:
-    """The reachability disk of a single descriptor."""
-    return Disk(p.alpha, p.beta)
+def class_region(p: INParams) -> INParams:
+    """The reachability disk of a single descriptor: ``p`` itself, drawn as the
+    disk of radius ``beta`` centered at ``(alpha, 0)``."""
+    return p
 
 
 def _membership(x: np.ndarray, y: np.ndarray, p1: INParams, p2: INParams) -> np.ndarray:
@@ -481,14 +472,15 @@ def emit_svg(regions, markers=(), path=None) -> str:
     marker at (1, 0).
 
     ``regions`` is a list of ``(region, style)`` pairs where ``region`` is a
-    :class:`Disk` or :class:`Raster` and ``style`` a dict of SVG attributes.
+    :class:`~opsplit.calculus.INParams` (its disk) or :class:`Raster` and
+    ``style`` a dict of SVG attributes.
     Returns the SVG text; writes it to ``path`` when given.  Identical inputs
     produce byte-identical output.
     """
     sizes = [1.05]
     for region, _ in regions:
-        if isinstance(region, Disk):
-            sizes.append(abs(region.center_x) + region.radius)
+        if isinstance(region, INParams):
+            sizes.append(region.lipschitz)
         else:
             sizes.append(region.extent)
     sizes += [abs(c) for m in markers for c in (m[0], m[1])]
@@ -515,10 +507,10 @@ def emit_svg(regions, markers=(), path=None) -> str:
         f'<line x1="{_fmt(tx(0))}" y1="0" x2="{_fmt(tx(0))}" y2="{CANVAS:.0f}" {_AXIS_STYLE}/>',
     ]
     for region, style in regions:
-        if isinstance(region, Disk):
+        if isinstance(region, INParams):
             lines.append(
-                f'<circle cx="{_fmt(tx(region.center_x))}" cy="{_fmt(ty(0))}" '
-                f'r="{_fmt(region.radius * s)}" {attrs(style)}/>'
+                f'<circle cx="{_fmt(tx(region.alpha))}" cy="{_fmt(ty(0))}" '
+                f'r="{_fmt(region.beta * s)}" {attrs(style)}/>'
             )
         else:
             lines.append(_raster_path(region, tx, ty, attrs(style)))

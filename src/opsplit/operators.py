@@ -115,6 +115,9 @@ def _mix(a: float, m, b: float, n):
     return out
 
 
+# The combinators fold affine maps with numpy's warnings off: an entry that
+# overflows is left to the iteration's non-finite check, not warned of.
+@np.errstate(all="ignore")
 def _lincomb(c0: float, c1: float, op: Op, certificate) -> Op:
     """``x -> c0*x + c1*op(x)``, folded into one affine map when ``op`` is affine."""
     if op.matrix is not None:
@@ -237,7 +240,9 @@ class Affine(MonotoneSpec):
         if not (np.isfinite(self.matrix).all() and np.isfinite(self.offset).all()):
             raise DomainError("matrix and offset must be finite")
         self.dim = _positive_dim(n)
-        self.rho = float(np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.T))[0])
+        # Halving first keeps the sum in range; away from the subnormals it
+        # gives the bits of 0.5*(M + M^T) wherever that sum does not overflow.
+        self.rho = float(np.linalg.eigvalsh(0.5 * self.matrix + 0.5 * self.matrix.T)[0])
         # The eigensolver's error, a small multiple of eps*||M|| <= eps*n*max|M_ij|,
         # with room for an M that is itself the rounding of one of modulus rho.
         self.rho_error = 32.0 * np.finfo(float).eps * n * float(np.abs(self.matrix).max())
@@ -326,6 +331,7 @@ class QuadraticGradient(Affine):
 # Combinators
 
 
+@np.errstate(all="ignore")
 def compose(outer: Op, inner: Op) -> Op:
     """``x -> outer(inner(x))``, certified by :func:`calculus.certify` or, when
     no rule applies, by the naive Lipschitz product; uncertified if either
@@ -388,6 +394,7 @@ def shift(c: float, op: Op) -> Op:
     return _lincomb(c, 1.0, op, cert)
 
 
+@np.errstate(all="ignore")
 def difference(a: Op, b: Op) -> Op:
     """``x -> a(x) - b(x)``, without a certificate."""
     if a.dim != b.dim:

@@ -33,11 +33,12 @@ def marked_points(raster) -> np.ndarray:
 
 
 def disk_contains(disk, pts) -> np.ndarray:
-    """Whether each ``(x, y)`` row of ``pts`` lies in ``disk``, up to a
+    """Whether each ``(x, y)`` row of ``pts`` lies in the disk of the
+    descriptor ``disk`` (radius ``beta`` about ``(alpha, 0)``), up to a
     relative 1e-12 of its radius."""
     pts = np.atleast_2d(pts)
-    d = np.hypot(pts[:, 0] - disk.center_x, pts[:, 1])
-    return d <= disk.radius * (1.0 + 1e-12)
+    d = np.hypot(pts[:, 0] - disk.alpha, pts[:, 1])
+    return d <= disk.beta * (1.0 + 1e-12)
 
 
 def raster_contains(raster, point, dilate: int = 0) -> bool:

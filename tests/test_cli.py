@@ -185,6 +185,26 @@ def test_compose_parse_error_is_usage():
     assert r.returncode == 1
 
 
+def test_every_kind_parses_to_its_constructors_label():
+    from opsplit.calculus import ClassLabel, Kind
+    from opsplit.cli import parse_class_spec
+
+    specs = {
+        "lipschitz:0.8": ClassLabel.lipschitz(0.8),
+        "nonexpansive": ClassLabel.nonexpansive(),
+        "nonexpansive:0.5": ClassLabel.nonexpansive(),  # the value is ignored
+        "averaged:0.5": ClassLabel.averaged(0.5),
+        "conic:1.7": ClassLabel.conic(1.7),
+        "cocoercive:1.4": ClassLabel.cocoercive(1.0 / 1.4),  # the diameter 1/c
+        "contraction:0.9": ClassLabel.contraction(0.9),
+        "scaled-conic:2:0.75": ClassLabel.scaled_conic(2.0, 0.75),
+        "neg-conic:2": ClassLabel.neg_conic(2.0),
+    }
+    assert {label.kind for label in specs.values()} == set(Kind)
+    for text, label in specs.items():
+        assert parse_class_spec(text) == label, text
+
+
 def test_classify_output():
     r = run_cli("classify", "--alpha", "0.5", "--beta", "0.5")
     assert r.returncode == 0
@@ -386,7 +406,8 @@ def test_forced_solve_with_a_non_finite_iterate_exits_3(tmp_path):
     r = run_cli("solve-fb", "--instance", str(path), "--force", "--x0", "1,2")
     assert r.returncode == 3
     assert r.stdout == ""
-    assert r.stderr.endswith("numeric failure: non-finite iterate at iteration 1\n"), r.stderr
+    # building gamma*A warns of nothing; the iteration reports the overflow once
+    assert r.stderr == "numeric failure: non-finite iterate at iteration 1\n", r.stderr
 
 
 def test_verify_named_suite(tmp_path):
@@ -598,6 +619,16 @@ _BAD_OFFSET = {"kind": "affine", "matrix": [[2.0, 0.0], [0.0, 2.0]], "offset": [
     (["compose", "--class1", "averaged:abc", "--class2", "averaged:0.5"],
      None, None, {}, "cannot parse class spec 'averaged:abc'"),
     (["compose"], None, None, {}, "compose needs --class1 and --class2 (or --chain)"),
+    (["compose", "--class1", "bogus:1", "--class2", "averaged:0.5"],
+     None, None, {}, "cannot parse class spec 'bogus:1'"),
+    (["compose", "--class1", "averaged", "--class2", "averaged:0.5"],
+     None, None, {}, "cannot parse class spec 'averaged'"),
+    (["compose", "--class1", "averaged:0.5:1", "--class2", "averaged:0.5"],
+     None, None, {}, "cannot parse class spec 'averaged:0.5:1'"),
+    (["compose", "--class1", "scaled-conic:2", "--class2", "averaged:0.5"],
+     None, None, {}, "cannot parse class spec 'scaled-conic:2'"),
+    (["compose", "--class1", "cocoercive:nan", "--class2", "averaged:0.5"],
+     None, None, {}, "cocoercive diameter must be > 0, got nan"),
     (["solve-fb", "--x0", "1e303,0"], _SI_A, _SI_B, {},
      "x0's norm 1e+303 is too large: the divergence cap 1e6*(1 + ||x0||) overflows"),
     (["solve-fb"], {"kind": "affine", "matrix": [[_NAN, 0.0], [0.0, 2.0]]}, _SI_B, {},
@@ -684,7 +715,9 @@ _BAD_OFFSET = {"kind": "affine", "matrix": [[2.0, 0.0], [0.0, 2.0]], "offset": [
      "--count must be at least 1"),
     (["verify", "--suite", "random", "--count", "0"], None, None, {},
      "--count must be at least 1"),
-], ids=["cocoercive-0", "class-spec-junk", "compose-no-classes", "x0-norm-past-cap",
+], ids=["cocoercive-0", "class-spec-junk", "compose-no-classes", "class-spec-unknown-kind",
+        "class-spec-no-value", "class-spec-extra-value", "class-spec-scaled-conic-one-value",
+        "cocoercive-nan", "x0-norm-past-cap",
         "fb-affine-matrix", "dr-affine-matrix", "affine-offset",
         "quadratic-matrix", "scaled-identity-c", "subspace-basis", "subspace-mu", "x0", "x0-junk",
         "tol", "tol-negative", "tol-minus-inf", "fb-offset-shape", "dr-offset-shape", "quadratic-offset-shape",

@@ -11,7 +11,6 @@ from opsplit import figures
 from opsplit.calculus import INParams, compose_general
 from opsplit.errors import DomainError
 from opsplit.figures import (
-    Disk,
     PRESET_NAMES,
     Raster,
     class_region,
@@ -25,10 +24,8 @@ from conftest import disk_contains, marked_points, raster_contains
 
 
 def test_class_region_named_disks():
-    assert class_region(INParams(0.0, 0.8)) == Disk(0.0, 0.8)
-    assert class_region(INParams(0.7, 0.7)) == Disk(0.7, 0.7)
-    assert class_region(INParams(0.5, 0.5)) == Disk(0.5, 0.5)
-    assert class_region(INParams(-0.2, 1.2)) == Disk(-0.2, 1.2)
+    for p in (INParams(0.0, 0.8), INParams(0.7, 0.7), INParams(0.5, 0.5), INParams(-0.2, 1.2)):
+        assert class_region(p) is p
 
 
 def test_region_membership_known_points():
@@ -86,7 +83,7 @@ def test_degenerate_first_disk_is_a_point_sweep():
     r = composition_region_exact(INParams(0.5, 0.0), INParams(0.5, 0.5), 128)
     # region = disk around (0.25, 0) with radius 0.25
     pts = marked_points(r)
-    d = Disk(0.25, 0.25)
+    d = INParams(0.25, 0.25)
     assert disk_contains(d, pts).all()
     assert raster_contains(r, (0.5, 0.0), dilate=1)
     assert not raster_contains(r, (-0.2, 0.0), dilate=1)
@@ -145,9 +142,28 @@ def test_resolution_floor():
 
 
 def test_svg_single_disk_has_one_region_circle():
-    text = emit_svg([(Disk(0.0, 0.8), {"fill": "none", "stroke": "#000000"})])
+    text = emit_svg([(INParams(0.0, 0.8), {"fill": "none", "stroke": "#000000"})])
     assert text.count("<circle") == 3  # region + unit guide + marker dot
     assert 'stroke-dasharray' in text
+
+
+def test_svg_of_a_descriptor_region_is_its_disk():
+    # a circle of radius beta about (alpha, 0), on a canvas sized by |alpha| + beta
+    style = {"fill": "none", "stroke": "#1f6fb4", "stroke-width": "1.5"}
+    assert emit_svg([(INParams(-0.2, 1.2), style)]) == (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="600" height="600" '
+        'viewBox="0 0 600 600">\n'
+        '<rect width="600" height="600" fill="#ffffff"/>\n'
+        '<line x1="0" y1="300.0000" x2="600" y2="300.0000" stroke="#cccccc" stroke-width="1"/>\n'
+        '<line x1="300.0000" y1="0" x2="300.0000" y2="600" stroke="#cccccc" stroke-width="1"/>\n'
+        '<circle cx="259.1837" cy="300.0000" r="244.8980" fill="none" stroke="#1f6fb4" '
+        'stroke-width="1.5"/>\n'
+        '<circle cx="300.0000" cy="300.0000" r="204.0816" fill="none" stroke="#999999" '
+        'stroke-dasharray="4,4" stroke-width="1"/>\n'
+        '<circle cx="504.0816" cy="300.0000" r="3" fill="#000000"/>\n'
+        '</svg>\n'
+    )
 
 
 def test_svg_empty_regions_has_guides_only():
@@ -374,8 +390,6 @@ def test_region_membership_rejects_non_finite_points():
 @pytest.mark.parametrize(
     "regions, markers",
     [
-        ([(Disk(float("inf"), 0.5), {})], ()),
-        ([(Disk(0.0, float("nan")), {})], ()),
         ([(_dense_raster(np.zeros((65, 65), bool), np.arange(65), float("inf"), 64), {})], ()),
         ([], [(float("inf"), 0.0)]),
         ([], [(0.0, float("nan"))]),

@@ -1,6 +1,7 @@
 """Evaluatable operators: rotations, resolvents, proximal maps, combinators."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -393,6 +394,25 @@ def test_estimate_rho_exact_kinds():
     assert ScaledIdentity(-1.0, dim=2).rho == -1.0
     skew = Affine(np.array([[0.0, -1.0], [1.0, 0.0]]))
     assert abs(skew.rho) < 1e-12
+
+
+def test_affine_modulus_near_the_float_range_is_finite():
+    # M + M^T overflows at 1e308; the modulus halves before it sums
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = Affine(np.array([[1e308, 0.0], [0.0, -5.0]]))
+    assert math.isfinite(spec.rho)
+    assert abs(spec.rho - -5.0) <= spec.rho_error
+
+
+def test_folding_affine_maps_that_overflow_warns_of_nothing():
+    # The iteration reports a non-finite iterate; building the map is quiet.
+    big = Affine(np.diag([1e308, 2.0]), np.array([1e308, 0.0])).forward()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        maps = [scale(10.0, big), compose(big, big), compose(big, ScaledIdentity(10.0).forward())]
+    for op in maps:
+        assert np.isinf(op.matrix[0, 0]), op.matrix
 
 
 def test_estimate_rho_sampled_matches_exact(rng):
