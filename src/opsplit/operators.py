@@ -135,9 +135,9 @@ def identity(dim: int) -> Op:
 def matrix_op(matrix: np.ndarray, offset=None, certificate=None) -> Op:
     """The affine map ``x -> M x + b`` (batched as ``x @ M.T + b``)."""
     m = np.asarray(matrix, dtype=float)
-    n = m.shape[0]
+    n = len(m) if m.ndim else 0
     if m.shape != (n, n):
-        raise DomainError(f"matrix must be square, got shape {m.shape}")
+        raise DomainError(f"matrix must be square, got {m.shape}")
     b = None if offset is None else np.asarray(offset, dtype=float)
     if b is not None and b.shape != (n,):
         raise DomainError(f"offset must have shape ({n},), got {b.shape}")
@@ -159,14 +159,13 @@ def build_in_operator(alpha: float, beta: float, n: Op) -> Op:
 
     ``n`` must carry a nonexpansive certificate.
     """
-    if not beta >= 0.0:
-        raise DomainError(f"beta must satisfy beta >= 0, got {beta}")
+    cert = INParams(alpha, beta)
     bound = None if n.certificate is None else n.certificate.to_in().lipschitz
     if bound is None or bound > 1.0:
         raise BuildError(
             f"N must carry a nonexpansive certificate, got bound {bound}"
         )
-    return _lincomb(alpha, beta, n, INParams(alpha, beta))
+    return _lincomb(alpha, beta, n, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +195,14 @@ class MonotoneSpec:
     def _check_gamma(self, gamma: float):
         if not gamma > 0.0:
             raise DomainError(f"step size must be > 0, got {gamma}")
-        if not gamma * self.rho > -1.0:
+        gamma_rho = gamma * self.rho
+        if not np.isfinite(gamma_rho):
             raise DomainError(
-                f"resolvent not single-valued: gamma*rho = {gamma * self.rho} <= -1"
+                f"resolvent not certified: gamma*rho = {gamma_rho} at gamma={gamma}"
+            )
+        if not gamma_rho > -1.0:
+            raise DomainError(
+                f"resolvent not single-valued: gamma*rho = {gamma_rho} <= -1"
             )
 
     def resolvent(self, gamma: float) -> Op:
@@ -228,15 +232,9 @@ class Affine(MonotoneSpec):
     offset: np.ndarray | None = None
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=float)
-        n = len(self.matrix) if self.matrix.ndim else 0
-        if self.matrix.shape != (n, n):
-            raise DomainError(f"matrix must be square, got {self.matrix.shape}")
-        self.offset = (
-            np.zeros(n) if self.offset is None else np.asarray(self.offset, dtype=float)
-        )
-        if self.offset.shape != (n,):
-            raise DomainError(f"offset must have shape ({n},), got {self.offset.shape}")
+        form = matrix_op(self.matrix, self.offset)
+        n, self.matrix = form.dim, form.matrix
+        self.offset = np.zeros(n) if form.offset is None else form.offset
         if not (np.isfinite(self.matrix).all() and np.isfinite(self.offset).all()):
             raise DomainError("matrix and offset must be finite")
         self.dim = _positive_dim(n)
@@ -251,6 +249,9 @@ class Affine(MonotoneSpec):
     def forward(self) -> Op:
         return matrix_op(self.matrix, self.offset)
 
+    # An entry of gamma*M may overflow where gamma*rho is finite; as in the
+    # folds, the iteration's non-finite check reports it, not a warning.
+    @np.errstate(all="ignore")
     def resolvent(self, gamma: float) -> Op:
         """Inverts ``I + gamma*M`` once per ``gamma``: a repeat call at the last
         ``gamma`` returns the same :class:`Op`, which callers must not mutate."""
@@ -292,7 +293,8 @@ class ScaledIdentity(MonotoneSpec):
 class SubspaceNormalPlusScale(MonotoneSpec):
     """Normal cone of a linear subspace ``U`` plus ``mu*Id``.
 
-    ``basis`` holds spanning vectors of ``U`` as rows; the resolvent is
+    ``basis`` holds a spanning set of ``U`` as rows (zero and dependent rows
+    allowed); the resolvent is
     ``P_U/(1 + gamma*mu)`` with ``P_U`` the orthogonal projector onto ``U``.
     Set-valued, so there is no forward evaluation.
     """
@@ -305,10 +307,10 @@ class SubspaceNormalPlusScale(MonotoneSpec):
         if not (np.isfinite(b).all() and np.isfinite(self.mu)):
             raise DomainError("basis and mu must be finite")
         self.dim = _positive_dim(b.shape[1])
-        q, r = np.linalg.qr(b.T)
-        rank = int(np.sum(np.abs(np.diag(r)) > 1e-12))
-        q = q[:, :rank]
-        self.projector = q @ q.T
+        # rank rule: the singular values above 1e-12 of the largest (none if no rows)
+        u, s, _ = np.linalg.svd(b.T, full_matrices=False)
+        u = u[:, s > 1e-12 * s.max(initial=0.0)]
+        self.projector = u @ u.T
         self.rho = self.mu
 
     def resolvent(self, gamma: float) -> Op:
@@ -323,7 +325,7 @@ class QuadraticGradient(Affine):
     def __post_init__(self):
         super().__post_init__()
         q = self.matrix
-        if not np.allclose(q, q.T, atol=1e-12 * max(1.0, float(np.abs(q).max()))):
+        if not np.allclose(q, q.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(q).max()))):
             raise DomainError("quadratic matrix must be symmetric")
 
 

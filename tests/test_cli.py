@@ -410,6 +410,24 @@ def test_forced_solve_with_a_non_finite_iterate_exits_3(tmp_path):
     assert r.stderr == "numeric failure: non-finite iterate at iteration 1\n", r.stderr
 
 
+@pytest.mark.parametrize("diagonal, code, stderr", [
+    # gamma*rho overflows: refused before I + gamma*A is formed
+    ([1e308, 1e308], 1, "error: resolvent not certified: gamma*rho = inf at gamma=10.0\n"),
+    # gamma*rho = 10, but an entry of gamma*A overflows: no warning
+    ([1e308, 1.0], 0, ""),
+], ids=["gamma-rho-overflows", "an-entry-overflows"])
+def test_forced_solve_where_gamma_times_a_overflows(diagonal, code, stderr, tmp_path):
+    path = tmp_path / "inst.json"
+    matrix = [[diagonal[0], 0.0], [0.0, diagonal[1]]]
+    path.write_text(json.dumps({"A": {"kind": "affine", "matrix": matrix},
+                                "B": {"kind": "scaled_identity", "c": 1.0, "dim": 2},
+                                "mu": 2.0, "omega": 1.0, "gamma": 10.0}))
+    r = run_cli("solve-dr", "--instance", str(path), "--force", "--x0", "1,2")
+    assert r.returncode == code
+    assert r.stderr == stderr
+    assert (r.stdout == "") == (code != 0)
+
+
 def test_verify_named_suite(tmp_path):
     report = tmp_path / "named.json"
     r = run_cli("verify", "--suite", "named", "--json", str(report))

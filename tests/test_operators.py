@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opsplit import calculus, sampling
@@ -22,6 +22,7 @@ from opsplit.operators import (
     compose,
     difference,
     identity,
+    matrix_op,
     negate,
     relax,
     rotation_matrix,
@@ -81,6 +82,15 @@ def test_build_in_operator_zero_map_is_cocoercive():
     assert rep.passed
 
 
+@pytest.mark.parametrize("beta", [-1.0, math.nan, math.inf])
+def test_build_in_operator_rejects_beta_as_its_descriptor_does(beta):
+    with pytest.raises(DomainError) as want:
+        INParams(0.5, beta)
+    with pytest.raises(DomainError) as got:
+        build_in_operator(0.5, beta, build_rotation(1.0))
+    assert str(got.value) == str(want.value)
+
+
 def test_build_in_operator_requires_nonexpansive_certificate():
     bad = scale(2.0, identity(2))  # certified 2-Lipschitz
     with pytest.raises(BuildError):
@@ -121,6 +131,25 @@ def test_subspace_normal_resolvent():
     r = spec.reflected_resolvent(1.0)
     # (2/(1+g*mu)) P_U - Id
     assert np.allclose(r(np.array([2.0, 5.0])), [2.0 * 0.5 - 2.0, -5.0])
+
+
+_HALF = [[0.0, 0.5, 0.5], [0.0, 0.5, 0.5]]
+
+
+@pytest.mark.parametrize("basis, projector", [
+    ([[0.0, 0.0], [1.0, 0.0]], np.diag([1.0, 0.0])),
+    ([[1.0, 1.0], [1.0, 1.0], [0.0, 1.0]], np.eye(2)),
+    ([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], np.diag([0.0, 1.0, 1.0])),
+    ([[1e-13, 0.0]], np.diag([1.0, 0.0])),
+    (np.zeros((0, 3)), np.zeros((3, 3))),
+    (1e6 * np.array([[2.0, 0.0, 0.0], [0.0, 1.0, 1.0]]), [[1.0, 0.0, 0.0], *_HALF]),
+    (1e-13 * np.array([[2.0, 0.0, 0.0], [0.0, 1.0, 1.0]]), [[1.0, 0.0, 0.0], *_HALF]),
+], ids=["zero-row-first", "dependent-rows", "zero-row-then-pivot", "tiny-row", "no-rows",
+        "scaled-up", "scaled-down"])
+def test_subspace_projector_is_onto_the_span_of_any_spanning_set(basis, projector):
+    # A zero, repeated or uniformly scaled row leaves the span as it is.
+    got = SubspaceNormalPlusScale(basis, mu=1.0).projector
+    assert np.max(np.abs(got - np.asarray(projector))) <= 1e-12, got
 
 
 def test_affine_zero_resolvent_is_identity():
@@ -194,6 +223,15 @@ def test_affine_offset_shape_checked(offset):
         QuadraticGradient(np.eye(2), offset)
 
 
+@pytest.mark.parametrize("matrix", [2.0, np.zeros(2), np.zeros((2, 3))])
+@pytest.mark.parametrize("build", [matrix_op, Affine, QuadraticGradient])
+def test_every_affine_form_has_one_shape_rule(build, matrix):
+    # matrix_op(2.0) used to die in an IndexError
+    with pytest.raises(DomainError) as e:
+        build(matrix)
+    assert str(e.value) == f"matrix must be square, got {np.shape(matrix)}"
+
+
 # ---------------------------------------------------------------------------
 # proximal mappings: the resolvent of a quadratic's gradient
 
@@ -246,6 +284,14 @@ def test_prox_surrogate_strongly_convex():
 def test_quadratic_gradient_rejects_asymmetric_matrix():
     with pytest.raises(DomainError, match="must be symmetric"):
         QuadraticGradient(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_quadratic_symmetry_tolerance_is_absolute():
+    # 5e-6 off symmetric, far past 1e-12*max|Q|; np.allclose's default
+    # rtol=1e-5 used to accept it
+    with pytest.raises(DomainError, match="must be symmetric"):
+        QuadraticGradient(np.array([[1.0, 1.000005], [1.0, 1.0]]))
+    QuadraticGradient(np.array([[1.0, 1.0 + 5e-13], [1.0, 1.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -625,6 +671,9 @@ def _count_nodes(op, x, monkeypatch):
 
 @settings(max_examples=150, deadline=None)
 @given(_tree, st.integers(1, 5), st.floats(0.05, 3.0), st.integers(0, 2**32 - 1))
+# Production and _dense_leaf build this leaf's projector by one SVD rank rule,
+# so they hold the same projector (ROADMAP item 10 logged this input).
+@example(("leaf", "subspace_normal", "reflected"), 3, 1.0, 262146)
 def test_fused_trees_match_dense_reference(tree, n, gamma, seed):
     op, ref = _build(tree, n, gamma, np.random.default_rng(seed), fused=True)
     assert op.matrix is not None
